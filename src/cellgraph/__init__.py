@@ -34,7 +34,6 @@ from .radiomics import (
 )
 from .graphs import (
     CellGraph,
-    NormAdj,
     assemble_training_graph,
     knn_feature_graph,
     normalize_adjacency,

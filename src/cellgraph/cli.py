@@ -17,8 +17,7 @@ import numpy as np
 
 from . import dataset as ds
 from .dimred import reduce_features
-from .experiment import ExperimentConfig, load_report, run_experiment
-from .expression import expression_profile
+from .experiment import ExperimentConfig, extract_features, load_report, run_experiment
 from .grand import (
     GrandConfig,
     load_checkpoint,
@@ -35,7 +34,6 @@ from .graphs import (
 )
 from .harness import compute_metrics, standardize_features, stratified_split
 from .plots import bar_chart_svg
-from .radiomics import RadiomicsConfig, radiomic_feature_table
 from .synth import SynthConfig, generate_synthetic_dataset
 from .trees import (
     BoostConfig,
@@ -137,32 +135,13 @@ def _resolve_out(args, default: str | None = None) -> str:
 
 
 def _load_table_sorted(path: str) -> ds.CellTable:
-    if not os.path.isfile(path):
-        raise StageError(f"feature table not found: {path}")
-    table = ds.read_feature_csv(path)
-    order = sorted(range(len(table)), key=lambda i: (table.sample_ids[i], int(table.cell_ids[i])))
-    return ds.CellTable(
-        cell_ids=table.cell_ids[order],
-        sample_ids=[table.sample_ids[i] for i in order],
-        centroids=table.centroids[order],
-        labels=table.labels[order],
-        features=table.features[order],
-        feature_names=table.feature_names,
-    )
+    return ds.pool_tables([ds.read_feature_csv(path)])
 
 
 def _label_vector(table: ds.CellTable, labels_path: str) -> np.ndarray:
     labeled = _load_table_sorted(labels_path)
-    by_key = {
-        (labeled.sample_ids[i], int(labeled.cell_ids[i])): int(labeled.labels[i])
-        for i in range(len(labeled))
-    }
-    out = np.full(len(table), -1, dtype=np.int64)
-    for i in range(len(table)):
-        key = (table.sample_ids[i], int(table.cell_ids[i]))
-        if key in by_key:
-            out[i] = by_key[key]
-    return out
+    by_key = dict(zip(labeled.keys(), labeled.labels.tolist()))
+    return np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +163,9 @@ def _cmd_extract(args) -> None:
     if not os.path.isfile(manifest):
         raise StageError(f"dataset manifest not found: {manifest}")
     data = ds.load_dataset(manifest)
-    tables = []
-    for sample in data.samples:
-        labels = {int(c): int(l) for c, l in zip(sample.cells.cell_ids, sample.cells.labels)}
-        if args.features == "expression":
-            tables.append(expression_profile(sample.stack, sample.mask, labels=labels))
-        else:
-            rconf = RadiomicsConfig.from_dict(_load_json(args.config)) if args.config else RadiomicsConfig()
-            tables.append(radiomic_feature_table(sample.stack, sample.mask, rconf, labels=labels))
-    from .synth import concat_tables
-
-    table = concat_tables(tables)
+    # the config file holds radiomics settings; expression extraction ignores it
+    radiomics = _load_json(args.config) if args.config and args.features == "radiomics" else {}
+    table = extract_features(data, args.features, radiomics)
     out = _resolve_out(args, default=f"{args.features}.csv")
     table.to_csv(out)
     print(f"wrote {len(table)} cells x {len(table.feature_names)} features to {out}")

@@ -140,12 +140,16 @@ class CellTable:
                 f"feature matrix shape {self.features.shape} does not match "
                 f"{n} cells x {len(self.feature_names)} names"
             )
-        keys = list(zip(self.sample_ids, self.cell_ids.tolist()))
+        keys = self.keys()
         if len(set(keys)) != len(keys):
             raise DatasetError("(sample_id, cell_id) pairs must be unique")
 
     def __len__(self) -> int:
         return len(self.cell_ids)
+
+    def keys(self) -> list:
+        """The (sample_id, cell_id) pair of each row."""
+        return list(zip(self.sample_ids, self.cell_ids.tolist()))
 
     def to_csv(self, path: str) -> None:
         write_feature_csv(path, self)
@@ -392,19 +396,11 @@ def _cell_stub(sample_id: str, mask: LabelMask, label_map: dict) -> CellTable:
     from the mask are kept with NaN centroids so validate_dataset can flag
     them as orphans instead of silently dropping them.
     """
-    mask_ids = mask.cell_ids()
-    ids = sorted(set(int(c) for c in mask_ids) | set(label_map))
-    rows, cols = np.nonzero(mask.labels)
-    order = np.argsort(mask.labels[rows, cols], kind="stable")
-    rows, cols = rows[order], cols[order]
-    sorted_labels = mask.labels[rows, cols]
+    mask_ids, rows, cols, bounds = cell_pixels(mask)
+    ids = sorted(set(mask_ids.tolist()) | set(label_map))
     centroids = np.full((len(ids), 2), np.nan)
-    for i, cid in enumerate(ids):
-        lo = np.searchsorted(sorted_labels, cid, side="left")
-        hi = np.searchsorted(sorted_labels, cid, side="right")
-        if hi > lo:
-            centroids[i, 0] = cols[lo:hi].mean()
-            centroids[i, 1] = rows[lo:hi].mean()
+    for i, lo, hi in zip(np.searchsorted(ids, mask_ids), bounds[:-1], bounds[1:]):
+        centroids[i] = (cols[lo:hi].mean(), rows[lo:hi].mean())
     labels = np.array([label_map.get(cid, CLASS_UNLABELED) for cid in ids], dtype=np.int64)
     return CellTable(
         cell_ids=np.array(ids, dtype=np.int64),
@@ -413,6 +409,41 @@ def _cell_stub(sample_id: str, mask: LabelMask, label_map: dict) -> CellTable:
         labels=labels,
         features=np.zeros((len(ids), 0)),
         feature_names=[],
+    )
+
+
+def cell_pixels(mask: LabelMask):
+    """Group the mask's foreground pixels by cell.
+
+    Returns ``(ids, rows, cols, bounds)``: the cell ids in ascending order,
+    the pixel coordinates sorted by cell id (row-major within each cell),
+    and ``bounds`` of length ``len(ids) + 1`` such that cell ``ids[i]`` owns
+    ``rows[bounds[i]:bounds[i + 1]]``.
+    """
+    rows, cols = np.nonzero(mask.labels)
+    labels = mask.labels[rows, cols]
+    order = np.argsort(labels, kind="stable")
+    ids, starts = np.unique(labels[order], return_index=True)
+    return ids, rows[order], cols[order], np.append(starts, len(order))
+
+
+def pool_tables(tables: list) -> CellTable:
+    """Concatenate cell tables with rows sorted by (sample_id, cell_id)."""
+    if not tables:
+        raise DatasetError("no cell tables to pool")
+    names = tables[0].feature_names
+    if any(t.feature_names != names for t in tables):
+        raise DatasetError("feature names differ across cell tables")
+    sample_ids = [sid for t in tables for sid in t.sample_ids]
+    cell_ids = np.concatenate([t.cell_ids for t in tables])
+    order = np.lexsort((cell_ids, np.array(sample_ids)))
+    return CellTable(
+        cell_ids=cell_ids[order],
+        sample_ids=[sample_ids[i] for i in order],
+        centroids=np.concatenate([t.centroids for t in tables])[order],
+        labels=np.concatenate([t.labels for t in tables])[order],
+        features=np.concatenate([t.features for t in tables])[order],
+        feature_names=list(names),
     )
 
 
@@ -512,21 +543,24 @@ def read_feature_csv(path: str) -> CellTable:
     if not rows or rows[0][:5] != ["cell_id", "sample_id", "cx", "cy", "label"]:
         raise DatasetError(f"{path}: expected feature table header")
     names = rows[0][5:]
-    body = [r for r in rows[1:] if r]
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
     n = len(body)
     cell_ids = np.zeros(n, dtype=np.int64)
     sample_ids = []
     centroids = np.zeros((n, 2))
     labels = np.zeros(n, dtype=np.int64)
     features = np.zeros((n, len(names)))
-    for i, row in enumerate(body):
+    for i, (lineno, row) in enumerate(body):
         if len(row) != 5 + len(names):
-            raise DatasetError(f"{path}: row {i + 2} has {len(row)} fields, expected {5 + len(names)}")
-        cell_ids[i] = int(row[0])
+            raise DatasetError(f"{path}: row {lineno} has {len(row)} fields, expected {5 + len(names)}")
+        try:
+            cell_ids[i] = int(row[0])
+            centroids[i] = (float(row[2]), float(row[3]))
+            labels[i] = int(row[4])
+            features[i] = [float(v) for v in row[5:]]
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: malformed feature row: {exc}") from exc
         sample_ids.append(row[1])
-        centroids[i] = (float(row[2]), float(row[3]))
-        labels[i] = int(row[4])
-        features[i] = [float(v) for v in row[5:]]
     return CellTable(
         cell_ids=cell_ids,
         sample_ids=sample_ids,

@@ -147,56 +147,42 @@ def cell_key(feature_type: str, reduction: str, model: str) -> str:
     return f"{feature_type}|{reduction}|{model}"
 
 
-@dataclass
-class _PooledFeatures:
-    node_keys: list
-    sample_ids: list
-    X: np.ndarray
-    y: np.ndarray
-    centroids: np.ndarray
+def extract_features(data: ds.Dataset, feature_type: str, radiomics: dict) -> ds.CellTable:
+    """Extract one feature family from every sample into one pooled table.
 
-
-def _extract_features(data: ds.Dataset, feature_type: str, config: ExperimentConfig) -> _PooledFeatures:
+    Rows are sorted by (sample_id, cell_id) and carry each cell's recorded
+    class label. ``radiomics`` holds RadiomicsConfig keys and is read only
+    for the radiomics family.
+    """
+    if feature_type == "radiomics":
+        rconf = RadiomicsConfig.from_dict(radiomics) if radiomics else RadiomicsConfig()
+    elif feature_type != "expression":
+        raise ExperimentError(f"unknown feature type {feature_type!r}")
     tables = []
     for sample in data.samples:
-        labels = {
-            int(cid): int(lab)
-            for cid, lab in zip(sample.cells.cell_ids, sample.cells.labels)
-        }
+        labels = dict(zip(sample.cells.cell_ids.tolist(), sample.cells.labels.tolist()))
         if feature_type == "expression":
             tables.append(expression_profile(sample.stack, sample.mask, labels=labels))
         else:
-            rconf = RadiomicsConfig.from_dict(config.radiomics) if config.radiomics else RadiomicsConfig()
             tables.append(radiomic_feature_table(sample.stack, sample.mask, rconf, labels=labels))
-    rows = []
-    for t in tables:
-        for i in range(len(t)):
-            rows.append((t.sample_ids[i], int(t.cell_ids[i]), t.features[i], int(t.labels[i]), t.centroids[i]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return _PooledFeatures(
-        node_keys=[(r[0], r[1]) for r in rows],
-        sample_ids=[r[0] for r in rows],
-        X=np.array([r[2] for r in rows]),
-        y=np.array([r[3] for r in rows], dtype=np.int64),
-        centroids=np.array([r[4] for r in rows]),
-    )
+    return ds.pool_tables(tables)
 
 
-def _make_split(pooled: _PooledFeatures, config: ExperimentConfig) -> SplitMasks:
+def _make_split(table: ds.CellTable, config: ExperimentConfig) -> SplitMasks:
     seed = derive_seed(config.seed, "split")
     if config.split_by == "case":
-        return case_stratified_split(pooled.y, pooled.sample_ids, seed=seed)
-    return stratified_split(pooled.y, seed=seed)
+        return case_stratified_split(table.labels, table.sample_ids, seed=seed)
+    return stratified_split(table.labels, seed=seed)
 
 
-def _run_model(model: str, pooled: _PooledFeatures, X_red: np.ndarray, masks: SplitMasks,
+def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitMasks,
                config: ExperimentConfig, seed: int) -> dict:
-    y = pooled.y
+    y = table.labels
     if model in ("grand_feature_graph", "grand_spatial_graph"):
         if model == "grand_feature_graph":
-            graph = knn_feature_graph(X_red, config.k, node_keys=pooled.node_keys)
+            graph = knn_feature_graph(X_red, config.k, node_keys=table.keys())
         else:
-            graph = spatial_knn_graph(pooled.centroids, pooled.sample_ids, config.k, node_keys=pooled.node_keys)
+            graph = spatial_knn_graph(table.centroids, table.sample_ids, config.k, node_keys=table.keys())
         adj = normalize_adjacency(graph)
         gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
         trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
@@ -213,13 +199,13 @@ def _run_model(model: str, pooled: _PooledFeatures, X_red: np.ndarray, masks: Sp
     return metrics.to_dict()
 
 
-def _run_reduction_group(feature_type: str, reduction: str, pooled: _PooledFeatures,
+def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
                          masks: SplitMasks, config: ExperimentConfig):
     """All model cells sharing one (feature type, reduction) representation."""
     results = {}
     timings = {}
     try:
-        Z, _, _ = standardize_features(pooled.X, masks.train)
+        Z, _, _ = standardize_features(table.features, masks.train)
         kwargs = {}
         if reduction == "tsne":
             kwargs = dict(config.tsne)
@@ -244,7 +230,7 @@ def _run_reduction_group(feature_type: str, reduction: str, pooled: _PooledFeatu
         seed = derive_seed(config.seed, key)
         t0 = time.perf_counter()
         try:
-            metrics = _run_model(model, pooled, X_red, masks, config, seed)
+            metrics = _run_model(model, table, X_red, masks, config, seed)
             results[key] = {"status": "ok", "metrics": metrics}
         except Exception as exc:  # noqa: BLE001
             results[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
@@ -269,13 +255,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
     cells = {}
     timings = {}
-    pooled_by_ft = {}
+    tables_by_ft = {}
     masks_by_ft = {}
     for ft in config.feature_types:
         t0 = time.perf_counter()
         try:
-            pooled_by_ft[ft] = _extract_features(data, ft, config)
-            masks_by_ft[ft] = _make_split(pooled_by_ft[ft], config)
+            tables_by_ft[ft] = extract_features(data, ft, config.radiomics)
+            masks_by_ft[ft] = _make_split(tables_by_ft[ft], config)
         except Exception as exc:  # noqa: BLE001
             reason = f"{type(exc).__name__}: {exc}"
             for red in config.reductions:
@@ -292,7 +278,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
     def worker(group):
         ft, red = group
-        return _run_reduction_group(ft, red, pooled_by_ft[ft], masks_by_ft[ft], config)
+        return _run_reduction_group(ft, red, tables_by_ft[ft], masks_by_ft[ft], config)
 
     if config.threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

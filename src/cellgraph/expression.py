@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import CLASS_UNLABELED, CellTable, LabelMask, StainStack
+from .dataset import CLASS_UNLABELED, CellTable, LabelMask, StainStack, cell_pixels
 
 
 class ExpressionError(Exception):
@@ -33,16 +33,9 @@ def expression_profile(
         )
     if aggregator not in ("mean", "median"):
         raise ExpressionError(f"unknown aggregator {aggregator!r}")
-    ids = mask.cell_ids()
+    ids, rows, cols, bounds = cell_pixels(mask)
     if len(ids) == 0:
         raise ExpressionError(f"sample {stack.sample_id}: mask contains no cells")
-
-    rows, cols = np.nonzero(mask.labels)
-    order = np.argsort(mask.labels[rows, cols], kind="stable")
-    rows, cols = rows[order], cols[order]
-    sorted_ids = mask.labels[rows, cols]
-    bounds = np.searchsorted(sorted_ids, ids, side="left")
-    bounds = np.append(bounds, len(rows))
 
     n = len(ids)
     features = np.zeros((n, len(stack.channels)))

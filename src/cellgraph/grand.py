@@ -16,8 +16,7 @@ import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-
-from .graphs import NormAdj
+import scipy.sparse as sp
 
 CHECKPOINT_MAGIC = b"GRND1"
 
@@ -97,16 +96,15 @@ def apply_drop_node(X: np.ndarray, delta: float, mask: np.ndarray) -> np.ndarray
     return X * (mask / (1.0 - delta))[:, None]
 
 
-def propagate(adj: NormAdj, X: np.ndarray, K: int) -> np.ndarray:
+def propagate(adj: sp.csr_matrix, X: np.ndarray, K: int) -> np.ndarray:
     """Mixed-order propagation: average of adj^k X for k = 0..K, computed
     by running power accumulation without densifying any matrix power."""
     if K < 0:
         raise GrandError("K must be >= 0")
     acc = X.astype(np.float64).copy()
     cur = acc.copy()
-    csr = adj.to_csr()
     for _ in range(K):
-        cur = csr @ cur
+        cur = adj @ cur
         acc += cur
     return acc / (K + 1)
 
@@ -168,7 +166,7 @@ def grand_loss(outputs: list, labels: np.ndarray, train_mask: np.ndarray, lam: f
 
 def training_loss_and_grads(
     params: dict,
-    adj: NormAdj,
+    adj: sp.csr_matrix,
     X: np.ndarray,
     node_masks: list,
     input_masks: list,
@@ -256,7 +254,7 @@ def _binary_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def train_grand(
-    adj: NormAdj,
+    adj: sp.csr_matrix,
     X: np.ndarray,
     labels: np.ndarray,
     masks: tuple,
@@ -354,7 +352,7 @@ def train_grand(
     )
 
 
-def predict_grand(model: GrandModel, adj: NormAdj, X: np.ndarray):
+def predict_grand(model: GrandModel, adj: sp.csr_matrix, X: np.ndarray):
     """Deterministic inference: no DropNode, single propagation pass.
 
     Returns (probabilities, hard labels); argmax ties resolve to the lower

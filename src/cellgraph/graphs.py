@@ -8,6 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
+
+from .dataset import _atomic_write, pool_tables
 
 _CHUNK_ROWS = 1024
 
@@ -42,30 +45,6 @@ class CellGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-@dataclass
-class NormAdj:
-    """Symmetric normalized adjacency in CSR layout.
-
-    Built as D^{-1/2} (A + I) D^{-1/2} over the symmetrized edge set, where
-    D holds the row sums of A + I. All entries lie in (0, 1] and the
-    spectral radius is at most 1.
-    """
-
-    n_nodes: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def matmul(self, X: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ X
-
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.values, self.indices, self.indptr), shape=(self.n_nodes, self.n_nodes))
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
 
 
 def _pairwise_sq_euclidean(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -162,11 +141,14 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys
     return CellGraph(n_nodes=n, edges=all_edges, weights=np.ones(len(all_edges)), node_keys=keys)
 
 
-def normalize_adjacency(g: CellGraph) -> NormAdj:
+def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:
     """Symmetrize, add unit self-loops, and degree-normalize.
 
-    An undirected edge exists where either direction is present; its weight
-    is the max of the stored directions.
+    Returns D^{-1/2} (A + I) D^{-1/2} in CSR layout with sorted indices,
+    where D holds the row sums of A + I. An undirected edge exists where
+    either direction is present; its weight is the max of the stored
+    directions. All entries lie in (0, 1] and the spectral radius is at
+    most 1.
     """
     n = g.n_nodes
     if len(g.edges):
@@ -186,12 +168,7 @@ def normalize_adjacency(g: CellGraph) -> NormAdj:
     D = sp.diags(inv_sqrt)
     A_hat = (D @ A_tilde @ D).tocsr()
     A_hat.sort_indices()
-    return NormAdj(
-        n_nodes=n,
-        indptr=A_hat.indptr.copy(),
-        indices=A_hat.indices.copy(),
-        values=A_hat.data.copy(),
-    )
+    return A_hat
 
 
 def assemble_training_graph(tables: list, kind: str, k: int, metric: str = "euclidean"):
@@ -212,61 +189,42 @@ def assemble_training_graph(tables: list, kind: str, k: int, metric: str = "eucl
                 f"feature names mismatch: {t.sample_ids[0] if t.sample_ids else '?'} "
                 f"has {len(t.feature_names)} features, expected {len(names)}"
             )
-    rows = []
-    for t in tables:
-        for i in range(len(t)):
-            rows.append((t.sample_ids[i], int(t.cell_ids[i]), t.features[i], int(t.labels[i]), t.centroids[i]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    node_keys = [(r[0], r[1]) for r in rows]
-    X = np.array([r[2] for r in rows])
-    y = np.array([r[3] for r in rows], dtype=np.int64)
-    centroids = np.array([r[4] for r in rows])
-    sample_ids = [r[0] for r in rows]
+    table = pool_tables(tables)
     if kind == "feature":
-        graph = knn_feature_graph(X, k, metric=metric, node_keys=node_keys)
+        graph = knn_feature_graph(table.features, k, metric=metric, node_keys=table.keys())
     else:
-        graph = spatial_knn_graph(centroids, sample_ids, k, node_keys=node_keys)
-    return graph, X, y
+        graph = spatial_knn_graph(table.centroids, table.sample_ids, k, node_keys=table.keys())
+    return graph, table.features, table.labels
 
 
 def write_edge_list(path: str, g: CellGraph) -> None:
     lines = [f"# nodes {g.n_nodes}"]
     for (src, dst), w in zip(g.edges.tolist(), g.weights.tolist()):
         lines.append(f"{src} {dst} {format(w, '.17g')}")
-    from .dataset import _atomic_write
-
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_edge_list(path: str) -> CellGraph:
     with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# nodes "):
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# nodes "):
         raise GraphError(f"{path}: expected '# nodes N' header")
-    n = int(lines[0][len("# nodes ") :])
     edges = np.zeros((len(lines) - 1, 2), dtype=np.int64)
     weights = np.zeros(len(lines) - 1)
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphError(f"{path}: malformed edge line {ln!r}")
-        edges[i] = (int(parts[0]), int(parts[1]))
-        weights[i] = float(parts[2])
+    lineno, ln = lines[0]
+    try:
+        n = int(ln[len("# nodes ") :])
+        for i, (lineno, ln) in enumerate(lines[1:]):
+            src, dst, weight = ln.split()
+            edges[i] = (int(src), int(dst))
+            weights[i] = float(weight)
+    except ValueError as exc:
+        raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
     return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=[("", i) for i in range(n)])
 
 
 def connected_components(g: CellGraph) -> int:
-    """Number of weakly connected components (union-find)."""
-    parent = list(range(g.n_nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for src, dst in g.edges.tolist():
-        a, b = find(src), find(dst)
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(g.n_nodes)})
+    """Number of weakly connected components."""
+    A = sp.coo_matrix((np.ones(g.n_edges), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n_nodes, g.n_nodes))
+    n_components, _ = csgraph.connected_components(A, directed=True, connection="weak")
+    return n_components

@@ -155,26 +155,14 @@ def compute_metrics(y_true, probabilities, threshold: float = 0.5) -> Metrics:
         warnings.warn("ROC-AUC undefined: y_true contains a single class")
         auc = float("nan")
     else:
-        auc = (np.sum(_midranks(probs)[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        # 1-based ranks, ties sharing their midrank
+        _, inverse, counts = np.unique(probs, return_inverse=True, return_counts=True)
+        ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+        auc = (np.sum(ranks[pos]) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return Metrics(
         accuracy=accuracy, precision=precision, recall=recall, f1=f1,
         roc_auc=float(auc), tp=tp, fp=fp, fn=fn, tn=tn,
     )
-
-
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the midrank."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.zeros(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +295,6 @@ def hyperparameter_search(space: dict, objective, budget: int, seed: int = 0) ->
         trials.append(Trial(index=t, config=config, score=score))
     best = max(trials, key=lambda tr: (tr.score, -tr.index))
     return SearchResult(best=best.config, best_score=best.score, trials=trials)
-
-
-DEFAULT_SEARCH_SPACES = {
-    "grand": {
-        "learning_rate": ("log_uniform", 1e-3, 1e-1),
-        "drop_rate": ("uniform", 0.0, 0.9),
-        "consistency_weight": ("log_uniform", 0.1, 10.0),
-        "temperature": ("uniform", 0.1, 1.0),
-        "hidden_dim": ("categorical", [16, 32, 64]),
-        "prop_order": ("categorical", [2, 4, 8]),
-    },
-    "random_forest": {
-        "n_trees": ("categorical", [50, 100, 200]),
-        "max_depth": ("categorical", [4, 6, 8, 12]),
-        "min_leaf": ("categorical", [1, 2, 5]),
-    },
-    "gradient_boosting": {
-        "n_rounds": ("categorical", [50, 100, 200]),
-        "max_depth": ("categorical", [2, 3, 4]),
-        "learning_rate": ("log_uniform", 0.01, 0.5),
-    },
-}
 
 
 # ---------------------------------------------------------------------------

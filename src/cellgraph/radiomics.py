@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack
+from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_pixels
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -401,7 +401,7 @@ def radiomic_feature_table(
             f"sample {stack.sample_id}: mask {mask.width}x{mask.height} does not "
             f"match channels {stack.width}x{stack.height}"
         )
-    ids = mask.cell_ids()
+    ids, rows_all, cols_all, bounds = cell_pixels(mask)
     if len(ids) == 0:
         raise RadiomicsError(f"sample {stack.sample_id}: mask contains no cells")
 
@@ -421,13 +421,6 @@ def radiomic_feature_table(
         names += [f"{antigen}__{s}" for s in FIRST_ORDER_NAMES]
         names += [f"{antigen}__{s}" for s in GLCM_NAMES]
         names += [f"{antigen}__{s}" for s in GLRLM_NAMES]
-
-    rows_all, cols_all = np.nonzero(mask.labels)
-    order = np.argsort(mask.labels[rows_all, cols_all], kind="stable")
-    rows_all, cols_all = rows_all[order], cols_all[order]
-    sorted_ids = mask.labels[rows_all, cols_all]
-    bounds = np.searchsorted(sorted_ids, ids, side="left")
-    bounds = np.append(bounds, len(rows_all))
 
     n = len(ids)
     features = np.zeros((n, len(names)))

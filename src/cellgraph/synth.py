@@ -26,6 +26,7 @@ from .dataset import (
     LabelMask,
     Sample,
     StainStack,
+    pool_tables,
     save_dataset,
 )
 from .rng import Xoshiro256StarStar
@@ -99,25 +100,8 @@ def generate_synthetic_dataset(config: SynthConfig, out_dir: str | None = None):
     dataset = Dataset(samples=samples, pixel_spacing_um=config.pixel_spacing_um)
     if out_dir is not None:
         save_dataset(dataset, out_dir)
-    truth = concat_tables([s.cells for s in dataset.samples])
+    truth = pool_tables([s.cells for s in dataset.samples])
     return dataset, truth
-
-
-def concat_tables(tables: list) -> CellTable:
-    if not tables:
-        raise ValueError("no tables to concatenate")
-    names = tables[0].feature_names
-    for t in tables:
-        if t.feature_names != names:
-            raise ValueError("feature names differ across tables")
-    return CellTable(
-        cell_ids=np.concatenate([t.cell_ids for t in tables]),
-        sample_ids=[sid for t in tables for sid in t.sample_ids],
-        centroids=np.concatenate([t.centroids for t in tables]),
-        labels=np.concatenate([t.labels for t in tables]),
-        features=np.concatenate([t.features for t in tables]),
-        feature_names=list(names),
-    )
 
 
 def _generate_sample(config: SynthConfig, index: int, diagnosis: str, stream, channel_bases: list) -> Sample:

@@ -132,7 +132,7 @@ def test_criterion_03_propagation_oracle():
         rng = np.random.default_rng(300 + seed)
         X = rng.normal(size=(30, 6))
         adj = normalize_adjacency(knn_feature_graph(rng.normal(size=(30, 4)), 4))
-        dense = adj.to_dense()
+        dense = adj.toarray()
         expected = np.zeros_like(X)
         power = np.eye(30)
         for _ in range(9):

@@ -158,3 +158,26 @@ def test_experiment_rerun_byte_identical(workdir):
             "--data", data, "--out", out,
         ]) == 0
     assert open(os.path.join(a, "report.json"), "rb").read() == open(os.path.join(b, "report.json"), "rb").read()
+
+
+def test_extract_writes_rows_in_sample_cell_order(tmp_path):
+    from cellgraph.dataset import load_dataset, write_feature_csv
+    from cellgraph.experiment import extract_features
+    from cellgraph.synth import SynthConfig, generate_synthetic_dataset
+
+    data = tmp_path / "data"
+    config = SynthConfig(n_samples=2, n_melanoma=1, cells_per_sample=15, image_size=64, n_channels=2, seed=5)
+    generate_synthetic_dataset(config, str(data))
+    manifest_path = data / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["samples"].reverse()  # list s02 before s01
+    manifest_path.write_text(json.dumps(manifest))
+
+    out = tmp_path / "expr.csv"
+    assert main(["extract", "--data", str(data), "--features", "expression", "--out", str(out)]) == 0
+    keys = [(row.split(",")[1], int(row.split(",")[0])) for row in out.read_text().splitlines()[1:]]
+    assert keys == sorted(keys) and keys[0][0] == "s01"
+
+    expected = tmp_path / "expected.csv"
+    write_feature_csv(str(expected), extract_features(load_dataset(str(manifest_path)), "expression", {}))
+    assert out.read_bytes() == expected.read_bytes()

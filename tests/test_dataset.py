@@ -3,13 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellgraph.dataset import (
     ChannelImage,
     DatasetError,
     Sample,
     Dataset,
+    cell_pixels,
     load_dataset,
+    pool_tables,
     read_feature_csv,
     read_mask,
     read_pgm,
@@ -239,3 +242,68 @@ def test_labels_csv_rejects_bad_class(tmp_path):
 
     with pytest.raises(DatasetError, match="class_label"):
         read_labels_csv(str(path))
+
+
+def test_feature_csv_bad_number_names_path_and_line(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("cell_id,sample_id,cx,cy,label,f\n1,s01,1,2,0,3\nx,s01,1,2,0,3\n")
+    with pytest.raises(DatasetError, match=f"{path}:3"):
+        read_feature_csv(str(path))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda w: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, 2, 5, 9, 2**32 - 1]), min_size=w, max_size=w),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+def test_cell_pixels_partitions_foreground_row_major(grid):
+    labels = np.array(grid, dtype=np.uint32)
+    ids, rows, cols, bounds = cell_pixels(make_mask(labels))
+    foreground = np.flatnonzero(labels)
+    np.testing.assert_array_equal(ids, np.unique(labels[labels > 0]))
+    assert np.all(np.diff(ids.astype(np.int64)) > 0)
+    assert bounds[0] == 0 and bounds[-1] == len(foreground) == len(rows) == len(cols)
+    assert len(bounds) == len(ids) + 1 and np.all(np.diff(bounds) > 0)
+    flat = rows * labels.shape[1] + cols
+    np.testing.assert_array_equal(np.sort(flat), foreground)
+    for cid, lo, hi in zip(ids, bounds[:-1], bounds[1:]):
+        assert np.all(labels[rows[lo:hi], cols[lo:hi]] == cid)
+        assert np.all(np.diff(flat[lo:hi]) > 0)  # row-major inside the cell
+
+
+def test_centroids_agree_across_extractors(tiny_dataset_dir):
+    from cellgraph.expression import expression_profile
+    from cellgraph.radiomics import RadiomicsConfig, radiomic_feature_table
+
+    sample = load_dataset(os.path.join(tiny_dataset_dir, "manifest.json")).samples[0]
+    expr = expression_profile(sample.stack, sample.mask)
+    rad = radiomic_feature_table(sample.stack, sample.mask, RadiomicsConfig(channels=["ag01"]))
+    for table in (expr, rad):
+        np.testing.assert_array_equal(table.cell_ids, sample.cells.cell_ids)
+        assert table.centroids.tobytes() == sample.cells.centroids.tobytes()
+
+
+def test_pool_tables_sorts_by_sample_then_cell():
+    def table(sid, ids):
+        n = len(ids)
+        return CellTable(
+            cell_ids=np.array(ids, dtype=np.int64),
+            sample_ids=[sid] * n,
+            centroids=np.zeros((n, 2)),
+            labels=np.zeros(n, dtype=np.int64),
+            features=np.array(ids, dtype=np.float64)[:, None],
+            feature_names=["f"],
+        )
+
+    pooled = pool_tables([table("s10", [3, 1]), table("s02", [7, 2])])
+    assert pooled.keys() == [("s02", 2), ("s02", 7), ("s10", 1), ("s10", 3)]
+    np.testing.assert_array_equal(pooled.features[:, 0], [2, 7, 1, 3])
+    renamed = table("s03", [1])
+    renamed.feature_names = ["g"]
+    with pytest.raises(DatasetError, match="feature names"):
+        pool_tables([table("s01", [1]), renamed])

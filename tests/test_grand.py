@@ -79,7 +79,7 @@ def test_propagate_two_node_hand_example():
 def test_propagate_matches_dense_power_oracle():
     adj, _ = small_adj(n=30, k=4, seed=3)
     X = np.random.default_rng(4).normal(size=(30, 5))
-    dense = adj.to_dense()
+    dense = adj.toarray()
     expected = np.zeros_like(X)
     power = np.eye(30)
     for k in range(9):

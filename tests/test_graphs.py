@@ -95,7 +95,7 @@ def test_normalize_two_nodes():
         weights=np.ones(1),
         node_keys=[("", 0), ("", 1)],
     )
-    dense = normalize_adjacency(g).to_dense()
+    dense = normalize_adjacency(g).toarray()
     np.testing.assert_allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
@@ -106,13 +106,13 @@ def test_normalize_triangle():
         weights=np.ones(3),
         node_keys=[("", i) for i in range(3)],
     )
-    dense = normalize_adjacency(g).to_dense()
+    dense = normalize_adjacency(g).toarray()
     np.testing.assert_allclose(dense, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
 
 def test_normalize_isolated_node():
     g = CellGraph(n_nodes=1, edges=np.zeros((0, 2), dtype=np.int64), weights=np.zeros(0), node_keys=[("", 0)])
-    dense = normalize_adjacency(g).to_dense()
+    dense = normalize_adjacency(g).toarray()
     assert dense[0, 0] == 1.0
 
 
@@ -120,7 +120,7 @@ def test_normalized_adjacency_exactly_symmetric():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(30, 3))
     adj = normalize_adjacency(knn_feature_graph(X, 4))
-    dense = adj.to_dense()
+    dense = adj.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.all(dense[dense > 0] <= 1.0)
     degrees = (dense > 0).sum(axis=1)
@@ -134,7 +134,7 @@ def test_spectral_radius_at_most_one():
         adj = normalize_adjacency(knn_feature_graph(X, 3))
         v = rng.normal(size=25)
         v /= np.linalg.norm(v)
-        csr = adj.to_csr()
+        csr = adj
         for _ in range(200):
             w = csr @ v
             norm = np.linalg.norm(w)
@@ -169,6 +169,24 @@ def test_assemble_spatial_components_lower_bound():
     ]
     graph, _, _ = assemble_training_graph(tables, "spatial", k=1)
     assert connected_components(graph) >= 3
+
+
+def test_connected_components_matches_union_find():
+    rng = np.random.default_rng(23)
+    for n, m in ((1, 0), (6, 3), (30, 12), (40, 60)):
+        edges = rng.integers(0, n, size=(m, 2)) if n > 1 else np.zeros((0, 2), dtype=np.int64)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in edges.tolist():
+            parent[find(a)] = find(b)
+        g = CellGraph(n_nodes=n, edges=edges, weights=np.ones(len(edges)), node_keys=[("", i) for i in range(n)])
+        assert connected_components(g) == len({find(i) for i in range(n)})
 
 
 def test_assemble_pools_every_cell():
@@ -220,3 +238,14 @@ def test_edge_budget_scaled_down():
     X = rng.normal(size=(4050, 8))
     g = knn_feature_graph(X, 5)
     assert g.n_edges == 4050 * 5
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("# nodes 2\n0 1 1\n0 one 1\n", 3), ("# nodes 2\n\n0 1\n", 3), ("# nodes two\n", 1)],
+)
+def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, lineno):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(GraphError, match=f"{path}:{lineno}:"):
+        read_edge_list(str(path))

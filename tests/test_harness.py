@@ -128,6 +128,18 @@ def test_metrics_auc_handles_ties_with_midranks():
     assert compute_metrics(y_true, probs).roc_auc == pytest.approx(0.5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])), min_size=2, max_size=30))
+def test_metrics_auc_matches_pairwise_oracle(pairs):
+    y_true = np.array([y for y, _ in pairs])
+    probs = np.array([p for _, p in pairs])
+    pos, neg = probs[y_true == 1], probs[y_true == 0]
+    if len(pos) == 0 or len(neg) == 0:
+        return
+    wins = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+    assert compute_metrics(y_true, probs).roc_auc == wins / (len(pos) * len(neg))
+
+
 def test_metrics_single_class_auc_nan_with_warning():
     with pytest.warns(UserWarning, match="single class"):
         m = compute_metrics(np.ones(5, dtype=int), np.linspace(0, 1, 5))
