@@ -388,8 +388,13 @@ def load_checkpoint(path: str, config: GrandConfig | None = None) -> GrandModel:
         blob = fh.read()
     if blob[:5] != CHECKPOINT_MAGIC:
         raise GrandError(f"{path}: bad checkpoint magic")
+    if len(blob) < 17:
+        raise GrandError(f"{path}: truncated checkpoint header")
     n_in, hidden, n_classes = struct.unpack("<III", blob[5:17])
     sizes = [(n_in, hidden), (hidden,), (hidden, n_classes), (n_classes,)]
+    expected = 17 + 8 * sum(int(np.prod(shape)) for shape in sizes)
+    if expected != len(blob):
+        raise GrandError(f"{path}: checkpoint size mismatch ({len(blob)} bytes, header declares {expected})")
     offset = 17
     arrays = []
     for shape in sizes:
@@ -397,8 +402,6 @@ def load_checkpoint(path: str, config: GrandConfig | None = None) -> GrandModel:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         arrays.append(arr.astype(np.float64))
         offset += count * 8
-    if offset != len(blob):
-        raise GrandError(f"{path}: checkpoint size mismatch")
     return GrandModel(W1=arrays[0], b1=arrays[1], W2=arrays[2], b2=arrays[3], config=config)
 
 

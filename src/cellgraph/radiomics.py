@@ -8,6 +8,17 @@ under global intensity shifts. Pair counting (GLCM) and run counting (GLRLM)
 are restricted to pixels inside the cell; a pair or run never crosses the
 cell boundary.
 
+The feature table does the pixel work for every cell of a channel at once.
+It writes one key map per channel, ``key = cell_rank * levels + bin`` inside
+cells and -1 outside, and compares the map with its shifted self: a pair is
+counted when both keys fall in the same cell, and a run continues only while
+the key stays equal. A key encodes the cell, so runs and pairs cannot cross
+from one cell into a touching one, nor into the background. One ``bincount``
+per offset (pairs) or direction (runs) then fills every cell's matrix. The
+per-cell ``glcm`` and ``glrlm`` run the same two counting kernels on the
+cell's bounding-box grid as a one-cell key map; only the feature formulas
+run once per cell.
+
 Feature families and their canonical column order:
 
 * shape (7): area_um2, perimeter_um, major_axis_um, minor_axis_um,
@@ -32,6 +43,7 @@ from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainS
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
+RUN_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1))  # rows, columns, diagonals, anti-diagonals
 
 FIRST_ORDER_NAMES = ("mean", "variance", "skewness", "kurtosis", "energy", "entropy", "min", "max")
 SHAPE_NAMES = (
@@ -112,6 +124,8 @@ class RadiomicsConfig:
         self.offsets = tuple((int(dr), int(dc)) for dr, dc in self.offsets)
         if any(o == (0, 0) for o in self.offsets):
             raise ValueError("offsets must be non-zero")
+        if any(max(abs(dr), abs(dc)) > 1 for dr, dc in self.offsets):
+            raise ValueError("offsets must be unit steps: GLRLM runs are scanned along them")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RadiomicsConfig":
@@ -122,6 +136,17 @@ class RadiomicsConfig:
             raw = dict(raw)
             raw["offsets"] = tuple(tuple(o) for o in raw["offsets"])
         return cls(**raw)
+
+
+def _bins(values: np.ndarray, vmin, vmax, levels: int) -> np.ndarray:
+    """bin = floor((v - vmin) * L / (vmax - vmin)), clipped to L-1; 0 where vmax == vmin.
+
+    ``vmin`` and ``vmax`` are scalars or per-value arrays.
+    """
+    span = vmax - vmin
+    bins = np.floor((values - vmin) * levels / np.where(span > 0, span, 1.0)).astype(np.int64)
+    np.minimum(bins, levels - 1, out=bins)
+    return bins
 
 
 def quantize(image: ChannelImage, pixels: tuple, levels: int) -> QuantizedRegion:
@@ -137,12 +162,7 @@ def quantize(image: ChannelImage, pixels: tuple, levels: int) -> QuantizedRegion
     if len(rows) == 0:
         raise RadiomicsError("cell pixel set is empty")
     values = image.values[rows, cols].astype(np.float64)
-    vmin, vmax = values.min(), values.max()
-    if vmax == vmin:
-        bins = np.zeros(len(values), dtype=np.int64)
-    else:
-        bins = np.floor((values - vmin) * levels / (vmax - vmin)).astype(np.int64)
-        np.minimum(bins, levels - 1, out=bins)
+    bins = _bins(values, values.min(), values.max(), levels)
     return QuantizedRegion(rows=np.asarray(rows), cols=np.asarray(cols), bins=bins, levels=levels)
 
 
@@ -161,28 +181,29 @@ def first_order_features(image: ChannelImage, pixels: tuple) -> dict:
     n = len(values)
     mean = values.sum() / n
     centered = values - mean
-    m2 = np.sum(centered**2) / n
+    m2 = (centered**2).sum() / n
     if m2 > 0:
-        m3 = np.sum(centered**3) / n
-        m4 = np.sum(centered**4) / n
+        m3 = (centered**3).sum() / n
+        m4 = (centered**4).sum() / n
         skewness = m3 / m2**1.5
         kurtosis = m4 / m2**2 - 3.0
     else:
         skewness = 0.0
         kurtosis = 0.0
-    q = quantize(image, pixels, DEFAULT_LEVELS)
-    counts = np.bincount(q.bins, minlength=DEFAULT_LEVELS).astype(np.float64)
+    vmin, vmax = values.min(), values.max()
+    bins = _bins(values, vmin, vmax, DEFAULT_LEVELS)
+    counts = np.bincount(bins, minlength=DEFAULT_LEVELS).astype(np.float64)
     p = counts[counts > 0] / n
-    entropy = float(-np.sum(p * np.log2(p)))
+    entropy = float(-(p * np.log2(p)).sum())
     return {
         "mean": float(mean),
         "variance": float(m2),
         "skewness": float(skewness),
         "kurtosis": float(kurtosis),
-        "energy": float(np.sum(values**2)),
+        "energy": float((values**2).sum()),
         "entropy": entropy,
-        "min": float(values.min()),
-        "max": float(values.max()),
+        "min": float(vmin),
+        "max": float(vmax),
     }
 
 
@@ -198,20 +219,16 @@ def shape_features(mask: LabelMask, cell_id: int, pixel_spacing_um: float) -> di
     elongation defined as 1.
     """
     inside = mask.labels == np.uint32(cell_id)
-    n = int(inside.sum())
-    if n == 0:
-        raise RadiomicsError(f"cell {cell_id} has no pixels")
     rows, cols = np.nonzero(inside)
+    if len(rows) == 0:
+        raise RadiomicsError(f"cell {cell_id} has no pixels")
+    edges = int(_boundary_edges(np.where(inside, 0, -1), 1)[0])
+    return _shape(rows, cols, edges, pixel_spacing_um)
 
-    edges = 0
-    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        nr, nc = rows + dr, cols + dc
-        off_image = (nr < 0) | (nr >= mask.height) | (nc < 0) | (nc >= mask.width)
-        neighbor_outside = off_image.copy()
-        ok = ~off_image
-        neighbor_outside[ok] = ~inside[nr[ok], nc[ok]]
-        edges += int(neighbor_outside.sum())
 
+def _shape(rows: np.ndarray, cols: np.ndarray, edges: int, pixel_spacing_um: float) -> dict:
+    """Shape features of one cell from its pixels and its boundary edge count."""
+    n = len(rows)
     cx, cy = cols.mean(), rows.mean()
     dx, dy = cols - cx, rows - cy
     mxx = np.sum(dx * dx) / n
@@ -241,6 +258,82 @@ def shape_features(mask: LabelMask, cell_id: int, pixel_spacing_um: float) -> di
     }
 
 
+def _neighbor(keys: np.ndarray, dr: int, dc: int) -> np.ndarray:
+    """Map holding each pixel's neighbour at offset (dr, dc); -1 off the image."""
+    h, w = keys.shape
+    out = np.full_like(keys, -1)
+    r0, r1 = max(0, -dr), min(h, h - dr)
+    c0, c1 = max(0, -dc), min(w, w - dc)
+    if r0 < r1 and c0 < c1:
+        out[r0:r1, c0:c1] = keys[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    return out
+
+
+def _boundary_edges(cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """Per cell, the 4-neighbour edges to anything that is not the cell.
+
+    ``cells`` holds a cell rank inside cells and -1 outside.
+    """
+    inside = cells >= 0
+    edges = np.zeros(n_cells, dtype=np.int64)
+    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        edges += np.bincount(cells[inside & (cells != _neighbor(cells, dr, dc))], minlength=n_cells)
+    return edges
+
+
+def _pair_counts(keys: np.ndarray, n_cells: int, levels: int, offsets: tuple) -> np.ndarray:
+    """Co-occurrence counts, shape (n_cells, levels, levels), from a key map.
+
+    ``keys`` holds ``cell_rank * levels + bin`` inside cells and -1 outside;
+    a pixel pair counts only when both keys fall in the same cell.
+    """
+    counts = np.zeros(n_cells * levels * levels, dtype=np.int64)
+    inside = keys >= 0
+    cell = keys // levels
+    for dr, dc in offsets:
+        other = _neighbor(keys, dr, dc)
+        same = inside & (cell == other // levels)
+        counts += np.bincount(keys[same] * levels + other[same] % levels, minlength=counts.size)
+    return counts.reshape(n_cells, levels, levels)
+
+
+def _run_counts(keys: np.ndarray, n_cells: int, levels: int, direction: tuple) -> np.ndarray:
+    """Run-length counts, shape (n_cells, levels, longest run), along one direction.
+
+    A run is a maximal line of equal keys (see ``_pair_counts``), so it ends
+    at a gray-level change and at the cell boundary. Opposite directions scan
+    the same runs, so each direction is reduced to its canonical orientation.
+    The length axis is as long as the longest run in the map.
+    """
+    dr, dc = direction
+    if dr < 0 or (dr == 0 and dc < 0):
+        dr, dc = -dr, -dc
+    if (dr, dc) not in RUN_DIRECTIONS:
+        raise RadiomicsError(f"unsupported run direction {direction}; use unit steps")
+    inside = keys >= 0
+    sr, sc = np.nonzero(inside & (keys != _neighbor(keys, -dr, -dc)))
+    er, ec = np.nonzero(inside & (keys != _neighbor(keys, dr, dc)))
+    # Row-major order already sorts each scan line by position along it, so a
+    # stable sort by scan line pairs the k-th run start with the k-th run end.
+    start = np.argsort(dr * sc - dc * sr, kind="stable")
+    end = np.argsort(dr * ec - dc * er, kind="stable")
+    sr, sc, er, ec = sr[start], sc[start], er[end], ec[end]
+    lengths = (er - sr if dr else ec - sc) + 1
+    longest = int(lengths.max()) if len(lengths) else 1
+    codes = keys[sr, sc] * longest + lengths - 1
+    return np.bincount(codes, minlength=n_cells * levels * longest).reshape(n_cells, levels, longest)
+
+
+def _glcm_probabilities(counts: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's normalized co-occurrence matrix, and its pair total (0: no pairs, P is NaN)."""
+    counts = counts.astype(np.float64)
+    if symmetric:
+        counts = counts + counts.transpose(0, 2, 1)
+    total = counts.sum(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        return counts / total[:, None, None], total
+
+
 def glcm(q: QuantizedRegion, offsets: tuple = DEFAULT_OFFSETS, symmetric: bool = True) -> GlcmMatrix:
     """Gray-level co-occurrence matrix over the given pixel offsets.
 
@@ -249,27 +342,10 @@ def glcm(q: QuantizedRegion, offsets: tuple = DEFAULT_OFFSETS, symmetric: bool =
     before normalizing by the total pair count.
     """
     grid, _, _ = q.grid()
-    levels = q.levels
-    counts = np.zeros((levels, levels), dtype=np.float64)
-    h, w = grid.shape
-    for dr, dc in offsets:
-        r_lo, r_hi = max(0, -dr), min(h, h - dr)
-        c_lo, c_hi = max(0, -dc), min(w, w - dc)
-        if r_lo >= r_hi or c_lo >= c_hi:
-            continue
-        a = grid[r_lo:r_hi, c_lo:c_hi]
-        b = grid[r_lo + dr : r_hi + dr, c_lo + dc : c_hi + dc]
-        valid = (a >= 0) & (b >= 0)
-        if not valid.any():
-            continue
-        pair_codes = a[valid] * levels + b[valid]
-        counts += np.bincount(pair_codes, minlength=levels * levels).reshape(levels, levels)
-    if symmetric:
-        counts = counts + counts.T
-    total = counts.sum()
-    if total == 0:
+    P, total = _glcm_probabilities(_pair_counts(grid, 1, q.levels, offsets), symmetric)
+    if total[0] == 0:
         raise DegenerateRegionError("no valid pixel pairs for GLCM")
-    return GlcmMatrix(P=counts / total, offsets=tuple(offsets), symmetric=symmetric)
+    return GlcmMatrix(P=P[0], offsets=tuple(offsets), symmetric=symmetric)
 
 
 def glcm_features(m: GlcmMatrix) -> dict:
@@ -281,24 +357,25 @@ def glcm_features(m: GlcmMatrix) -> dict:
     P = m.P
     levels = P.shape[0]
     i = np.arange(levels, dtype=np.float64)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
+    ii, jj = np.ix_(i, i)
+    d2 = (ii - jj) ** 2
     px = P.sum(axis=1)
     py = P.sum(axis=0)
-    mu_x = np.sum(i * px)
-    mu_y = np.sum(i * py)
-    var_x = np.sum((i - mu_x) ** 2 * px)
-    var_y = np.sum((i - mu_y) ** 2 * py)
+    mu_x = (i * px).sum()
+    mu_y = (i * py).sum()
+    var_x = ((i - mu_x) ** 2 * px).sum()
+    var_y = ((i - mu_y) ** 2 * py).sum()
     if var_x > 0 and var_y > 0:
-        correlation = float((np.sum(ii * jj * P) - mu_x * mu_y) / math.sqrt(var_x * var_y))
+        correlation = float(((ii * jj * P).sum() - mu_x * mu_y) / math.sqrt(var_x * var_y))
     else:
         correlation = 0.0
     nz = P[P > 0]
     return {
-        "glcm_contrast": float(np.sum(P * (ii - jj) ** 2)),
+        "glcm_contrast": float((P * d2).sum()),
         "glcm_correlation": correlation,
-        "glcm_asm": float(np.sum(P * P)),
-        "glcm_idm": float(np.sum(P / (1.0 + (ii - jj) ** 2))),
-        "glcm_entropy": float(-np.sum(nz * np.log2(nz))),
+        "glcm_asm": float((P * P).sum()),
+        "glcm_idm": float((P / (1.0 + d2)).sum()),
+        "glcm_entropy": float(-(nz * np.log2(nz)).sum()),
     }
 
 
@@ -308,57 +385,14 @@ def glrlm(q: QuantizedRegion, directions: tuple = DEFAULT_OFFSETS) -> GlrlmMatri
     A run is a maximal sequence of in-cell pixels with equal bin index along
     a direction; runs break at the cell boundary. Counts accumulate over all
     given directions; pass a single direction for a per-direction matrix.
+    The length axis ends at the longest run.
     """
     grid, _, _ = q.grid()
-    h, w = grid.shape
-    max_len = max(h, w)
-    R = np.zeros((q.levels, max_len), dtype=np.float64)
-    for direction in directions:
-        for line in _lines(grid, direction):
-            _count_runs(line, R)
-    longest = int(np.max(np.nonzero(R.sum(axis=0))[0])) + 1 if R.any() else 1
-    R = R[:, :longest]
+    per_direction = [_run_counts(grid, 1, q.levels, d)[0] for d in directions]
+    R = np.zeros((q.levels, max((r.shape[1] for r in per_direction), default=1)))
+    for r in per_direction:
+        R[:, : r.shape[1]] += r
     return GlrlmMatrix(R=R, directions=tuple(directions), n_runs=int(R.sum()))
-
-
-def _lines(grid: np.ndarray, direction: tuple):
-    """Yield the 1-D scan lines of a bbox grid along one direction.
-
-    Opposite directions scan the same runs, so each direction is reduced to
-    its canonical orientation: rows, columns, diagonals, anti-diagonals.
-    """
-    dr, dc = direction
-    if dr < 0 or (dr == 0 and dc < 0):
-        dr, dc = -dr, -dc
-    h, w = grid.shape
-    if (dr, dc) == (0, 1):
-        for r in range(h):
-            yield grid[r]
-    elif (dr, dc) == (1, 0):
-        for c in range(w):
-            yield grid[:, c]
-    elif (dr, dc) == (1, 1):
-        for off in range(-(h - 1), w):
-            yield np.diagonal(grid, offset=off)
-    elif (dr, dc) == (1, -1):
-        flipped = grid[:, ::-1]
-        for off in range(-(h - 1), w):
-            yield np.diagonal(flipped, offset=off)
-    else:
-        raise RadiomicsError(f"unsupported run direction {direction}; use unit steps")
-
-
-def _count_runs(line: np.ndarray, R: np.ndarray) -> None:
-    n = len(line)
-    if n == 0:
-        return
-    change = np.flatnonzero(np.diff(line) != 0)
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change + 1, [n]))
-    for s, e in zip(starts, ends):
-        g = line[s]
-        if g >= 0:
-            R[g, e - s - 1] += 1
 
 
 def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
@@ -367,14 +401,14 @@ def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
         raise DegenerateRegionError("no runs in GLRLM")
     R = m.R
     nr = float(m.n_runs)
-    lengths = np.arange(1, R.shape[1] + 1, dtype=np.float64)
+    squared_lengths = np.arange(1, R.shape[1] + 1, dtype=np.float64) ** 2
     by_length = R.sum(axis=0)
     by_gray = R.sum(axis=1)
     return {
-        "glrlm_sre": float(np.sum(by_length / lengths**2) / nr),
-        "glrlm_lre": float(np.sum(by_length * lengths**2) / nr),
-        "glrlm_gln": float(np.sum(by_gray**2) / nr),
-        "glrlm_rln": float(np.sum(by_length**2) / nr),
+        "glrlm_sre": float((by_length / squared_lengths).sum() / nr),
+        "glrlm_lre": float((by_length * squared_lengths).sum() / nr),
+        "glrlm_gln": float((by_gray**2).sum() / nr),
+        "glrlm_rln": float((by_length**2).sum() / nr),
         "glrlm_rp": float(nr / n_pixels),
     }
 
@@ -393,7 +427,9 @@ def radiomic_feature_table(
     features are averaged over per-direction matrices, which keeps run
     percentage within [0, 1]. A cell/channel whose texture is degenerate
     (e.g. a single-pixel cell has no pixel pairs) gets NaN for that feature
-    family plus a warning; cells are never dropped.
+    family plus a warning; cells are never dropped. Pixel pairs and runs are
+    counted for all cells of a channel at once on a key map (see the module
+    docstring); each cell's GLRLM is cut after its own longest run.
     """
     config = config or RadiomicsConfig()
     if (mask.width, mask.height) != (stack.width, stack.height):
@@ -423,46 +459,59 @@ def radiomic_feature_table(
         names += [f"{antigen}__{s}" for s in GLRLM_NAMES]
 
     n = len(ids)
+    sizes = np.diff(bounds).tolist()
+    rank = np.repeat(np.arange(n), sizes)
+    cells = np.full((mask.height, mask.width), -1, dtype=np.int64)
+    cells[rows_all, cols_all] = rank
+    edges = _boundary_edges(cells, n)
+    pixels = [(rows_all[bounds[i] : bounds[i + 1]], cols_all[bounds[i] : bounds[i + 1]]) for i in range(n)]
+
     features = np.zeros((n, len(names)))
     centroids = np.zeros((n, 2))
-    for idx in range(n):
-        cid = int(ids[idx])
-        lo, hi = bounds[idx], bounds[idx + 1]
-        pixels = (rows_all[lo:hi], cols_all[lo:hi])
-        row = []
-        shape = shape_features(mask, cid, stack.pixel_spacing_um)
+    for idx, (rows, cols) in enumerate(pixels):
+        shape = _shape(rows, cols, int(edges[idx]), stack.pixel_spacing_um)
         centroids[idx] = shape["centroid"]
         if config.shape:
-            row += [shape[s] for s in SHAPE_NAMES]
-        for antigen in selected:
-            image = channel_images[antigen]
-            fo = first_order_features(image, pixels)
-            row += [fo[s] for s in FIRST_ORDER_NAMES]
-            q = quantize(image, pixels, config.levels)
-            try:
-                gf = glcm_features(glcm(q, config.offsets, config.symmetric))
+            features[idx, : len(SHAPE_NAMES)] = [shape[s] for s in SHAPE_NAMES]
+
+    levels = config.levels
+    col = len(SHAPE_NAMES) if config.shape else 0
+    for antigen in selected:
+        image = channel_images[antigen]
+        values = image.values[rows_all, cols_all].astype(np.float64)
+        vmin = np.minimum.reduceat(values, bounds[:-1])
+        vmax = np.maximum.reduceat(values, bounds[:-1])
+        keys = np.full_like(cells, -1)
+        keys[rows_all, cols_all] = rank * levels + _bins(values, vmin[rank], vmax[rank], levels)
+        P, pair_totals = _glcm_probabilities(_pair_counts(keys, n, levels, config.offsets), config.symmetric)
+        runs = []
+        for direction in config.offsets:
+            counts = _run_counts(keys, n, levels, direction)
+            # Each cell's run-length axis ends at its own longest run.
+            longest = counts.shape[2] - np.argmax(counts.any(axis=1)[:, ::-1], axis=1)
+            runs.append((direction, counts.astype(np.float64), longest.tolist(), counts.sum(axis=(1, 2)).tolist()))
+        for idx in range(n):
+            fo = first_order_features(image, pixels[idx])
+            row = [fo[s] for s in FIRST_ORDER_NAMES]
+            if pair_totals[idx] > 0:
+                gf = glcm_features(GlcmMatrix(P=P[idx], offsets=config.offsets, symmetric=config.symmetric))
                 row += [gf[s] for s in GLCM_NAMES]
-            except DegenerateRegionError:
+            else:
                 warnings.warn(
-                    f"sample {stack.sample_id} cell {cid} channel {antigen}: "
+                    f"sample {stack.sample_id} cell {int(ids[idx])} channel {antigen}: "
                     f"no valid pixel pairs, GLCM features set to NaN"
                 )
                 row += [math.nan] * len(GLCM_NAMES)
-            try:
-                per_dir = [
-                    glrlm_features(glrlm(q, (direction,)), len(pixels[0]))
-                    for direction in config.offsets
-                ]
-                row += [
-                    sum(d[s] for d in per_dir) / len(per_dir) for s in GLRLM_NAMES
-                ]
-            except DegenerateRegionError:
-                warnings.warn(
-                    f"sample {stack.sample_id} cell {cid} channel {antigen}: "
-                    f"no runs, GLRLM features set to NaN"
+            per_dir = [
+                glrlm_features(
+                    GlrlmMatrix(R=R[idx, :, : longest[idx]], directions=(direction,), n_runs=n_runs[idx]),
+                    sizes[idx],
                 )
-                row += [math.nan] * len(GLRLM_NAMES)
-        features[idx] = row
+                for direction, R, longest, n_runs in runs
+            ]
+            row += [sum(d[s] for d in per_dir) / len(per_dir) for s in GLRLM_NAMES]
+            features[idx, col : col + len(row)] = row
+        col += len(FIRST_ORDER_NAMES) + len(GLCM_NAMES) + len(GLRLM_NAMES)
 
     label_map = labels or {}
     out_labels = np.array([label_map.get(int(c), CLASS_UNLABELED) for c in ids], dtype=np.int64)

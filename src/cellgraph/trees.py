@@ -337,16 +337,23 @@ def save_model(path: str, model) -> None:
 def load_model(path: str):
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, size = blob[:5], int.from_bytes(blob[5:13], "little")
-    payload = json.loads(blob[13 : 13 + size].decode("ascii"))
-    if magic == FOREST_MAGIC:
-        return ForestModel(
-            trees=payload["trees"],
-            n_features=payload["n_features"],
-            n_classes=payload["n_classes"],
-            config=ForestConfig(**payload["config"]),
-        )
-    if magic == BOOST_MAGIC:
+    magic = blob[:5]
+    if magic not in (FOREST_MAGIC, BOOST_MAGIC):
+        raise TreeError(f"{path}: unknown model magic {magic!r}")
+    if len(blob) < 13:
+        raise TreeError(f"{path}: truncated model header")
+    size = int.from_bytes(blob[5:13], "little")
+    if 13 + size != len(blob):
+        raise TreeError(f"{path}: model size mismatch ({len(blob)} bytes, header declares {13 + size})")
+    try:
+        payload = json.loads(blob[13:].decode("ascii"))
+        if magic == FOREST_MAGIC:
+            return ForestModel(
+                trees=payload["trees"],
+                n_features=payload["n_features"],
+                n_classes=payload["n_classes"],
+                config=ForestConfig(**payload["config"]),
+            )
         return BoostModel(
             trees=payload["trees"],
             base_score=payload["base_score"],
@@ -354,4 +361,5 @@ def load_model(path: str):
             config=BoostConfig(**payload["config"]),
             train_loss=payload["train_loss"],
         )
-    raise TreeError(f"{path}: unknown model magic {magic!r}")
+    except (ValueError, KeyError, TypeError) as exc:  # JSON and ASCII decode errors are ValueErrors
+        raise TreeError(f"{path}: malformed model payload ({type(exc).__name__}: {exc})") from None

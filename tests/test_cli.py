@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -181,3 +182,12 @@ def test_extract_writes_rows_in_sample_cell_order(tmp_path):
     expected = tmp_path / "expected.csv"
     write_feature_csv(str(expected), extract_features(load_dataset(str(manifest_path)), "expression", {}))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
+    # Radiomics CSV of the shared 3-sample synth set; any change to the
+    # texture counting, the feature formulas or the CSV format moves it.
+    out = str(tmp_path / "radiomics.csv")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", out]) == 0
+    digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+    assert digest == "90a846b33d9bc98ada0fdfcc4af7948935e71ca015d6ab700b9e4775e5b1bb8d"

@@ -419,6 +419,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert open(path, "rb").read()[:5] == b"GRND1"
 
 
+def test_truncated_checkpoint_raises_grand_error_naming_path(tmp_path):
+    adj, X, y, train, val = two_cluster_problem(seed=8)
+    model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=2, patience=2, seed=2))
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(path, model)
+    blob = open(path, "rb").read()
+    cut = str(tmp_path / "cut.ckpt")
+    for size in range(len(blob)):
+        with open(cut, "wb") as fh:
+            fh.write(blob[:size])
+        with pytest.raises(GrandError, match="cut.ckpt"):
+            load_checkpoint(cut)
+    with open(cut, "wb") as fh:
+        fh.write(blob + b"\0")
+    with pytest.raises(GrandError, match="size mismatch"):
+        load_checkpoint(cut)
+
+
 def test_history_csv(tmp_path):
     adj, X, y, train, val = two_cluster_problem(seed=8)
     model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5, patience=5, seed=2))

@@ -3,9 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cellgraph.radiomics import (
+    FIRST_ORDER_NAMES,
+    GLCM_NAMES,
+    GLRLM_NAMES,
+    SHAPE_NAMES,
     DegenerateRegionError,
+    GlcmMatrix,
     GlrlmMatrix,
     RadiomicsConfig,
     first_order_features,
@@ -482,3 +489,110 @@ def test_radiomics_config_rejects_unknown_keys():
         RadiomicsConfig(levels=1)
     with pytest.raises(ValueError):
         RadiomicsConfig(offsets=((0, 0),))
+
+
+def test_radiomics_config_rejects_non_unit_offsets():
+    with pytest.raises(ValueError, match="unit steps"):
+        RadiomicsConfig(offsets=((0, 2),))
+    with pytest.raises(ValueError, match="unit steps"):
+        RadiomicsConfig.from_dict({"offsets": [[0, 1], [2, -2]]})
+    assert RadiomicsConfig(offsets=((0, -1), (-1, 1))).offsets == ((0, -1), (-1, 1))
+
+
+# ---------------------------------------------------------------------------
+# whole-sample table against per-cell brute-force oracles
+
+
+def reference_table(stack, mask, config):
+    """Feature rows and warning messages built cell by cell from the oracles."""
+    rows_out, messages = [], []
+    for cid in np.unique(mask.labels[mask.labels > 0]).tolist():
+        pixels = np.nonzero(mask.labels == cid)
+        row = []
+        if config.shape:
+            shape = shape_features(mask, cid, stack.pixel_spacing_um)
+            row += [shape[s] for s in SHAPE_NAMES]
+        for antigen, image in stack.channels:
+            if config.channels is not None and antigen not in config.channels:
+                continue
+            fo = first_order_features(image, pixels)
+            row += [fo[s] for s in FIRST_ORDER_NAMES]
+            grid, _, _ = quantize(image, pixels, config.levels).grid()
+            P = glcm_oracle(grid, config.offsets, config.symmetric, config.levels)
+            if P.sum() == 0:
+                row += [math.nan] * len(GLCM_NAMES)
+                messages.append(
+                    f"sample {stack.sample_id} cell {cid} channel {antigen}: "
+                    f"no valid pixel pairs, GLCM features set to NaN"
+                )
+            else:
+                gf = glcm_features(GlcmMatrix(P=P, offsets=config.offsets, symmetric=config.symmetric))
+                row += [gf[s] for s in GLCM_NAMES]
+            per_dir = []
+            for direction in config.offsets:
+                runs = glrlm_oracle(grid, (direction,), config.levels)
+                R = np.zeros((config.levels, max(length for _, length in runs)))
+                for (g, length), count in runs.items():
+                    R[g, length - 1] = count
+                m = GlrlmMatrix(R=R, directions=(direction,), n_runs=int(R.sum()))
+                per_dir.append(glrlm_features(m, len(pixels[0])))
+            row += [sum(d[s] for d in per_dir) / len(per_dir) for s in GLRLM_NAMES]
+        rows_out.append(row)
+    return np.array(rows_out, dtype=np.float64), messages
+
+
+def assert_table_matches_reference(stack, mask, config):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = radiomic_feature_table(stack, mask, config)
+    expected, messages = reference_table(stack, mask, config)
+    assert table.features.shape == expected.shape
+    assert table.features.tobytes() == expected.tobytes()
+    assert sorted(str(w.message) for w in caught) == sorted(messages)
+
+
+@pytest.mark.parametrize("levels", [2, 8, 16])
+def test_table_matches_oracles_on_touching_split_single_and_constant_cells(levels):
+    mask_values = np.array(
+        [
+            [1, 1, 2, 2, 0, 3],
+            [1, 1, 2, 2, 0, 3],
+            [0, 0, 0, 0, 0, 0],
+            [3, 3, 0, 4, 0, 5],
+            [0, 0, 0, 0, 5, 5],
+        ],
+        dtype=np.uint32,
+    )  # 1|2 touch; 3 is split in two; 4 is a single pixel
+    constant = np.full(mask_values.shape, 500)  # cells 1 and 2 share bin 0 across their border
+    rng = np.random.default_rng(levels)
+    textured = rng.integers(0, 4, mask_values.shape) * 9000
+    textured[:2, :4] = 123  # constant-intensity cells
+    stack = make_stack([constant, textured, rng.integers(0, 65536, mask_values.shape)], spacing=0.45)
+    for channels in (None, ["ag02"], ["ag03", "ag01"]):
+        config = RadiomicsConfig(levels=levels, channels=channels)
+        assert_table_matches_reference(stack, make_mask(mask_values), config)
+
+
+@st.composite
+def labelled_samples(draw):
+    h = draw(st.integers(1, 7))
+    w = draw(st.integers(1, 7))
+    labels = draw(arrays(np.uint32, (h, w), elements=st.integers(0, 4)))
+    if not labels.any():
+        labels[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+    scale = draw(st.sampled_from([1, 7000]))  # few distinct values: equal bins everywhere
+    channels = [draw(arrays(np.int64, (h, w), elements=st.integers(0, 9))) * scale for _ in range(3)]
+    config = RadiomicsConfig(
+        levels=draw(st.sampled_from([2, 8, 16])),
+        channels=draw(st.none() | st.lists(st.sampled_from(["ag01", "ag02", "ag03"]), unique=True)),
+        symmetric=draw(st.booleans()),
+        shape=draw(st.booleans()),
+    )
+    return make_stack(channels), make_mask(labels), config
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_samples())
+def test_table_bytes_match_per_cell_oracles(sample):
+    stack, mask, config = sample
+    assert_table_matches_reference(stack, mask, config)

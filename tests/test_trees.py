@@ -165,6 +165,28 @@ def test_model_round_trip(tmp_path):
         np.testing.assert_array_equal(predict_tabular(back, X), predict_tabular(model, X))
 
 
+def test_truncated_or_malformed_model_raises_tree_error_naming_path(tmp_path):
+    X, y = separable_1d(seed=11)
+    cut = str(tmp_path / "cut.bin")
+    for model in (
+        train_random_forest(X, y, ForestConfig(n_trees=2, seed=1)),
+        train_gradient_boosting(X, y, BoostConfig(n_rounds=2, seed=1)),
+    ):
+        path = str(tmp_path / "m.bin")
+        save_model(path, model)
+        blob = open(path, "rb").read()
+        for size in range(len(blob)):
+            with open(cut, "wb") as fh:
+                fh.write(blob[:size])
+            with pytest.raises(TreeError, match="cut.bin"):
+                load_model(cut)
+    for body in (b"[1, 2]", b'{"trees": []}', b"not json", "\u00e9".encode("utf-8")):
+        with open(cut, "wb") as fh:
+            fh.write(blob[:5] + len(body).to_bytes(8, "little") + body)
+        with pytest.raises(TreeError, match="malformed"):
+            load_model(cut)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
