@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import curve_fit
 
+from .graphs import knn, sq_distances
+
 
 class DimRedError(Exception):
     pass
@@ -38,14 +40,6 @@ def _as_matrix(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise DimRedError("input contains non-finite values")
     return X
-
-
-def _sq_distances(X: np.ndarray) -> np.ndarray:
-    sq = (X * X).sum(axis=1)
-    D2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(D2, 0.0, out=D2)
-    np.fill_diagonal(D2, 0.0)
-    return D2
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def tsne(
         raise DimRedError(f"perplexity must lie in [1, n/3); got {perplexity} for n={n}")
     if learning_rate is None:
         learning_rate = max(n / early_exaggeration, 50.0)
-    D2 = _sq_distances(X)
+    D2 = sq_distances(X, X)
     P_cond, realized = tsne_conditional_probabilities(D2, perplexity)
     P = (P_cond + P_cond.T) / (2.0 * n)
 
@@ -186,7 +180,7 @@ def tsne(
         exaggeration = early_exaggeration if it < 250 else 1.0
         momentum = 0.5 if it < 250 else 0.8
 
-        num = 1.0 / (1.0 + _sq_distances(Y))
+        num = 1.0 / (1.0 + sq_distances(Y, Y))
         np.fill_diagonal(num, 0.0)
         Q = num / num.sum()
         kl_curve.append(_kl_divergence(P, Q))
@@ -201,7 +195,7 @@ def tsne(
         Y = Y + velocity
         Y -= Y.mean(axis=0)
 
-    num = 1.0 / (1.0 + _sq_distances(Y))
+    num = 1.0 / (1.0 + sq_distances(Y, Y))
     np.fill_diagonal(num, 0.0)
     kl_curve.append(_kl_divergence(P, num / num.sum()))
     return Embedding(
@@ -260,12 +254,10 @@ def fuzzy_memberships(X, n_neighbors: int):
     n = X.shape[0]
     if not 1 <= n_neighbors < n:
         raise DimRedError(f"n_neighbors must lie in [1, n); got {n_neighbors} for n={n}")
-    D2 = _sq_distances(X)
-    if n > 1 and D2.max() == 0.0:
+    if np.all(X == X[0]):
         raise DimRedError("all points identical; fuzzy graph undefined")
-    np.fill_diagonal(D2, np.inf)
-    idx = np.argsort(D2, axis=1, kind="stable")[:, :n_neighbors]
-    dists = np.sqrt(np.take_along_axis(D2, idx, axis=1))
+    idx, d2 = knn(X, n_neighbors)
+    dists = np.sqrt(d2)
     rho, sigma = smooth_knn_calibration(dists, n_neighbors)
     weights = np.exp(-np.maximum(dists - rho[:, None], 0.0) / sigma[:, None])
     rows = np.repeat(np.arange(n), n_neighbors)

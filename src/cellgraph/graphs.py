@@ -29,25 +29,28 @@ class CellGraph:
 
     n_nodes: int
     edges: np.ndarray  # (m, 2) int64 (src, dst)
-    weights: np.ndarray  # (m,) float64, all > 0
+    weights: np.ndarray  # (m,) float64, all finite and > 0
     node_keys: list  # of (sample_id, cell_id)
 
     def __post_init__(self):
+        if self.n_nodes < 0:
+            raise GraphError("node count must be >= 0")
         if len(self.edges) != len(self.weights):
             raise GraphError("edge and weight counts differ")
         if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
             raise GraphError("edge endpoint out of range")
         if len(self.edges) and np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise GraphError("self-loops are not stored in a CellGraph")
-        if len(self.weights) and np.any(self.weights <= 0):
-            raise GraphError("edge weights must be positive")
+        if np.any(~((self.weights > 0) & (self.weights < np.inf))):
+            raise GraphError("edge weights must be positive and finite")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
-def _pairwise_sq_euclidean(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+def sq_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of Q and of X, clipped at 0."""
     sq = (Q * Q).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :] - 2.0 * (Q @ X.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
@@ -61,35 +64,13 @@ def _pairwise_cosine(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     return 1.0 - (Q / qn[:, None]) @ (X / xn[:, None]).T
 
 
-def _knn_rows(D: np.ndarray, row_offset: int, k: int, out: list) -> None:
-    """Append the k nearest columns of each row, ties broken by lower index.
+def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
+    """Exact k nearest neighbors of every row of X, itself excluded.
 
-    Rows refer to query points ``row_offset + i``; their self column is
-    excluded. Exact tie handling: all strictly closer columns are taken,
-    then equal-distance columns in ascending index order.
+    Returns (indices, distances) of shape (n, min(k, n-1)), each row sorted
+    by distance, ties by lower index; Euclidean distances are squared.
+    Distances are computed ``_CHUNK_ROWS`` query rows at a time.
     """
-    m, n = D.shape
-    for i in range(m):
-        drow = D[i]
-        drow[row_offset + i] = np.inf
-        take = min(k, n - 1)
-        # argpartition gives candidates; widen deterministically on boundary ties
-        cand = np.argpartition(drow, take - 1)[:take]
-        thresh = drow[cand].max()
-        if np.count_nonzero(drow <= thresh) > take:
-            closer = np.flatnonzero(drow < thresh)
-            at = np.flatnonzero(drow == thresh)
-            need = take - len(closer)
-            chosen = np.concatenate((closer, at[:need]))
-        else:
-            chosen = cand
-        order = np.lexsort((chosen, drow[chosen]))
-        out.append(chosen[order])
-
-
-def knn_feature_graph(X: np.ndarray, k: int, metric: str = "euclidean", node_keys: list | None = None) -> CellGraph:
-    """Directed kNN graph in feature space; each node points to its
-    min(k, n-1) nearest neighbors with weight 1, ties broken by lower index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise GraphError("need at least 2 points")
@@ -97,19 +78,36 @@ def knn_feature_graph(X: np.ndarray, k: int, metric: str = "euclidean", node_key
         raise GraphError("k must be >= 1")
     if metric not in ("euclidean", "cosine"):
         raise GraphError(f"unknown metric {metric!r}")
+    if not np.all(np.isfinite(X)):
+        raise GraphError("features contain non-finite values")
     n = X.shape[0]
     take = min(k, n - 1)
-    neighbor_lists: list = []
+    indices = np.empty((n, take), dtype=np.int64)
+    distances = np.empty((n, take))
     for start in range(0, n, _CHUNK_ROWS):
         Q = X[start : start + _CHUNK_ROWS]
-        if metric == "euclidean":
-            D = _pairwise_sq_euclidean(Q, X)
-        else:
-            D = _pairwise_cosine(Q, X)
-        _knn_rows(D, start, k, neighbor_lists)
-    src = np.repeat(np.arange(n, dtype=np.int64), take)
-    dst = np.concatenate(neighbor_lists).astype(np.int64)
-    edges = np.stack([src, dst], axis=1)
+        D = sq_distances(Q, X) if metric == "euclidean" else _pairwise_cosine(Q, X)
+        for i, drow in enumerate(D, start=start):
+            drow[i] = np.inf
+            # argpartition gives candidates; widen deterministically on boundary ties
+            cand = np.argpartition(drow, take - 1)[:take]
+            thresh = drow[cand].max()
+            if np.count_nonzero(drow <= thresh) > take:
+                closer = np.flatnonzero(drow < thresh)
+                at = np.flatnonzero(drow == thresh)
+                cand = np.concatenate((closer, at[: take - len(closer)]))
+            chosen = cand[np.lexsort((cand, drow[cand]))]
+            indices[i] = chosen
+            distances[i] = drow[chosen]
+    return indices, distances
+
+
+def knn_feature_graph(X: np.ndarray, k: int, metric: str = "euclidean", node_keys: list | None = None) -> CellGraph:
+    """Directed kNN graph in feature space; each node points to its
+    min(k, n-1) nearest neighbors with weight 1, ties broken by lower index."""
+    indices, _ = knn(X, k, metric)
+    n, take = indices.shape
+    edges = np.stack([np.repeat(np.arange(n, dtype=np.int64), take), indices.ravel()], axis=1)
     keys = node_keys if node_keys is not None else [("", i) for i in range(n)]
     return CellGraph(n_nodes=n, edges=edges, weights=np.ones(len(edges)), node_keys=keys)
 
@@ -134,8 +132,8 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys
         if len(idx) < 2:
             warnings.warn(f"sample {sid} has {len(idx)} cell(s); no spatial edges")
             continue
-        local = knn_feature_graph(centroids[idx], k, metric="euclidean")
-        edges.append(idx[local.edges])
+        local, _ = knn(centroids[idx], k)
+        edges.append(np.stack([np.repeat(idx, local.shape[1]), idx[local.ravel()]], axis=1))
     all_edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
     keys = node_keys if node_keys is not None else [("", i) for i in range(n)]
     return CellGraph(n_nodes=n, edges=all_edges, weights=np.ones(len(all_edges)), node_keys=keys)
@@ -205,8 +203,11 @@ def write_edge_list(path: str, g: CellGraph) -> None:
 
 
 def read_edge_list(path: str) -> CellGraph:
-    with open(path, "r") as fh:
-        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not a UTF-8 text edge list") from exc
     if not lines or not lines[0][1].startswith("# nodes "):
         raise GraphError(f"{path}: expected '# nodes N' header")
     edges = np.zeros((len(lines) - 1, 2), dtype=np.int64)
@@ -220,7 +221,10 @@ def read_edge_list(path: str) -> CellGraph:
             weights[i] = float(weight)
     except ValueError as exc:
         raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
-    return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=[("", i) for i in range(n)])
+    try:
+        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=[("", i) for i in range(n)])
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
 
 
 def connected_components(g: CellGraph) -> int:

@@ -191,3 +191,14 @@ def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     assert main(["extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", out]) == 0
     digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
     assert digest == "90a846b33d9bc98ada0fdfcc4af7948935e71ca015d6ab700b9e4775e5b1bb8d"
+
+
+def test_graph_rejects_non_finite_features(tmp_path, capsys):
+    rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
+    rows += [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0,{'nan' if i == 2 else '1.0'}" for i in range(1, 6)]
+    features = tmp_path / "nan.csv"
+    features.write_text("\n".join(rows) + "\n")
+    argv = ["graph", "--features", str(features), "--kind", "feature", "--k", "2", "--out", str(tmp_path / "g.edges")]
+    assert main(argv) == 1
+    assert "features contain non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "g.edges").exists()

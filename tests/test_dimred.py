@@ -128,6 +128,17 @@ def test_umap_two_point_membership_is_one():
     assert W[1, 0] == 1.0
 
 
+def test_fuzzy_membership_neighbors_are_the_shared_knn(three_cluster_benchmark):
+    from cellgraph.graphs import knn
+
+    X, _ = three_cluster_benchmark
+    X = np.round(X, 1)  # coarse grid: many exactly tied distances
+    _, idx, dists = fuzzy_memberships(X, n_neighbors=10)
+    knn_idx, knn_d2 = knn(X, 10)
+    np.testing.assert_array_equal(idx, knn_idx)
+    assert dists.tobytes() == np.sqrt(knn_d2).tobytes()
+
+
 def test_symmetrization_formula():
     import scipy.sparse as sp
 

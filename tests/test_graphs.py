@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cellgraph import graphs
 from cellgraph.dataset import CellTable
 from cellgraph.graphs import (
     CellGraph,
     GraphError,
     assemble_training_graph,
     connected_components,
+    knn,
     knn_feature_graph,
     normalize_adjacency,
     read_edge_list,
@@ -241,11 +244,63 @@ def test_edge_budget_scaled_down():
 
 
 @pytest.mark.parametrize(
-    "text, lineno",
-    [("# nodes 2\n0 1 1\n0 one 1\n", 3), ("# nodes 2\n\n0 1\n", 3), ("# nodes two\n", 1)],
+    "text, where",
+    [
+        ("# nodes 2\n0 1 1\n0 one 1\n", 3),
+        ("# nodes 2\n\n0 1\n", 3),
+        ("# nodes two\n", 1),
+        ("# nodes 2\n0 1 nan\n", "weights must be positive"),
+        ("# nodes 2\n0 1 0\n", "weights must be positive"),
+        ("# nodes 2\n0 1 -1\n", "weights must be positive"),
+        ("# nodes 2\n0 1 inf\n", "weights must be positive"),
+        ("# nodes -1\n", "node count"),
+        ("# nodes 2\n0 2 1\n", "out of range"),
+        ("# nodes 2\n1 1 1\n", "self-loops"),
+    ],
 )
-def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, lineno):
+def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, where):
+    # ``where`` is the line a parse error names, or the message of a
+    # CellGraph check, which names the path only.
     path = tmp_path / "g.edges"
     path.write_text(text)
-    with pytest.raises(GraphError, match=f"{path}:{lineno}:"):
+    match = f"{path}:{where}:" if isinstance(where, int) else f"^{path}: .*{where}"
+    with pytest.raises(GraphError, match=match):
         read_edge_list(str(path))
+
+
+def test_read_edge_list_non_utf8_names_path(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"# nodes 2\n0 1 \xff\n")
+    with pytest.raises(GraphError, match=f"^{path}: "):
+        read_edge_list(str(path))
+
+
+def test_knn_rejects_non_finite_features():
+    X = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
+    with pytest.raises(GraphError, match="non-finite"):
+        knn(X, 1)
+    with pytest.raises(GraphError, match="non-finite"):
+        knn_feature_graph(np.array([[0.0], [np.inf], [1.0]]), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.integers(2, 23).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=n, max_size=n)
+    ),
+    k=st.integers(1, 25),
+    chunk=st.integers(1, 7),
+)
+def test_knn_matches_dense_stable_argsort(points, k, chunk):
+    # Integer coordinates make every squared distance exact, so the oracle's
+    # ties are real ties; small blocks exercise multi-block and one-row tails.
+    X = np.array(points, dtype=np.float64)
+    D = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(D, np.inf)
+    take = min(k, len(X) - 1)
+    expected = np.argsort(D, axis=1, kind="stable")[:, :take]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK_ROWS", chunk)
+        indices, distances = knn(X, k)
+    np.testing.assert_array_equal(indices, expected)
+    np.testing.assert_array_equal(distances, np.take_along_axis(D, expected, axis=1))
