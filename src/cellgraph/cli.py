@@ -20,7 +20,7 @@ from .dimred import reduce_features
 from .experiment import ExperimentConfig, extract_features, load_report, run_experiment
 from .grand import (
     GrandConfig,
-    load_checkpoint,
+    decode_checkpoint,
     predict_grand,
     save_checkpoint,
     save_history_csv,
@@ -38,8 +38,9 @@ from .synth import SynthConfig, generate_synthetic_dataset
 from .trees import (
     BoostConfig,
     ForestConfig,
-    load_model,
+    decode_model,
     predict_tabular,
+    save_model,
     train_gradient_boosting,
     train_random_forest,
 )
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", dest="stage_out", default=None, help="model file path")
 
-    p = sub.add_parser("evaluate", help="score a trained model on labeled cells")
+    p = sub.add_parser("evaluate", help="score a trained model on the test split of its training seed")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
@@ -138,10 +139,34 @@ def _load_table_sorted(path: str) -> ds.CellTable:
     return ds.pool_tables([ds.read_feature_csv(path)])
 
 
-def _label_vector(table: ds.CellTable, labels_path: str) -> np.ndarray:
-    labeled = _load_table_sorted(labels_path)
+def _model_inputs(args, seed: int, standardize: bool):
+    """(table, y, masks, X) for train, baseline and evaluate.
+
+    The split comes from the model's seed, and GRAND inputs are standardised
+    with the train rows of that split, so evaluate replays what train saw.
+    """
+    table = _load_table_sorted(args.features)
+    labeled = _load_table_sorted(args.labels)
     by_key = dict(zip(labeled.keys(), labeled.labels.tolist()))
-    return np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
+    y = np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
+    masks = stratified_split(y, seed=seed)
+    X = standardize_features(table.features, masks.train)[0] if standardize else table.features
+    return table, y, masks, X
+
+
+def _adjacency(graph_path: str, table: ds.CellTable):
+    graph = read_edge_list(graph_path)
+    if graph.n_nodes != len(table):
+        raise StageError(f"graph has {graph.n_nodes} nodes but feature table has {len(table)} rows")
+    return normalize_adjacency(graph)
+
+
+def _seeded_config(args, path: str | None) -> dict:
+    """The stage config at ``path`` (empty without one), with ``--seed`` applied."""
+    raw = _load_json(path) if path else {}
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +174,7 @@ def _label_vector(table: ds.CellTable, labels_path: str) -> np.ndarray:
 
 
 def _cmd_synth(args) -> None:
-    raw = _load_json(args.stage_config or args.config) if (args.stage_config or args.config) else {}
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = SynthConfig.from_dict(raw)
+    config = SynthConfig.from_dict(_seeded_config(args, args.stage_config or args.config))
     out = _resolve_out(args)
     generate_synthetic_dataset(config, out)
     print(f"wrote synthetic dataset to {out}")
@@ -198,18 +220,9 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    table = _load_table_sorted(args.features)
-    graph = read_edge_list(args.graph)
-    if graph.n_nodes != len(table):
-        raise StageError(f"graph has {graph.n_nodes} nodes but feature table has {len(table)} rows")
-    y = _label_vector(table, args.labels)
-    raw = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = GrandConfig.from_dict(raw)
-    masks = stratified_split(y, seed=config.seed)
-    Z, _, _ = standardize_features(table.features, masks.train)
-    adj = normalize_adjacency(graph)
+    config = GrandConfig.from_dict(_seeded_config(args, args.config))
+    table, y, masks, Z = _model_inputs(args, config.seed, standardize=True)
+    adj = _adjacency(args.graph, table)
     model = train_grand(adj, Z, y, (masks.train, masks.val), config, n_classes=2)
     out = _resolve_out(args, default="grand.ckpt")
     save_checkpoint(out, model)
@@ -221,49 +234,31 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_baseline(args) -> None:
-    table = _load_table_sorted(args.features)
-    y = _label_vector(table, args.labels)
-    raw = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    masks = stratified_split(y, seed=raw.get("seed", 0))
+    raw = _seeded_config(args, args.config)
+    table, y, masks, X = _model_inputs(args, raw.get("seed", 0), standardize=False)
     if args.model == "random_forest":
-        model = train_random_forest(table.features[masks.train], y[masks.train], ForestConfig.from_dict(raw))
+        model = train_random_forest(X[masks.train], y[masks.train], ForestConfig.from_dict(raw))
     else:
-        model = train_gradient_boosting(table.features[masks.train], y[masks.train], BoostConfig.from_dict(raw))
-    from .trees import save_model
-
+        model = train_gradient_boosting(X[masks.train], y[masks.train], BoostConfig.from_dict(raw))
     out = _resolve_out(args, default=f"{args.model}.bin")
     save_model(out, model)
-    probs = predict_tabular(model, table.features)
+    probs = predict_tabular(model, X)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     print(f"saved model to {out}; test f1 {metrics.f1:.4f}")
 
 
 def _cmd_evaluate(args) -> None:
-    table = _load_table_sorted(args.features)
-    y = _label_vector(table, args.labels)
-    labeled = y >= 0
-    if not labeled.any():
-        raise StageError("no labeled cells to evaluate")
-    with open(args.model, "rb") as fh:
-        magic = fh.read(5)
-    if magic == b"GRND1":
-        if not args.graph:
-            raise StageError("graph models need --graph for evaluation")
-        graph = read_edge_list(args.graph)
-        model = load_checkpoint(args.model, config=GrandConfig())
-        # checkpoints hold weights for standardized inputs; without stored
-        # statistics the labeled rows provide the scaling
-        Z, _, _ = standardize_features(table.features, labeled)
-        probs, _ = predict_grand(model, normalize_adjacency(graph), Z)
-    else:
-        model = load_model(args.model)
-        probs = predict_tabular(model, table.features)
-    metrics = compute_metrics(y[labeled], probs[labeled])
+    payload = ds.read_model_file(args.model, StageError)
+    grand = payload["kind"] == "grand"
+    if grand and not args.graph:
+        raise StageError("graph models need --graph for evaluation")
+    model = decode_checkpoint(payload, args.model) if grand else decode_model(payload, args.model)
+    table, y, masks, X = _model_inputs(args, model.config.seed, standardize=grand)
+    probs = predict_grand(model, _adjacency(args.graph, table), X)[0] if grand else predict_tabular(model, X)
+    metrics = compute_metrics(y[masks.test], probs[masks.test])
     out = _resolve_out(args, default="metrics.json")
-    payload = json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n"
-    ds._atomic_write(out, payload.encode("ascii"))
+    text = json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n"
+    ds._atomic_write(out, text.encode("ascii"))
     if args.predictions:
         lines = ["cell_id,sample_id,prob_healthy,prob_tumor,predicted"]
         for i in range(len(table)):
@@ -277,11 +272,9 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    raw = _load_json(args.stage_config or args.config) if (args.stage_config or args.config) else {}
+    raw = _seeded_config(args, args.stage_config or args.config)
     if args.data is not None:
         raw["data_dir"] = args.data
-    if args.seed is not None:
-        raw["seed"] = args.seed
     if args.threads is not None:
         raw["threads"] = args.threads
     elif "threads" not in raw:

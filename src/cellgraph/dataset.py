@@ -10,6 +10,11 @@ the case diagnosis. Formats are chosen to round-trip bit-exactly:
   followed by row-major u32 little-endian labels (0 = background),
 * labels: CSV ``cell_id,class_label`` with class_label in {0, 1, -1},
   -1 marking unlabeled cells for the semi-supervised setting.
+
+Trained models (GRAND, random forest, gradient boosting) share one model
+file: the magic ``CGMD1``, a u64 little-endian body length, and an ASCII
+JSON body (sorted keys) holding the model ``kind``, its config and its
+parameters. Floats are written by ``repr``, so weights round-trip exactly.
 """
 
 from __future__ import annotations
@@ -280,10 +285,12 @@ def write_labels_csv(path: str, cell_ids, class_labels) -> None:
 def read_labels_csv(path: str) -> dict:
     """Read ``cell_id,class_label`` rows into an ordered {cell_id: label} map."""
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DatasetError(f"cannot read labels file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows or rows[0] != ["cell_id", "class_label"]:
         raise DatasetError(f"{path}: expected header 'cell_id,class_label'")
     labels = {}
@@ -308,10 +315,12 @@ def read_labels_csv(path: str) -> dict:
 
 def load_manifest(manifest_path: str) -> dict:
     try:
-        with open(manifest_path, "r") as fh:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except OSError as exc:
         raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{manifest_path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{manifest_path}: invalid JSON: {exc}") from exc
     _require_keys(manifest, _MANIFEST_KEYS, f"{manifest_path}: manifest")
@@ -536,10 +545,12 @@ def write_feature_csv(path: str, table: CellTable) -> None:
 
 def read_feature_csv(path: str) -> CellTable:
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DatasetError(f"cannot read feature table {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows or rows[0][:5] != ["cell_id", "sample_id", "cx", "cy", "label"]:
         raise DatasetError(f"{path}: expected feature table header")
     names = rows[0][5:]
@@ -560,6 +571,8 @@ def read_feature_csv(path: str) -> CellTable:
             features[i] = [float(v) for v in row[5:]]
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: malformed feature row: {exc}") from exc
+        if labels[i] not in (CLASS_HEALTHY, CLASS_TUMOR, CLASS_UNLABELED):
+            raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or -1, got {labels[i]}")
         sample_ids.append(row[1])
     return CellTable(
         cell_ids=cell_ids,
@@ -569,6 +582,40 @@ def read_feature_csv(path: str) -> CellTable:
         features=features,
         feature_names=names,
     )
+
+
+# ---------------------------------------------------------------------------
+# model file (GRAND checkpoints, forests and boosting models)
+
+MODEL_MAGIC = b"CGMD1"
+
+
+def write_model_file(path: str, payload: dict) -> None:
+    """Write ``payload``, a JSON object with a ``kind`` key, as a model file."""
+    body = json.dumps(payload, sort_keys=True).encode("ascii")
+    _atomic_write(path, MODEL_MAGIC + len(body).to_bytes(8, "little") + body)
+
+
+def read_model_file(path: str, error: type) -> dict:
+    """The JSON body of a model file; any defect raises ``error`` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read model file {path}: {exc}") from exc
+    if blob[:5] != MODEL_MAGIC:
+        raise error(f"{path}: not a model file")
+    # a header cut short declares at least 13 bytes, so the size check covers it
+    expected = 13 + int.from_bytes(blob[5:13], "little")
+    if expected != len(blob):
+        raise error(f"{path}: model size mismatch ({len(blob)} bytes, header declares {expected})")
+    try:
+        payload = json.loads(blob[13:].decode("ascii"))
+    except (ValueError, RecursionError) as exc:  # JSON and ASCII decode errors are ValueErrors
+        raise error(f"{path}: malformed model payload ({type(exc).__name__}: {exc})") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("kind"), str):
+        raise error(f"{path}: malformed model payload (no model kind)")
+    return payload
 
 
 def _atomic_write(path: str, data: bytes) -> None:

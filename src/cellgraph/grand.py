@@ -12,13 +12,12 @@ against finite differences.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.sparse as sp
 
-CHECKPOINT_MAGIC = b"GRND1"
+from .dataset import _atomic_write, read_model_file, write_model_file
 
 
 class GrandError(Exception):
@@ -73,10 +72,6 @@ class GrandModel:
     config: GrandConfig | None = None
     history: list = field(default_factory=list)
     best_epoch: int = 0
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.W1.shape[0], self.W1.shape[1], self.W2.shape[1]
 
     def params(self) -> dict:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
@@ -374,35 +369,26 @@ def predict_grand(model: GrandModel, adj: sp.csr_matrix, X: np.ndarray):
 
 
 def save_checkpoint(path: str, model: GrandModel) -> None:
-    n_in, hidden, n_classes = model.dims
-    blob = CHECKPOINT_MAGIC + struct.pack("<III", n_in, hidden, n_classes)
-    for arr in (model.W1, model.b1, model.W2, model.b2):
-        blob += arr.astype("<f8").tobytes()
-    from .dataset import _atomic_write
-
-    _atomic_write(path, blob)
+    params = {k: v.tolist() for k, v in model.params().items()}
+    write_model_file(path, {"kind": "grand", "config": model.config.to_dict(), "params": params})
 
 
-def load_checkpoint(path: str, config: GrandConfig | None = None) -> GrandModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:5] != CHECKPOINT_MAGIC:
-        raise GrandError(f"{path}: bad checkpoint magic")
-    if len(blob) < 17:
-        raise GrandError(f"{path}: truncated checkpoint header")
-    n_in, hidden, n_classes = struct.unpack("<III", blob[5:17])
-    sizes = [(n_in, hidden), (hidden,), (hidden, n_classes), (n_classes,)]
-    expected = 17 + 8 * sum(int(np.prod(shape)) for shape in sizes)
-    if expected != len(blob):
-        raise GrandError(f"{path}: checkpoint size mismatch ({len(blob)} bytes, header declares {expected})")
-    offset = 17
-    arrays = []
-    for shape in sizes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        offset += count * 8
-    return GrandModel(W1=arrays[0], b1=arrays[1], W2=arrays[2], b2=arrays[3], config=config)
+def load_checkpoint(path: str) -> GrandModel:
+    return decode_checkpoint(read_model_file(path, GrandError), path)
+
+
+def decode_checkpoint(payload: dict, path: str) -> GrandModel:
+    """The GRAND model held by a model file's ``payload`` read from ``path``."""
+    if payload["kind"] != "grand":
+        raise GrandError(f"{path}: holds a {payload['kind']!r} model, not a GRAND checkpoint")
+    try:
+        config = GrandConfig.from_dict(payload["config"])
+        W1, b1, W2, b2 = (np.array(payload["params"][k], dtype=np.float64) for k in ("W1", "b1", "W2", "b2"))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise GrandError(f"{path}: malformed model payload ({type(exc).__name__}: {exc})") from None
+    if W1.ndim != 2 or W2.ndim != 2 or not b1.shape == W1.shape[1:] == W2.shape[:1] or b2.shape != W2.shape[1:]:
+        raise GrandError(f"{path}: malformed model payload (inconsistent weight shapes)")
+    return GrandModel(W1=W1, b1=b1, W2=W2, b2=b2, config=config)
 
 
 def save_history_csv(path: str, model: GrandModel) -> None:
@@ -412,6 +398,4 @@ def save_history_csv(path: str, model: GrandModel) -> None:
             f"{row['epoch']},{format(row['total'], '.17g')},{format(row['supervised'], '.17g')},"
             f"{format(row['consistency'], '.17g')},{format(row['val_f1'], '.17g')}"
         )
-    from .dataset import _atomic_write
-
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))

@@ -125,6 +125,8 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys
         raise GraphError("k must be >= 1")
     if len(sample_ids) != n:
         raise GraphError("sample_ids length does not match centroids")
+    if not np.all(np.isfinite(centroids)):
+        raise GraphError("centroids contain non-finite values")
     sample_arr = np.array(sample_ids)
     edges = []
     for sid in sorted(set(sample_ids)):

@@ -10,16 +10,13 @@ negative gradient and setting leaf values by a Newton step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .dataset import read_model_file, write_model_file
 from .rng import derive_seed
-
-FOREST_MAGIC = b"FRST1"
-BOOST_MAGIC = b"BSTR1"
 
 
 class TreeError(Exception):
@@ -310,56 +307,27 @@ def predict_tabular(model, X) -> np.ndarray:
     raise TreeError(f"unknown model type {type(model).__name__}")
 
 
-def save_model(path: str, model) -> None:
-    if isinstance(model, ForestModel):
-        magic, payload = FOREST_MAGIC, {
-            "trees": model.trees,
-            "n_features": model.n_features,
-            "n_classes": model.n_classes,
-            "config": asdict(model.config),
-        }
-    elif isinstance(model, BoostModel):
-        magic, payload = BOOST_MAGIC, {
-            "trees": model.trees,
-            "base_score": model.base_score,
-            "n_features": model.n_features,
-            "config": asdict(model.config),
-            "train_loss": model.train_loss,
-        }
-    else:
-        raise TreeError(f"cannot serialize {type(model).__name__}")
-    body = json.dumps(payload, sort_keys=True).encode("ascii")
-    from .dataset import _atomic_write
+_KINDS = {"forest": (ForestModel, ForestConfig), "boost": (BoostModel, BoostConfig)}
 
-    _atomic_write(path, magic + len(body).to_bytes(8, "little") + body)
+
+def save_model(path: str, model) -> None:
+    kind = next((kind for kind, (cls, _) in _KINDS.items() if type(model) is cls), None)
+    if kind is None:
+        raise TreeError(f"cannot serialize {type(model).__name__}")
+    write_model_file(path, {**vars(model), "kind": kind, "config": asdict(model.config)})
 
 
 def load_model(path: str):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic = blob[:5]
-    if magic not in (FOREST_MAGIC, BOOST_MAGIC):
-        raise TreeError(f"{path}: unknown model magic {magic!r}")
-    if len(blob) < 13:
-        raise TreeError(f"{path}: truncated model header")
-    size = int.from_bytes(blob[5:13], "little")
-    if 13 + size != len(blob):
-        raise TreeError(f"{path}: model size mismatch ({len(blob)} bytes, header declares {13 + size})")
+    return decode_model(read_model_file(path, TreeError), path)
+
+
+def decode_model(payload: dict, path: str):
+    """The forest or boosting model held by a model file's ``payload`` read from ``path``."""
+    if payload["kind"] not in _KINDS:
+        raise TreeError(f"{path}: holds a {payload['kind']!r} model, not a forest or boosting model")
+    model_cls, config_cls = _KINDS[payload["kind"]]
+    fields = {k: v for k, v in payload.items() if k != "kind"}
     try:
-        payload = json.loads(blob[13:].decode("ascii"))
-        if magic == FOREST_MAGIC:
-            return ForestModel(
-                trees=payload["trees"],
-                n_features=payload["n_features"],
-                n_classes=payload["n_classes"],
-                config=ForestConfig(**payload["config"]),
-            )
-        return BoostModel(
-            trees=payload["trees"],
-            base_score=payload["base_score"],
-            n_features=payload["n_features"],
-            config=BoostConfig(**payload["config"]),
-            train_loss=payload["train_loss"],
-        )
-    except (ValueError, KeyError, TypeError) as exc:  # JSON and ASCII decode errors are ValueErrors
+        return model_cls(**{**fields, "config": config_cls.from_dict(fields["config"])})
+    except (ValueError, KeyError, TypeError) as exc:
         raise TreeError(f"{path}: malformed model payload ({type(exc).__name__}: {exc})") from None

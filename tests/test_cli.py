@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from cellgraph import cli
 from cellgraph.cli import build_parser, main
+from cellgraph.dataset import MODEL_MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +98,7 @@ def test_graph_reduce_train_evaluate(workdir):
         "--seed", "3", "train", "--graph", graph, "--features", features,
         "--labels", features, "--out", ckpt, "--history", hist,
     ]) == 0
-    assert open(ckpt, "rb").read()[:5] == b"GRND1"
+    assert open(ckpt, "rb").read()[:5] == MODEL_MAGIC
     assert os.path.isfile(hist)
 
     metrics = str(workdir / "m.json")
@@ -202,3 +204,67 @@ def test_graph_rejects_non_finite_features(tmp_path, capsys):
     assert main(argv) == 1
     assert "features contain non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "g.edges").exists()
+
+
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory):
+    """3 samples x 60 cells with weak class signal, extracted and graphed."""
+    root = tmp_path_factory.mktemp("replay")
+    synth = {"n_samples": 3, "n_melanoma": 2, "cells_per_sample": 60, "image_size": 120, "n_channels": 4,
+             "intensity_separation": 0.8, "texture_contrast_separation": 0.25, "seed": 5}
+    (root / "synth.json").write_text(json.dumps(synth))
+    (root / "grand.json").write_text(json.dumps({"prop_order": 2, "max_epochs": 40}))
+    data, features, graph = str(root / "data"), str(root / "expr.csv"), str(root / "g.edges")
+    assert main(["synth", "--config", str(root / "synth.json"), "--out", data]) == 0
+    assert main(["extract", "--data", data, "--features", "expression", "--out", features]) == 0
+    assert main(["graph", "--features", features, "--kind", "feature", "--k", "5", "--out", graph]) == 0
+    return root, features, graph
+
+
+@pytest.mark.parametrize("kind", ["grand", "random_forest", "gradient_boosting"])
+def test_evaluate_replays_train(replay_inputs, kind, monkeypatch, capsys):
+    root, features, graph = replay_inputs
+    seen = {"predict": [], "metrics": []}
+
+    def record(name, log):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            log.append(result)
+            return result
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    record("predict_grand" if kind == "grand" else "predict_tabular", seen["predict"])
+    record("compute_metrics", seen["metrics"])
+    model = str(root / f"{kind}.model")
+    inputs = ["--features", features, "--labels", features]
+    if kind == "grand":
+        train = ["--seed", "4", "--config", str(root / "grand.json"), "train", "--graph", graph, *inputs]
+        evaluate = ["evaluate", "--model", model, "--graph", graph, *inputs]
+    else:
+        train = ["--seed", "4", "baseline", "--model", kind, *inputs]
+        evaluate = ["evaluate", "--model", model, *inputs]
+    assert main(train + ["--out", model]) == 0
+    printed = capsys.readouterr().out
+    metrics, predictions = str(root / f"{kind}.json"), str(root / f"{kind}.csv")
+    assert main(evaluate + ["--out", metrics, "--predictions", predictions]) == 0
+
+    train_probs = seen["predict"][0][0] if kind == "grand" else seen["predict"][0]
+    rows = [line.split(",") for line in open(predictions).read().splitlines()[1:]]
+    assert [row[2:4] for row in rows] == [[format(p, ".17g") for p in pair] for pair in train_probs]
+    scored = json.loads(open(metrics).read())
+    assert scored == seen["metrics"][0].to_dict()  # train's test-split metrics
+    assert f"test f1 {scored['f1']:.4f}" in printed
+
+
+def test_evaluate_non_model_file_exits_1_naming_path(tmp_path, capsys):
+    for name, blob in (("notes.txt", b"cell_id,sample_id\n"), ("old.ckpt", b"GRND1" + bytes(12))):
+        path = str(tmp_path / name)
+        open(path, "wb").write(blob)
+        code = main(["evaluate", "--model", path, "--features", path, "--labels", path,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert path in err and "not a model file" in err

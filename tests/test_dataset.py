@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,9 @@ def test_manifest_rejects_unknown_keys(tmp_path):
     open(manifest, "w").write(json.dumps(raw))
     with pytest.raises(DatasetError, match="unknown keys"):
         load_dataset(manifest)
+    open(manifest, "wb").write(b'{"pixel_spacing_um": \xff}')
+    with pytest.raises(DatasetError, match=re.escape(f"{manifest}: not UTF-8")):
+        load_dataset(manifest)
 
 
 def test_synthetic_dataset_preserves_diagnosis_split(tmp_path):
@@ -242,12 +246,21 @@ def test_labels_csv_rejects_bad_class(tmp_path):
 
     with pytest.raises(DatasetError, match="class_label"):
         read_labels_csv(str(path))
+    path.write_bytes(b"cell_id,class_label\n1,\xff\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: not UTF-8")):
+        read_labels_csv(str(path))
 
 
 def test_feature_csv_bad_number_names_path_and_line(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("cell_id,sample_id,cx,cy,label,f\n1,s01,1,2,0,3\nx,s01,1,2,0,3\n")
     with pytest.raises(DatasetError, match=f"{path}:3"):
+        read_feature_csv(str(path))
+    path.write_text("cell_id,sample_id,cx,cy,label,f\n1,s01,1,2,7,3\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:2: label must be 0, 1 or -1")):
+        read_feature_csv(str(path))
+    path.write_bytes(b"cell_id,sample_id,cx,cy,label,f\n1,s\xe901,1,2,0,3\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: not UTF-8")):
         read_feature_csv(str(path))
 
 
@@ -307,3 +320,121 @@ def test_pool_tables_sorts_by_sample_then_cell():
     renamed.feature_names = ["g"]
     with pytest.raises(DatasetError, match="feature names"):
         pool_tables([table("s01", [1]), renamed])
+
+
+# ---------------------------------------------------------------------------
+# model file: every defect is the loader's typed error naming the path
+
+
+@pytest.fixture(scope="module")
+def model_blobs(tmp_path_factory):
+    """Bytes of one small GRAND, forest and boosting model file."""
+    from cellgraph.grand import GrandConfig, save_checkpoint, train_grand
+    from cellgraph.graphs import knn_feature_graph, normalize_adjacency
+    from cellgraph.trees import BoostConfig, ForestConfig, save_model, train_gradient_boosting, train_random_forest
+
+    rng = np.random.default_rng(3)
+    X = np.vstack([rng.normal(0.0, 1.0, (6, 2)), rng.normal(4.0, 1.0, (6, 2))])
+    y = np.repeat([0, 1], 6)
+    train = np.arange(12) % 3 != 0
+    adj = normalize_adjacency(knn_feature_graph(X, 3))
+    root = tmp_path_factory.mktemp("models")
+    grand = train_grand(adj, X, y, (train, ~train), GrandConfig(hidden_dim=2, max_epochs=2))
+    save_checkpoint(str(root / "grand"), grand)
+    save_model(str(root / "forest"), train_random_forest(X, y, ForestConfig(n_trees=1, max_depth=2)))
+    save_model(str(root / "boost"), train_gradient_boosting(X, y, BoostConfig(n_rounds=1, max_depth=1)))
+    return {kind: (root / kind).read_bytes() for kind in ("grand", "forest", "boost")}
+
+
+def _load_both(path: str, blob: bytes) -> list:
+    """Feed ``blob`` to both loaders; each returns a model or raises its own
+    error naming the path. Returns the loaded models."""
+    from cellgraph.grand import GrandError, load_checkpoint
+    from cellgraph.trees import TreeError, load_model
+
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    loaded = []
+    for loader, error in ((load_checkpoint, GrandError), (load_model, TreeError)):
+        try:
+            loaded.append(loader(path))
+        except error as exc:
+            assert path in str(exc)
+    return loaded
+
+
+def _framed(body: bytes) -> bytes:
+    from cellgraph.dataset import MODEL_MAGIC
+
+    return MODEL_MAGIC + len(body).to_bytes(8, "little") + body
+
+
+def test_model_file_round_trips_and_rejects_every_truncation(model_blobs, tmp_path):
+    path = str(tmp_path / "m.model")
+    for kind, blob in model_blobs.items():
+        assert len(_load_both(path, blob)) == 1  # the other loader refuses the other kind
+        for size in range(len(blob)):
+            assert _load_both(path, blob[:size]) == []
+        assert _load_both(path, blob + b"\0") == []
+
+
+def test_model_file_wrong_kind_raises_loader_error(model_blobs, tmp_path):
+    from cellgraph.grand import GrandError, load_checkpoint
+    from cellgraph.trees import TreeError, load_model
+
+    path = tmp_path / "m.model"
+    path.write_bytes(model_blobs["forest"])
+    with pytest.raises(GrandError, match=re.escape(f"{path}: holds a 'forest' model")):
+        load_checkpoint(str(path))
+    path.write_bytes(model_blobs["grand"])
+    with pytest.raises(TreeError, match=re.escape(f"{path}: holds a 'grand' model")):
+        load_model(str(path))
+
+
+def test_model_file_rejects_malformed_payloads(model_blobs, tmp_path):
+    path = str(tmp_path / "m.model")
+    grand = json.loads(model_blobs["grand"][13:])
+    forest = json.loads(model_blobs["forest"][13:])
+    ragged = {**grand["params"], "W1": [[0.0, 1.0], [2.0]]}
+    wordy = {**grand["params"], "b2": ["zero", "one"]}
+    wide = {**grand["params"], "b1": [0.0, 0.0, 0.0]}
+    bodies = [
+        [1, 2],
+        "grand",
+        {"kind": 7},
+        {"kind": "grand"},
+        {**grand, "params": ragged},
+        {**grand, "params": wordy},
+        {**grand, "params": wide},
+        {**grand, "params": {**grand["params"], "W2": 10**400}},
+        {**grand, "config": {**grand["config"], "temperature": "hot"}},
+        {k: v for k, v in forest.items() if k != "trees"},
+        {**forest, "config": [1]},
+        {**forest, "extra": 1},
+    ]
+    for body in bodies:
+        assert _load_both(path, _framed(json.dumps(body).encode("ascii"))) == []
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["grand", "forest", "boost"]), data=st.data())
+def test_model_file_fuzz_raises_only_typed_errors(model_blobs, tmp_path_factory, kind, data):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.model")
+    blob = model_blobs[kind]
+    pos = data.draw(st.integers(0, len(blob) - 1), label="flip position")
+    flipped = bytearray(blob)
+    flipped[pos] ^= data.draw(st.integers(1, 255), label="flip mask")
+    _load_both(path, bytes(flipped))
+
+    payload = json.loads(blob[13:])
+    key = data.draw(st.sampled_from(sorted(payload)), label="key")
+    value = data.draw(_json_values, label="value")
+    for body in (value, {**payload, key: value}, {k: v for k, v in payload.items() if k != key}):
+        _load_both(path, _framed(json.dumps(body).encode("ascii")))

@@ -20,6 +20,7 @@ from cellgraph.grand import (
     train_grand,
     training_loss_and_grads,
 )
+from cellgraph.dataset import MODEL_MAGIC
 from cellgraph.graphs import knn_feature_graph, normalize_adjacency
 
 
@@ -413,10 +414,11 @@ def test_checkpoint_round_trip(tmp_path):
     model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=10, patience=5, seed=2))
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, model)
-    back = load_checkpoint(path, config=model.config)
+    back = load_checkpoint(path)
     for k in ("W1", "b1", "W2", "b2"):
         assert back.params()[k].tobytes() == model.params()[k].tobytes()
-    assert open(path, "rb").read()[:5] == b"GRND1"
+    assert back.config == model.config
+    assert open(path, "rb").read()[:5] == MODEL_MAGIC
 
 
 def test_truncated_checkpoint_raises_grand_error_naming_path(tmp_path):

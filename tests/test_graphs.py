@@ -281,6 +281,8 @@ def test_knn_rejects_non_finite_features():
         knn(X, 1)
     with pytest.raises(GraphError, match="non-finite"):
         knn_feature_graph(np.array([[0.0], [np.inf], [1.0]]), 1)
+    with pytest.raises(GraphError, match="centroids contain non-finite values"):
+        spatial_knn_graph(X, ["s01"] * 3, 1)
 
 
 @settings(max_examples=60, deadline=None)
