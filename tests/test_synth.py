@@ -53,6 +53,20 @@ def test_fixed_seed_output_trees_are_byte_identical(tmp_path):
     assert tree_hash(a) == tree_hash(b)
 
 
+# SHA-256 of the dataset trees written by the scalar per-pixel generator;
+# any change to the draw order or the noise arithmetic moves them.
+PINNED_TREE_HASHES = [
+    (SMALL, 11, "f6149bb307b9459f409306bc3bf5873b680e91faee86e975e7c3b3ae3176d16d"),
+    ({}, 7, "fd65446a283c793e5b9a18054f7c8f3d48aae02b6888b77d8c1f8f79ea753313"),
+]
+
+
+@pytest.mark.parametrize("overrides, seed, expected", PINNED_TREE_HASHES, ids=["small-seed11", "default-seed7"])
+def test_dataset_tree_hash_is_pinned(tmp_path, overrides, seed, expected):
+    generate_synthetic_dataset(SynthConfig(seed=seed, **overrides), str(tmp_path / "data"))
+    assert tree_hash(str(tmp_path / "data")) == expected
+
+
 def test_different_seed_changes_output(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     generate_synthetic_dataset(SynthConfig(seed=11, **SMALL), a)
