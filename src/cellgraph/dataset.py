@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -40,6 +42,22 @@ _CHANNEL_KEYS = {"antigen", "path"}
 
 class DatasetError(Exception):
     """Raised when a dataset file is missing, malformed, or inconsistent."""
+
+
+def check_field(key: str, value, kind: type, lo=-math.inf, hi=math.inf) -> None:
+    """Raise ValueError naming config ``key`` unless ``value`` is a ``kind`` in [lo, hi].
+
+    ``kind`` is ``int`` (integers only) or ``float`` (any finite real); a
+    bool is neither.
+    """
+    if kind is int:
+        ok, wanted = isinstance(value, numbers.Integral), "an integer"
+    else:
+        ok, wanted = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{key} must be {wanted}, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)

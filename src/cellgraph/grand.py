@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import _atomic_write, read_model_file, write_model_file
+from .dataset import _atomic_write, check_field, read_model_file, write_model_file
 
 
 class GrandError(Exception):
@@ -39,16 +39,17 @@ class GrandConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("prop_order", "max_epochs", "patience", "seed"):
+            check_field(key, getattr(self, key), int, lo=0)
+        for key in ("n_augmentations", "hidden_dim"):
+            check_field(key, getattr(self, key), int, lo=1)
+        for key in ("drop_rate", "temperature", "input_dropout", "learning_rate"):
+            check_field(key, getattr(self, key), float)
+        check_field("consistency_weight", self.consistency_weight, float, lo=0.0)
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop_rate must lie in [0, 1)")
-        if self.prop_order < 0:
-            raise ValueError("prop_order must be >= 0")
-        if self.n_augmentations < 1:
-            raise ValueError("n_augmentations must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.consistency_weight < 0:
-            raise ValueError("consistency_weight must be >= 0")
         if not 0.0 <= self.input_dropout < 1.0:
             raise ValueError("input_dropout must lie in [0, 1)")
 

@@ -26,6 +26,7 @@ from .dataset import (
     LabelMask,
     Sample,
     StainStack,
+    check_field,
     pool_tables,
     save_dataset,
 )
@@ -40,6 +41,22 @@ MAX_PLACEMENT_RETRIES = 20
 
 class SynthesisError(Exception):
     """Raised when the requested cell density cannot be realized."""
+
+
+# (key, kind[, lo[, hi]]) for check_field
+_FIELD_CHECKS = (
+    ("n_samples", int, 1),
+    ("n_melanoma", int, 0),
+    ("image_size", int, 32),
+    ("n_channels", int, 2),
+    ("cells_per_sample", int, 1),
+    ("tumor_fraction", float, 0.0, 1.0),
+    ("marker_channel_fraction", float, 0.0, 1.0),
+    ("intensity_separation", float),
+    ("texture_contrast_separation", float),
+    ("pixel_spacing_um", float),
+    ("seed", int),
+)
 
 
 @dataclass
@@ -57,14 +74,10 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for key, *spec in _FIELD_CHECKS:
+            check_field(key, getattr(self, key), *spec)
         if self.n_melanoma > self.n_samples:
             raise ValueError("n_melanoma must not exceed n_samples")
-        if self.image_size < 32:
-            raise ValueError("image_size must be >= 32")
-        if self.n_channels < 2:
-            raise ValueError("n_channels must be >= 2")
-        if not 0.0 <= self.tumor_fraction <= 1.0:
-            raise ValueError("tumor_fraction must lie in [0, 1]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
@@ -112,12 +125,10 @@ def _generate_sample(config: SynthConfig, index: int, diagnosis: str, stream, ch
     ellipses = _place_cells(stream, size, target, sid)
     n_cells = len(ellipses)
 
+    rows, cols, counts = _ellipse_pixels(ellipses, size)
+    cell_of = np.repeat(np.arange(n_cells), counts)
     mask = np.zeros((size, size), dtype=np.uint32)
-    pixel_sets = []
-    for cid, ell in enumerate(ellipses, start=1):
-        rows, cols = _ellipse_pixels(ell, size)
-        mask[rows, cols] = cid
-        pixel_sets.append((rows, cols))
+    mask[rows, cols] = cell_of + 1
 
     labels = np.zeros(n_cells, dtype=np.int64)
     if diagnosis == "melanoma" and config.tumor_fraction > 0:
@@ -128,29 +139,33 @@ def _generate_sample(config: SynthConfig, index: int, diagnosis: str, stream, ch
             labels[i] = 1
 
     n_markers = config.n_marker_channels
-    sample_bases = [base + stream.normal(0.0, SAMPLE_WOBBLE_SIGMA) for base in channel_bases]
-    tumor_shift = config.intensity_separation * CELL_MEAN_SIGMA
+    n_channels = config.n_channels
+    sample_bases = np.array([base + stream.normal(0.0, SAMPLE_WOBBLE_SIGMA) for base in channel_bases])
     tumor_noise = PIXEL_NOISE_SIGMA * (1.0 + config.texture_contrast_separation)
 
-    planes = [np.full((size, size), BACKGROUND_VALUE, dtype=np.float64) for _ in range(config.n_channels)]
-    for i, (rows, cols) in enumerate(pixel_sets):
-        is_tumor = labels[i] == 1
-        sigma_px = tumor_noise if is_tumor else PIXEL_NOISE_SIGMA
-        for k in range(config.n_channels):
-            mean = sample_bases[k] + stream.normal(0.0, CELL_MEAN_SIGMA)
-            if is_tumor and k < n_markers:
-                mean += tumor_shift
-            values = [mean + stream.normal(0.0, sigma_px) for _ in range(len(rows))]
-            planes[k][rows, cols] = values
+    # One draw per sample, in the scalar order: for each cell and channel, the
+    # cell's mean normal and then one normal per pixel.
+    block = 1 + counts  # draws per cell and channel
+    cell_start = n_channels * (np.cumsum(block) - block)
+    sigma_px = np.where(labels == 1, tumor_noise, PIXEL_NOISE_SIGMA)
+    sigma = np.repeat(np.repeat(sigma_px, n_channels), np.repeat(block, n_channels))
+    mean_at = cell_start[:, None] + np.arange(n_channels) * block[:, None]
+    sigma[mean_at.ravel()] = CELL_MEAN_SIGMA
+    z = stream.normals(sigma)
 
+    means = sample_bases + z[mean_at]
+    means[labels == 1, :n_markers] += config.intensity_separation * CELL_MEAN_SIGMA
+    pixel_offset = np.arange(len(rows)) - (np.cumsum(counts) - counts)[cell_of]
     channels = []
-    for k in range(config.n_channels):
-        values = np.clip(np.rint(planes[k]), 0, 65535).astype(np.uint16)
+    for k in range(n_channels):
+        plane = np.full((size, size), BACKGROUND_VALUE, dtype=np.float64)
+        plane[rows, cols] = means[cell_of, k] + z[mean_at[cell_of, k] + 1 + pixel_offset]
+        values = np.clip(np.rint(plane), 0, 65535).astype(np.uint16)
         channels.append((f"ag{k + 1:02d}", ChannelImage(width=size, height=size, values=values)))
 
-    centroids = np.zeros((n_cells, 2))
-    for i, (rows, cols) in enumerate(pixel_sets):
-        centroids[i] = (cols.mean(), rows.mean())
+    # integer pixel sums are exact in any order, so these equal per-cell means
+    centroids = np.column_stack([np.bincount(cell_of, cols, n_cells), np.bincount(cell_of, rows, n_cells)])
+    centroids /= counts[:, None]
 
     cells = CellTable(
         cell_ids=np.arange(1, n_cells + 1, dtype=np.int64),
@@ -208,17 +223,27 @@ def _place_cells(stream, size: int, target: int, sid: str) -> list:
     return ellipses
 
 
-def _ellipse_pixels(ellipse, size: int):
-    cx, cy, a, b, theta = ellipse
-    r0 = max(0, int(math.floor(cy - a)))
-    r1 = min(size - 1, int(math.ceil(cy + a)))
-    c0 = max(0, int(math.floor(cx - a)))
-    c1 = min(size - 1, int(math.ceil(cx + a)))
-    rr, cc = np.mgrid[r0 : r1 + 1, c0 : c1 + 1]
+def _ellipse_pixels(ellipses: list, size: int):
+    """Pixels inside each ellipse: ``(rows, cols, counts)``, cell after cell.
+
+    Each cell's pixels are row-major within its bounding box of half-width
+    ``a``. The boxes are padded to one shape so that all cells are tested
+    at once, with the same elementwise arithmetic as one cell at a time.
+    """
+    cx, cy, a, b, theta = (col[:, None, None] for col in np.array(ellipses, dtype=np.float64).reshape(-1, 5).T)
+    r0 = np.maximum(0, np.floor(cy - a)).astype(np.int64)
+    r1 = np.minimum(size - 1, np.ceil(cy + a)).astype(np.int64)
+    c0 = np.maximum(0, np.floor(cx - a)).astype(np.int64)
+    c1 = np.minimum(size - 1, np.ceil(cx + a)).astype(np.int64)
+    rr = r0 + np.arange((r1 - r0).max(initial=0) + 1)[:, None]
+    cc = c0 + np.arange((c1 - c0).max(initial=0) + 1)
     dx = cc - cx
     dy = rr - cy
-    ct, st = math.cos(theta), math.sin(theta)
+    ct = np.array([math.cos(t) for t in theta.ravel()])[:, None, None]
+    st = np.array([math.sin(t) for t in theta.ravel()])[:, None, None]
     u = (dx * ct + dy * st) / a
     v = (-dx * st + dy * ct) / b
-    inside = u * u + v * v <= 1.0
-    return rr[inside], cc[inside]
+    inside = (u * u + v * v <= 1.0) & (rr <= r1) & (cc <= c1)
+    rows = np.broadcast_to(rr, inside.shape)[inside]
+    cols = np.broadcast_to(cc, inside.shape)[inside]
+    return rows, cols, inside.sum(axis=(1, 2))

@@ -57,6 +57,19 @@ def test_help_exits_0(capsys):
     assert "synth" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("cells_per_sample", 0), ("image_size", 96.0), ("n_samples", 0), ("marker_channel_fraction", 2.0)],
+)
+def test_synth_bad_config_value_exits_1_naming_key(tmp_path, capsys, key, value):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_samples": 2, "n_melanoma": 0, key: value}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth: ") and key in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_extract_missing_directory_exits_1(tmp_path, capsys):
     missing = str(tmp_path / "not_there")
     code = main(["extract", "--data", missing, "--features", "expression", "--out", str(tmp_path / "x.csv")])

@@ -275,6 +275,34 @@ def test_analytic_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# config
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("prop_order", 2.5),
+        ("n_augmentations", 2.0),
+        ("hidden_dim", 0),
+        ("hidden_dim", True),
+        ("max_epochs", 10.0),
+        ("patience", "5"),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("learning_rate", float("inf")),
+    ],
+)
+def test_config_rejects_bad_value_by_key_name(key, value):
+    with pytest.raises(ValueError, match=key):
+        GrandConfig.from_dict({key: value})
+
+
+def test_config_accepts_numpy_integers_and_integral_rates():
+    config = GrandConfig.from_dict({"hidden_dim": np.int64(8), "learning_rate": 1, "drop_rate": 0})
+    assert config.hidden_dim == 8
+
+
+# ---------------------------------------------------------------------------
 # training / prediction
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from cellgraph import synth
 from cellgraph.synth import SynthConfig, SynthesisError, generate_synthetic_dataset
 from cellgraph.rng import Xoshiro256StarStar, splitmix64_next
 
@@ -105,6 +106,86 @@ def test_infeasible_density_reports_achieved_count():
     config = SynthConfig(n_samples=1, n_melanoma=0, cells_per_sample=900, image_size=32, n_channels=2, seed=7)
     with pytest.raises(SynthesisError, match="achieved"):
         generate_synthetic_dataset(config)
+
+
+def scalar_channels(config, dataset):
+    """Per-pixel reference noise: one ``stream.normal`` per cell mean and pixel."""
+    base = Xoshiro256StarStar.stream_for(config.seed, 0)
+    channel_bases = [base.uniform_in(14000.0, 18000.0) for _ in range(config.n_channels)]
+    for idx, sample in enumerate(dataset.samples):
+        stream = Xoshiro256StarStar.stream_for(config.seed, idx + 1)
+        n_cells = len(synth._place_cells(stream, config.image_size, config.cells_per_sample, "ref"))
+        if sample.diagnosis == "melanoma" and config.tumor_fraction > 0:
+            stream.shuffle(list(range(n_cells)))
+        bases = [b + stream.normal(0.0, synth.SAMPLE_WOBBLE_SIGMA) for b in channel_bases]
+        planes = np.full((config.n_channels,) + sample.mask.labels.shape, synth.BACKGROUND_VALUE, dtype=np.float64)
+        for i in range(n_cells):
+            rows, cols = np.nonzero(sample.mask.labels == i + 1)  # row-major, as the ellipse boxes are
+            tumor = sample.cells.labels[i] == 1
+            sigma = synth.PIXEL_NOISE_SIGMA * ((1.0 + config.texture_contrast_separation) if tumor else 1.0)
+            for k in range(config.n_channels):
+                mean = bases[k] + stream.normal(0.0, synth.CELL_MEAN_SIGMA)
+                if tumor and k < config.n_marker_channels:
+                    mean += config.intensity_separation * synth.CELL_MEAN_SIGMA
+                planes[k][rows, cols] = [mean + stream.normal(0.0, sigma) for _ in range(len(rows))]
+        yield np.clip(np.rint(planes), 0, 65535).astype(np.uint16)
+
+
+# Small versions of the two cell sizes the benchmark presets use (grid
+# spacing 14 px and 8 px), with weak class signal.
+PRESET_SHAPES = [
+    dict(n_samples=2, n_melanoma=1, cells_per_sample=9, image_size=42, intensity_separation=0.8,
+         texture_contrast_separation=0.25),
+    dict(n_samples=2, n_melanoma=1, cells_per_sample=36, image_size=48, intensity_separation=0.8,
+         texture_contrast_separation=0.25),
+]
+
+
+@pytest.mark.parametrize("shape", PRESET_SHAPES, ids=["spacing14", "spacing8"])
+def test_bulk_noise_matches_scalar_reference_over_many_seeds(shape):
+    for seed in range(12):
+        config = SynthConfig(seed=seed, **shape)
+        dataset, _ = generate_synthetic_dataset(config)
+        for sample, expected in zip(dataset.samples, scalar_channels(config, dataset)):
+            assert np.array_equal(np.stack([c.values for _, c in sample.stack.channels]), expected), seed
+
+
+@pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 255, 256, 257, 5000])
+def test_normals_match_scalar_loop_and_leave_same_state(n):
+    bulk, scalar = Xoshiro256StarStar.stream_for(3, 2), Xoshiro256StarStar.stream_for(3, 2)
+    sigma = np.linspace(0.5, 700.0, n)
+    got = bulk.normals(sigma)
+    expected = np.array([scalar.normal(0.0, s) for s in sigma])
+    assert got.tobytes() == expected.tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_normals_replay_scalar_loop_on_zero_uniform():
+    # the first output from state (1, 0, 0, 0) is 0, so u1 = 0 and the scalar loop redraws
+    bulk, scalar = Xoshiro256StarStar((1, 0, 0, 0)), Xoshiro256StarStar((1, 0, 0, 0))
+    assert Xoshiro256StarStar((1, 0, 0, 0)).uniform() == 0.0
+    got = bulk.normals(np.full(300, 2.0))
+    expected = np.array([scalar.normal(0.0, 2.0) for _ in range(300)])
+    assert got.tobytes() == expected.tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cells_per_sample", 0),
+        ("image_size", 64.0),
+        ("n_channels", 3.0),
+        ("n_samples", 2.5),
+        ("n_samples", 0),
+        ("marker_channel_fraction", 2.0),
+        ("tumor_fraction", float("nan")),
+        ("seed", True),
+    ],
+)
+def test_config_rejects_bad_value_by_key_name(key, value):
+    with pytest.raises(ValueError, match=key):
+        SynthConfig.from_dict({key: value})
 
 
 def test_config_invariants():
