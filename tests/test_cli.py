@@ -208,6 +208,22 @@ def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     assert digest == "90a846b33d9bc98ada0fdfcc4af7948935e71ca015d6ab700b9e4775e5b1bb8d"
 
 
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("feature", "b35a80c2cbcea6bebcf18ca20455e0e729b6b62780772d64da10f997837df6a3"),
+        ("spatial", "12b425f10b06bfe36f7b67a66be6a89f746368c48b0cb67c21164a44c85fad5b"),
+    ],
+)
+def test_graph_edge_list_bytes_are_pinned(tiny_dataset_dir, tmp_path, kind, expected):
+    # Edge lists of the shared 3-sample synth set; any change to node order,
+    # the kNN tie rule or the edge-list format moves them.
+    features, out = str(tmp_path / "expression.csv"), str(tmp_path / f"{kind}.edges")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
+    assert main(["graph", "--features", features, "--kind", kind, "--k", "5", "--out", out]) == 0
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == expected
+
+
 def test_graph_rejects_non_finite_features(tmp_path, capsys):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
     rows += [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0,{'nan' if i == 2 else '1.0'}" for i in range(1, 6)]
