@@ -34,7 +34,6 @@ from .radiomics import (
 )
 from .graphs import (
     CellGraph,
-    assemble_training_graph,
     knn_feature_graph,
     normalize_adjacency,
     spatial_knn_graph,
@@ -43,7 +42,6 @@ from .dimred import Embedding, pca, tsne, umap
 from .grand import (
     GrandConfig,
     GrandModel,
-    drop_node,
     grand_loss,
     mlp_forward,
     predict_grand,
@@ -62,7 +60,6 @@ from .harness import (
     Metrics,
     SplitMasks,
     compute_metrics,
-    hyperparameter_search,
     standardize_features,
     stratified_split,
 )

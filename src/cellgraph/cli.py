@@ -26,12 +26,7 @@ from .grand import (
     save_history_csv,
     train_grand,
 )
-from .graphs import (
-    assemble_training_graph,
-    normalize_adjacency,
-    read_edge_list,
-    write_edge_list,
-)
+from .graphs import build_cell_graph, normalize_adjacency, read_edge_list, write_edge_list
 from .harness import compute_metrics, standardize_features, stratified_split
 from .plots import bar_chart_svg
 from .synth import SynthConfig, generate_synthetic_dataset
@@ -195,7 +190,7 @@ def _cmd_extract(args) -> None:
 
 def _cmd_graph(args) -> None:
     table = _load_table_sorted(args.features)
-    graph, _, _ = assemble_training_graph([table], args.kind, args.k, metric=args.metric)
+    graph = build_cell_graph(args.kind, table.features, table, args.k, metric=args.metric)
     out = _resolve_out(args, default="graph.edges")
     write_edge_list(out, graph)
     print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {out}")
@@ -235,11 +230,11 @@ def _cmd_train(args) -> None:
 
 def _cmd_baseline(args) -> None:
     raw = _seeded_config(args, args.config)
-    table, y, masks, X = _model_inputs(args, raw.get("seed", 0), standardize=False)
-    if args.model == "random_forest":
-        model = train_random_forest(X[masks.train], y[masks.train], ForestConfig.from_dict(raw))
-    else:
-        model = train_gradient_boosting(X[masks.train], y[masks.train], BoostConfig.from_dict(raw))
+    forest = args.model == "random_forest"
+    config = ForestConfig.from_dict(raw) if forest else BoostConfig.from_dict(raw)
+    table, y, masks, X = _model_inputs(args, config.seed, standardize=False)
+    train = train_random_forest if forest else train_gradient_boosting
+    model = train(X[masks.train], y[masks.train], config)
     out = _resolve_out(args, default=f"{args.model}.bin")
     save_model(out, model)
     probs = predict_tabular(model, X)

@@ -177,10 +177,6 @@ class CellTable:
     def to_csv(self, path: str) -> None:
         write_feature_csv(path, self)
 
-    @classmethod
-    def from_csv(cls, path: str) -> "CellTable":
-        return read_feature_csv(path)
-
 
 @dataclass
 class Sample:

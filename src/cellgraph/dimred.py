@@ -25,11 +25,9 @@ class DimRedError(Exception):
 
 @dataclass
 class Embedding:
-    """Reduced coordinates plus the parameters that produced them."""
+    """Reduced coordinates plus the method's diagnostics."""
 
     Y: np.ndarray
-    method: str
-    params: dict
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -70,7 +68,7 @@ def pca(X, d: int):
     total = variances.sum()
     ratio = variances[:d] / total if total > 0 else np.zeros(d)
     Y = Xc @ components.T
-    emb = Embedding(Y=Y, method="pca", params={"d": d})
+    emb = Embedding(Y=Y)
     return emb, components, ratio
 
 
@@ -200,8 +198,6 @@ def tsne(
     kl_curve.append(_kl_divergence(P, num / num.sum()))
     return Embedding(
         Y=Y,
-        method="tsne",
-        params={"d": d, "perplexity": perplexity, "n_iters": n_iters, "seed": seed},
         diagnostics={"kl_curve": np.array(kl_curve), "realized_perplexity": realized, "P": P},
     )
 
@@ -348,24 +344,13 @@ def umap(
 
             epoch_of_next_sample[due] += epochs_per_sample[due]
 
-    return Embedding(
-        Y=Y,
-        method="umap",
-        params={
-            "d": d,
-            "n_neighbors": n_neighbors,
-            "min_dist": min_dist,
-            "n_epochs": n_epochs,
-            "seed": seed,
-        },
-        diagnostics={"a": a, "b": b},
-    )
+    return Embedding(Y=Y, diagnostics={"a": a, "b": b})
 
 
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     """Dispatch helper used by the harness and CLI; 'none' passes through."""
     if method == "none":
-        return Embedding(Y=np.asarray(X, dtype=np.float64).copy(), method="none", params={})
+        return Embedding(Y=np.asarray(X, dtype=np.float64).copy())
     if method == "pca":
         emb, _, _ = pca(X, d)
         return emb

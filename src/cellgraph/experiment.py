@@ -22,7 +22,7 @@ from . import dataset as ds
 from .dimred import reduce_features
 from .expression import expression_profile
 from .grand import GrandConfig, predict_grand, train_grand
-from .graphs import knn_feature_graph, normalize_adjacency, spatial_knn_graph
+from .graphs import build_cell_graph, normalize_adjacency
 from .harness import (
     SplitMasks,
     case_stratified_split,
@@ -37,6 +37,7 @@ from .trees import BoostConfig, ForestConfig, predict_tabular, train_gradient_bo
 FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
 MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
+_GRAPH_KINDS = {"grand_feature_graph": "feature", "grand_spatial_graph": "spatial"}
 
 _CONFIG_KEYS = {
     "data_dir",
@@ -96,8 +97,13 @@ class ExperimentConfig:
                 raise ExperimentError(f"unknown model {model!r}")
         if self.split_by not in ("cell", "case"):
             raise ExperimentError("split_by must be 'cell' or 'case'")
-        if self.threads < 1:
-            raise ExperimentError("threads must be >= 1")
+        try:
+            for key in ("k", "reduce_dim", "threads"):
+                ds.check_field(key, getattr(self, key), int, lo=1)
+            ds.check_field("seed", self.seed, int, lo=0)
+            ds.check_field("threshold", self.threshold, float, lo=0.0, hi=1.0)
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -178,12 +184,8 @@ def _make_split(table: ds.CellTable, config: ExperimentConfig) -> SplitMasks:
 def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitMasks,
                config: ExperimentConfig, seed: int) -> dict:
     y = table.labels
-    if model in ("grand_feature_graph", "grand_spatial_graph"):
-        if model == "grand_feature_graph":
-            graph = knn_feature_graph(X_red, config.k, node_keys=table.keys())
-        else:
-            graph = spatial_knn_graph(table.centroids, table.sample_ids, config.k, node_keys=table.keys())
-        adj = normalize_adjacency(graph)
+    if model in _GRAPH_KINDS:
+        adj = normalize_adjacency(build_cell_graph(_GRAPH_KINDS[model], X_red, table, config.k))
         gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
         trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
         probs, _ = predict_grand(trained, adj, X_red)

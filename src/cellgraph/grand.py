@@ -78,17 +78,10 @@ class GrandModel:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
-def drop_node(X: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero whole feature rows with probability delta, rescaling survivors
-    by 1/(1-delta) so the expectation equals X."""
-    if not 0.0 <= delta < 1.0:
-        raise GrandError("delta must lie in [0, 1)")
-    mask = (rng.random(X.shape[0]) < 1.0 - delta).astype(np.float64)
-    return apply_drop_node(X, delta, mask)
-
-
 def apply_drop_node(X: np.ndarray, delta: float, mask: np.ndarray) -> np.ndarray:
-    """DropNode with a pre-drawn {0,1} keep mask (deterministic path)."""
+    """DropNode with a pre-drawn {0,1} keep mask: zero the dropped rows and
+    rescale the kept ones by 1/(1-delta). When each row is kept with
+    probability 1-delta, the expectation equals X."""
     return X * (mask / (1.0 - delta))[:, None]
 
 

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
-from .dataset import _atomic_write, pool_tables
+from .dataset import CellTable, _atomic_write
 
 _CHUNK_ROWS = 1024
 
@@ -171,30 +170,18 @@ def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:
     return A_hat
 
 
-def assemble_training_graph(tables: list, kind: str, k: int, metric: str = "euclidean"):
-    """Pool per-sample cell tables into one training graph.
+def build_cell_graph(kind: str, X: np.ndarray, table: CellTable, k: int, metric: str = "euclidean") -> CellGraph:
+    """The ``kind`` graph over the rows of a pooled cell table.
 
-    Node order is sorted by (sample_id, cell_id). ``kind`` selects a global
-    feature-space kNN or the disjoint union of per-sample spatial graphs.
-    Returns (graph, feature matrix, label vector).
+    "feature" is the kNN graph of ``X`` (one row per table row) under
+    ``metric``; "spatial" is the per-sample kNN graph of the table's
+    centroids, which ignores ``X`` and ``metric``. Nodes carry the table keys.
     """
-    if kind not in ("feature", "spatial"):
-        raise GraphError(f"unknown graph kind {kind!r}")
-    if not tables:
-        raise GraphError("no cell tables given")
-    names = tables[0].feature_names
-    for t in tables:
-        if t.feature_names != names:
-            raise GraphError(
-                f"feature names mismatch: {t.sample_ids[0] if t.sample_ids else '?'} "
-                f"has {len(t.feature_names)} features, expected {len(names)}"
-            )
-    table = pool_tables(tables)
     if kind == "feature":
-        graph = knn_feature_graph(table.features, k, metric=metric, node_keys=table.keys())
-    else:
-        graph = spatial_knn_graph(table.centroids, table.sample_ids, k, node_keys=table.keys())
-    return graph, table.features, table.labels
+        return knn_feature_graph(X, k, metric=metric, node_keys=table.keys())
+    if kind == "spatial":
+        return spatial_knn_graph(table.centroids, table.sample_ids, k, node_keys=table.keys())
+    raise GraphError(f"unknown graph kind {kind!r}")
 
 
 def write_edge_list(path: str, g: CellGraph) -> None:
@@ -228,9 +215,3 @@ def read_edge_list(path: str) -> CellGraph:
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from exc
 
-
-def connected_components(g: CellGraph) -> int:
-    """Number of weakly connected components."""
-    A = sp.coo_matrix((np.ones(g.n_edges), (g.edges[:, 0], g.edges[:, 1])), shape=(g.n_nodes, g.n_nodes))
-    n_components, _ = csgraph.connected_components(A, directed=True, connection="weak")
-    return n_components

@@ -1,11 +1,11 @@
-"""Evaluation harness: stratified splits, binary metrics, and
-quantile-surrogate hyperparameter search."""
+"""Evaluation harness: stratified and case-level splits, binary metrics, and
+feature standardization with train-split statistics."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,138 +163,6 @@ def compute_metrics(y_true, probabilities, threshold: float = 0.5) -> Metrics:
         accuracy=accuracy, precision=precision, recall=recall, f1=f1,
         roc_auc=float(auc), tp=tp, fp=fp, fn=fn, tn=tn,
     )
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-#
-# Parameter space entries:
-#   ("uniform", low, high)      continuous
-#   ("log_uniform", low, high)  continuous, sampled in log space
-#   ("categorical", [choices])
-
-
-@dataclass
-class Trial:
-    index: int
-    config: dict
-    score: float
-
-
-@dataclass
-class SearchResult:
-    best: dict
-    best_score: float
-    trials: list = field(default_factory=list)
-
-
-def _sample_random(space: dict, rng: np.random.Generator) -> dict:
-    config = {}
-    for name in sorted(space):
-        kind = space[name][0]
-        if kind == "uniform":
-            _, lo, hi = space[name]
-            config[name] = float(rng.uniform(lo, hi))
-        elif kind == "log_uniform":
-            _, lo, hi = space[name]
-            config[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        elif kind == "categorical":
-            choices = space[name][1]
-            config[name] = choices[int(rng.integers(0, len(choices)))]
-        else:
-            raise HarnessError(f"unknown parameter kind {kind!r} for {name}")
-    return config
-
-
-def _density(value, observed, kind, spec) -> float:
-    """Kernel density of one parameter value under a set of observations."""
-    if kind == "categorical":
-        choices = spec[1]
-        counts = {c: 1.0 for c in choices}  # Laplace smoothing
-        for obs in observed:
-            counts[obs] += 1.0
-        total = sum(counts.values())
-        return counts[value] / total
-    _, lo, hi = spec
-    if kind == "log_uniform":
-        value, lo, hi = np.log(value), np.log(lo), np.log(hi)
-        observed = [np.log(o) for o in observed]
-    bw = max((hi - lo) / 5.0, 1e-12)
-    base = 1.0 / (hi - lo) if hi > lo else 1.0
-    if not observed:
-        return base
-    kernels = [math.exp(-0.5 * ((value - o) / bw) ** 2) / (bw * math.sqrt(2 * math.pi)) for o in observed]
-    return 0.5 * base + 0.5 * sum(kernels) / len(kernels)
-
-
-def _sample_from_good(space, good_configs, rng) -> dict:
-    config = {}
-    for name in sorted(space):
-        spec = space[name]
-        kind = spec[0]
-        pick = good_configs[int(rng.integers(0, len(good_configs)))][name]
-        if kind == "categorical":
-            # mostly reuse a good choice, sometimes explore
-            if rng.random() < 0.2:
-                choices = spec[1]
-                pick = choices[int(rng.integers(0, len(choices)))]
-            config[name] = pick
-        else:
-            _, lo, hi = spec
-            if kind == "log_uniform":
-                center = np.log(pick)
-                bw = (np.log(hi) - np.log(lo)) / 5.0
-                config[name] = float(np.exp(np.clip(rng.normal(center, bw), np.log(lo), np.log(hi))))
-            else:
-                bw = (hi - lo) / 5.0
-                config[name] = float(np.clip(rng.normal(pick, bw), lo, hi))
-    return config
-
-
-def hyperparameter_search(space: dict, objective, budget: int, seed: int = 0) -> SearchResult:
-    """Maximize ``objective(config)`` over the space within ``budget`` trials.
-
-    The first max(5, budget // 5) trials are random. Afterwards the observed
-    trials are split at the best-25% quantile into good/bad sets; candidates
-    are drawn around good configurations and ranked by the good/bad density
-    ratio. A failing objective records score -inf and the search continues.
-    Ties return the earliest trial.
-    """
-    if budget < 1:
-        raise HarnessError("budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    n_random = max(5, budget // 5)
-    trials: list[Trial] = []
-    for t in range(budget):
-        if t < n_random:
-            config = _sample_random(space, rng)
-        else:
-            scored = [tr for tr in trials if math.isfinite(tr.score)]
-            if not scored:
-                config = _sample_random(space, rng)
-            else:
-                ordered = sorted(scored, key=lambda tr: (-tr.score, tr.index))
-                n_good = max(1, math.ceil(0.25 * len(ordered)))
-                good = [tr.config for tr in ordered[:n_good]]
-                bad = [tr.config for tr in ordered[n_good:]]
-                best_ratio, config = -math.inf, None
-                for _ in range(24):
-                    cand = _sample_from_good(space, good, rng)
-                    ratio = 0.0
-                    for name in sorted(space):
-                        l = _density(cand[name], [g[name] for g in good], space[name][0], space[name])
-                        g = _density(cand[name], [b[name] for b in bad], space[name][0], space[name])
-                        ratio += math.log(l) - math.log(g)
-                    if ratio > best_ratio:
-                        best_ratio, config = ratio, cand
-        try:
-            score = float(objective(config))
-        except Exception as exc:  # noqa: BLE001 - failures become -inf trials
-            warnings.warn(f"trial {t} failed: {exc}")
-            score = -math.inf
-        trials.append(Trial(index=t, config=config, score=score))
-    best = max(trials, key=lambda tr: (tr.score, -tr.index))
-    return SearchResult(best=best.config, best_score=best.score, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,19 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import read_model_file, write_model_file
+from .dataset import check_field, read_model_file, write_model_file
 from .rng import derive_seed
 
 
 class TreeError(Exception):
     pass
+
+
+def _check_counts(config, size_key: str) -> None:
+    """Ensemble size, depth and leaf size are integers >= 1; seed is >= 0."""
+    for key in (size_key, "max_depth", "min_leaf"):
+        check_field(key, getattr(config, key), int, lo=1)
+    check_field("seed", config.seed, int, lo=0)
 
 
 @dataclass
@@ -33,8 +40,11 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("counts must be positive")
+        _check_counts(self, "n_trees")
+        if self.features_per_split is not None:
+            check_field("features_per_split", self.features_per_split, int, lo=1)
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestConfig":
@@ -53,10 +63,10 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rounds < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("counts must be positive")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must lie in (0, 1]")
+        _check_counts(self, "n_rounds")
+        check_field("learning_rate", self.learning_rate, float, hi=1.0)
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "BoostConfig":

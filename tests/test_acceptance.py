@@ -199,7 +199,7 @@ def test_criterion_05_end_to_end_learning(tmp_path):
 
 
 def test_criterion_06_dropnode_expectation():
-    from cellgraph.grand import drop_node
+    from cellgraph.grand import apply_drop_node
 
     rng = np.random.default_rng(606)
     X = rng.normal(size=(6, 4))
@@ -207,7 +207,8 @@ def test_criterion_06_dropnode_expectation():
     draws = 10_000
     acc = np.zeros_like(X)
     for _ in range(draws):
-        acc += drop_node(X, delta, rng)
+        # the keep mask is drawn by train_grand's rule
+        acc += apply_drop_node(X, delta, (rng.random(len(X)) < 1.0 - delta).astype(np.float64))
     mean = acc / draws
     std_err = np.abs(X) * math.sqrt(delta / (1 - delta)) / math.sqrt(draws)
     deviation = np.abs(mean - X)

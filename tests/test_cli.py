@@ -142,6 +142,20 @@ def test_baseline_command(workdir):
     assert len(lines) == 81  # header + one row per cell
 
 
+def test_baseline_bad_config_value_exits_1_naming_key(tmp_path, capsys):
+    rows = ["cell_id,sample_id,cx,cy,label,f1"] + [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0" for i in range(1, 11)]
+    features, config = tmp_path / "features.csv", tmp_path / "forest.json"
+    features.write_text("\n".join(rows) + "\n")
+    config.write_text(json.dumps({"n_trees": 2.5}))
+    model = tmp_path / "forest.bin"
+    argv = ["--config", str(config), "baseline", "--model", "random_forest",
+            "--features", str(features), "--labels", str(features), "--out", str(model)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: baseline: ") and "n_trees" in err
+    assert not model.exists()
+
+
 def test_report_twice_identical_svg(workdir):
     out = str(workdir / "expout")
     rep1 = str(workdir / "rep1")

@@ -166,6 +166,16 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig(models=("svm",))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", 2.5), ("reduce_dim", 0), ("threads", 1.5), ("threads", 0), ("seed", -1),
+     ("threshold", 1.5), ("threshold", "0.5")],
+)
+def test_config_rejects_bad_value_by_key_name(key, value):
+    with pytest.raises(ExperimentError, match=key):
+        ExperimentConfig.from_dict({key: value})
+
+
 def test_missing_dataset_errors(tmp_path):
     config = ExperimentConfig(data_dir=str(tmp_path / "absent"))
     with pytest.raises(ExperimentError, match="manifest"):

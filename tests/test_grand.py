@@ -9,7 +9,6 @@ from cellgraph.grand import (
     GrandError,
     GrandModel,
     apply_drop_node,
-    drop_node,
     grand_loss,
     load_checkpoint,
     mlp_forward,
@@ -30,12 +29,12 @@ def small_adj(n=10, k=3, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# drop_node
+# DropNode
 
 
 def test_drop_node_zero_rate_is_identity():
     X = np.random.default_rng(1).normal(size=(8, 4))
-    out = drop_node(X, 0.0, np.random.default_rng(0))
+    out = apply_drop_node(X, 0.0, np.ones(len(X)))
     np.testing.assert_array_equal(out, X)
 
 
@@ -52,7 +51,8 @@ def test_drop_node_monte_carlo_expectation():
     draws = 10_000
     acc = np.zeros_like(X)
     for _ in range(draws):
-        acc += drop_node(X, delta, rng)
+        # the keep mask is drawn by train_grand's rule
+        acc += apply_drop_node(X, delta, (rng.random(len(X)) < 1.0 - delta).astype(np.float64))
     mean = acc / draws
     std_err = np.abs(X) * math.sqrt(delta / (1 - delta)) / math.sqrt(draws)
     assert np.all(np.abs(mean - X) <= 3 * std_err + 1e-12)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellgraph import graphs
-from cellgraph.dataset import CellTable
+from cellgraph.dataset import CellTable, pool_tables
 from cellgraph.graphs import (
     CellGraph,
     GraphError,
-    assemble_training_graph,
-    connected_components,
+    build_cell_graph,
     knn,
     knn_feature_graph,
     normalize_adjacency,
@@ -157,12 +156,9 @@ def make_table(sample_id, ids, features, labels=None, centroids=None):
     )
 
 
-def test_assemble_sorts_by_sample_then_cell():
-    t1 = make_table("s02", [2, 1], [[1.0], [2.0]])
-    t2 = make_table("s01", [5], [[3.0]])
-    graph, X, y = assemble_training_graph([t1, t2], "feature", k=1)
-    assert graph.node_keys == [("s01", 5), ("s02", 1), ("s02", 2)]
-    np.testing.assert_array_equal(X.ravel(), [3.0, 2.0, 1.0])
+def assert_samples_disjoint(graph):
+    samples = [sid for sid, _ in graph.node_keys]
+    assert all(samples[src] == samples[dst] for src, dst in graph.edges.tolist())
 
 
 def test_assemble_spatial_components_lower_bound():
@@ -170,26 +166,10 @@ def test_assemble_spatial_components_lower_bound():
         make_table(f"s{i}", [1, 2, 3], np.zeros((3, 1)), centroids=[[0, 0], [1, 0], [2, 0]])
         for i in range(3)
     ]
-    graph, _, _ = assemble_training_graph(tables, "spatial", k=1)
-    assert connected_components(graph) >= 3
-
-
-def test_connected_components_matches_union_find():
-    rng = np.random.default_rng(23)
-    for n, m in ((1, 0), (6, 3), (30, 12), (40, 60)):
-        edges = rng.integers(0, n, size=(m, 2)) if n > 1 else np.zeros((0, 2), dtype=np.int64)
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for a, b in edges.tolist():
-            parent[find(a)] = find(b)
-        g = CellGraph(n_nodes=n, edges=edges, weights=np.ones(len(edges)), node_keys=[("", i) for i in range(n)])
-        assert connected_components(g) == len({find(i) for i in range(n)})
+    table = pool_tables(tables)
+    graph = build_cell_graph("spatial", table.features, table, k=1)
+    assert graph.node_keys == table.keys() and graph.n_edges == 9
+    assert_samples_disjoint(graph)
 
 
 def test_assemble_pools_every_cell():
@@ -200,26 +180,40 @@ def test_assemble_pools_every_cell():
         )
         for i in range(20)
     ]
-    graph, X, y = assemble_training_graph(tables, "spatial", k=3)
+    table = pool_tables(tables)
+    graph = build_cell_graph("spatial", table.features, table, k=3)
     assert graph.n_nodes == 20 * 15
-    assert X.shape == (300, 2) and len(y) == 300
-    assert connected_components(graph) >= 20
+    assert graph.node_keys == table.keys()
+    assert_samples_disjoint(graph)
 
 
 def test_assemble_single_sample_matches_direct():
     rng = np.random.default_rng(11)
     feats = rng.normal(size=(6, 2))
     t = make_table("s01", range(1, 7), feats)
-    graph, X, _ = assemble_training_graph([t], "feature", k=2)
-    direct = knn_feature_graph(feats, 2)
-    assert edges_as_set(graph) == edges_as_set(direct)
+    for metric in ("euclidean", "cosine"):
+        graph = build_cell_graph("feature", feats, t, k=2, metric=metric)
+        direct = knn_feature_graph(feats, 2, metric=metric)
+        np.testing.assert_array_equal(graph.edges, direct.edges)
+        assert graph.node_keys == t.keys()
 
 
-def test_assemble_feature_mismatch_errors():
-    t1 = make_table("a", [1], [[1.0, 2.0]])
-    t2 = make_table("b", [1], [[1.0]])
-    with pytest.raises(GraphError, match="mismatch"):
-        assemble_training_graph([t1, t2], "feature", k=1)
+def test_build_cell_graph_spatial_matches_spatial_knn_graph():
+    rng = np.random.default_rng(12)
+    table = pool_tables([
+        make_table(sid, range(1, 9), rng.normal(size=(8, 2)), centroids=rng.uniform(0, 20, (8, 2)))
+        for sid in ("s01", "s02")
+    ])
+    graph = build_cell_graph("spatial", table.features, table, k=3)
+    direct = spatial_knn_graph(table.centroids, table.sample_ids, 3)
+    np.testing.assert_array_equal(graph.edges, direct.edges)
+    assert graph.node_keys == table.keys()
+
+
+def test_build_cell_graph_unknown_kind_errors():
+    t = make_table("s01", [1, 2], [[0.0], [1.0]])
+    with pytest.raises(GraphError, match="unknown graph kind"):
+        build_cell_graph("radius", t.features, t, k=1)
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellgraph.harness import (
-    HarnessError,
     case_stratified_split,
     compute_metrics,
-    hyperparameter_search,
     standardize_features,
     stratified_split,
 )
@@ -150,56 +148,6 @@ def test_metrics_single_class_auc_nan_with_warning():
 def test_metrics_zero_over_zero_convention():
     m = compute_metrics(np.array([0, 0, 1]), np.array([0.1, 0.2, 0.3]))
     assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-
-
-def test_search_constant_objective_returns_first_trial():
-    space = {"x": ("uniform", 0.0, 1.0)}
-    result = hyperparameter_search(space, lambda cfg: 0.5, budget=12, seed=0)
-    assert result.best == result.trials[0].config
-
-
-def test_search_finds_quadratic_peak():
-    space = {"x": ("uniform", 0.0, 1.0)}
-    result = hyperparameter_search(
-        space, lambda cfg: -((cfg["x"] - 0.62) ** 2), budget=30, seed=1
-    )
-    assert abs(result.best["x"] - 0.62) < 0.1
-
-
-def test_search_same_seed_identical_sequence():
-    space = {
-        "x": ("log_uniform", 1e-3, 1.0),
-        "kind": ("categorical", ["a", "b", "c"]),
-    }
-    a = hyperparameter_search(space, lambda cfg: cfg["x"], budget=15, seed=9)
-    b = hyperparameter_search(space, lambda cfg: cfg["x"], budget=15, seed=9)
-    assert [t.config for t in a.trials] == [t.config for t in b.trials]
-
-
-def test_search_failure_recorded_and_continues():
-    space = {"x": ("uniform", 0.0, 1.0)}
-    calls = []
-
-    def objective(cfg):
-        calls.append(cfg["x"])
-        if len(calls) == 2:
-            raise RuntimeError("synthetic failure")
-        return cfg["x"]
-
-    with pytest.warns(UserWarning, match="failed"):
-        result = hyperparameter_search(space, objective, budget=8, seed=2)
-    assert len(result.trials) == 8
-    assert result.trials[1].score == -math.inf
-    assert math.isfinite(result.best_score)
-
-
-def test_search_budget_validation():
-    with pytest.raises(HarnessError):
-        hyperparameter_search({}, lambda cfg: 0.0, budget=0)
 
 
 # ---------------------------------------------------------------------------

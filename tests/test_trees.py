@@ -24,6 +24,38 @@ def separable_1d(n=60, margin=1.0, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# configs
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        (ForestConfig, "n_trees", 2.5),
+        (ForestConfig, "max_depth", 0),
+        (ForestConfig, "min_leaf", True),
+        (ForestConfig, "features_per_split", 0),
+        (ForestConfig, "features_per_split", 2.0),
+        (ForestConfig, "bootstrap", 1),
+        (ForestConfig, "seed", -1),
+        (BoostConfig, "n_rounds", 2.5),
+        (BoostConfig, "max_depth", "3"),
+        (BoostConfig, "learning_rate", "0.1"),
+        (BoostConfig, "learning_rate", 0.0),
+        (BoostConfig, "learning_rate", 1.5),
+        (BoostConfig, "seed", 1.5),
+    ],
+)
+def test_config_rejects_bad_value_by_key_name(cls, key, value):
+    with pytest.raises(ValueError, match=key):
+        cls.from_dict({key: value})
+
+
+def test_config_accepts_numpy_integers_and_unset_split_size():
+    assert ForestConfig.from_dict({"n_trees": np.int64(3), "features_per_split": None}).n_trees == 3
+    assert BoostConfig.from_dict({"n_rounds": np.int32(2), "learning_rate": 1}).learning_rate == 1
+
+
+# ---------------------------------------------------------------------------
 # random forest
 
 
