@@ -238,6 +238,23 @@ def test_graph_edge_list_bytes_are_pinned(tiny_dataset_dir, tmp_path, kind, expe
     assert hashlib.sha256(open(out, "rb").read()).hexdigest() == expected
 
 
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        ("random_forest", "295dfd091becf41ae2ae6c2f7f95183effa38c1532835f88a832a47684810ccf"),
+        ("gradient_boosting", "659a7984e956b8152fa0e41cb6942deaf26b9ed07fe562131e2dde585f2ad4ee"),
+    ],
+)
+def test_baseline_model_bytes_are_pinned(tiny_dataset_dir, tmp_path, model, expected):
+    # Default-config models on the radiomics CSV of the shared 3-sample synth
+    # set; any change to the split search, its tie rule (lowest feature, then
+    # lowest threshold) or the model-file format moves them.
+    features, out = str(tmp_path / "radiomics.csv"), str(tmp_path / f"{model}.bin")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", features]) == 0
+    assert main(["baseline", "--model", model, "--features", features, "--labels", features, "--out", out]) == 0
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == expected
+
+
 def test_graph_rejects_non_finite_features(tmp_path, capsys):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
     rows += [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0,{'nan' if i == 2 else '1.0'}" for i in range(1, 6)]

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cellgraph import trees
 from cellgraph.trees import (
     BoostConfig,
     ForestConfig,
@@ -53,6 +57,86 @@ def test_config_rejects_bad_value_by_key_name(cls, key, value):
 def test_config_accepts_numpy_integers_and_unset_split_size():
     assert ForestConfig.from_dict({"n_trees": np.int64(3), "features_per_split": None}).n_trees == 3
     assert BoostConfig.from_dict({"n_rounds": np.int32(2), "learning_rate": 1}).learning_rate == 1
+
+
+# ---------------------------------------------------------------------------
+# split search
+
+
+def reference_best_split(X, target_stats, idx, features, min_leaf, variance):
+    """One feature at a time: sort, find value boundaries, score each with
+    prefix sums and keep the first strict improvement. Features ascend and
+    thresholds ascend within a feature, so ties go to the lowest feature,
+    then the lowest threshold."""
+    n = len(idx)
+    best = (math.inf, -1, 0.0)
+    for f in features:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        stats = target_stats[idx[order]]
+        boundaries = np.flatnonzero(vs[:-1] != vs[1:])
+        if len(boundaries) == 0:
+            continue
+        prefix = np.cumsum(stats, axis=0)
+        left_n = boundaries + 1
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        left = prefix[boundaries]
+        right = prefix[-1] - left
+        if variance:
+            cost = ((left[:, 1] - left[:, 0] ** 2 / left_n) + (right[:, 1] - right[:, 0] ** 2 / right_n)) / n
+        else:
+            gl = 1.0 - np.sum((left / left_n[:, None]) ** 2, axis=1)
+            gr = 1.0 - np.sum((right / right_n[:, None]) ** 2, axis=1)
+            cost = (left_n * gl + right_n * gr) / n
+        cost[~valid] = math.inf
+        j = int(np.argmin(cost))
+        if cost[j] < best[0]:
+            threshold = (vs[boundaries[j]] + vs[boundaries[j] + 1]) / 2.0
+            best = (float(cost[j]), int(f), float(threshold))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """Integer features in [-2, 2] (so equal costs tie exactly), some columns
+    constant, a row subset, a feature subset, and Gini (2 or 3 classes) or
+    variance targets."""
+    n_rows = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 6))
+    rows = st.integers(-2, 2)
+    X = np.array(draw(st.lists(st.lists(rows, min_size=n_rows, max_size=n_rows), min_size=p, max_size=p)),
+                 dtype=np.float64).T
+    for f in draw(st.sets(st.integers(0, p - 1), max_size=p)):
+        X[:, f] = draw(rows)
+    idx = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    if len(idx) < 2:
+        idx = np.arange(n_rows)
+    features = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))))
+    min_leaf = draw(st.integers(1, 5))
+    n_classes = draw(st.sampled_from([0, 2, 3]))  # 0: variance cost
+    if n_classes:
+        y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows)))
+        stats = np.eye(n_classes)[y]
+    else:
+        r = np.array(draw(st.lists(
+            st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0)),
+            min_size=n_rows, max_size=n_rows,
+        )))
+        stats = np.stack([r, r * r], axis=1)
+    return X, stats, idx, features, min_leaf, not n_classes
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_problems())
+def test_best_split_matches_per_feature_reference(problem):
+    X, stats, idx, features, min_leaf, variance = problem
+    cost_fn = trees._variance_cost if variance else trees._gini_cost
+    got = trees._best_split(X, stats, idx, features, min_leaf, cost_fn)
+    assert got == reference_best_split(X, stats, idx, features, min_leaf, variance)
 
 
 # ---------------------------------------------------------------------------
