@@ -70,7 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="feature CSV")
     p.add_argument("--kind", required=True, choices=["feature", "spatial"])
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", default="euclidean", choices=["euclidean", "cosine"])
+    p.add_argument(
+        "--metric", default="euclidean", choices=["euclidean", "cosine"],
+        help="distance for --kind feature; the spatial graph is always Euclidean on centroids",
+    )
     p.add_argument("--out", dest="stage_out", default=None, help="output edge list")
 
     p = sub.add_parser("reduce", help="reduce feature dimensionality")
@@ -189,6 +192,8 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_graph(args) -> None:
+    if args.kind == "spatial" and args.metric != "euclidean":
+        raise StageError(f"--metric {args.metric} applies to --kind feature only, not --kind spatial")
     table = _load_table_sorted(args.features)
     graph = build_cell_graph(args.kind, table.features, table, args.k, metric=args.metric)
     out = _resolve_out(args, default="graph.edges")
@@ -235,9 +240,9 @@ def _cmd_baseline(args) -> None:
     table, y, masks, X = _model_inputs(args, config.seed, standardize=False)
     train = train_random_forest if forest else train_gradient_boosting
     model = train(X[masks.train], y[masks.train], config)
+    probs = predict_tabular(model, X)
     out = _resolve_out(args, default=f"{args.model}.bin")
     save_model(out, model)
-    probs = predict_tabular(model, X)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     print(f"saved model to {out}; test f1 {metrics.f1:.4f}")
 

@@ -47,14 +47,16 @@ class DatasetError(Exception):
 def check_field(key: str, value, kind: type, lo=-math.inf, hi=math.inf) -> None:
     """Raise ValueError naming config ``key`` unless ``value`` is a ``kind`` in [lo, hi].
 
-    ``kind`` is ``int`` (integers only) or ``float`` (any finite real); a
-    bool is neither.
+    ``kind`` is ``bool``, ``int`` (integers only) or ``float`` (any finite
+    real); a bool is only a ``bool``.
     """
-    if kind is int:
+    if kind is bool:
+        ok, wanted = True, "true or false"
+    elif kind is int:
         ok, wanted = isinstance(value, numbers.Integral), "an integer"
     else:
         ok, wanted = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
-    if isinstance(value, bool) or not ok:
+    if isinstance(value, bool) != (kind is bool) or not ok:
         raise ValueError(f"{key} must be {wanted}, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{key} must lie in [{lo}, {hi}], got {value!r}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_pixels
+from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_pixels, check_field
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -119,8 +119,13 @@ class RadiomicsConfig:
     shape: bool = True
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("levels must be >= 2")
+        check_field("levels", self.levels, int, lo=2)
+        check_field("symmetric", self.symmetric, bool)
+        check_field("shape", self.shape, bool)
+        if self.channels is not None and not (
+            isinstance(self.channels, list) and all(isinstance(c, str) for c in self.channels)
+        ):
+            raise ValueError(f"channels must be null or a list of antigen names, got {self.channels!r}")
         self.offsets = tuple((int(dr), int(dc)) for dr, dc in self.offsets)
         if any(o == (0, 0) for o in self.offsets):
             raise ValueError("offsets must be non-zero")

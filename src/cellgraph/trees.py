@@ -43,8 +43,7 @@ class ForestConfig:
         _check_counts(self, "n_trees")
         if self.features_per_split is not None:
             check_field("features_per_split", self.features_per_split, int, lo=1)
-        if not isinstance(self.bootstrap, bool):
-            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
+        check_field("bootstrap", self.bootstrap, bool)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ForestConfig":
@@ -89,48 +88,37 @@ def _best_split(X, target_stats, idx, features, min_leaf, cost_fn):
     ``target_stats`` supplies per-sample statistics whose prefix sums define
     the impurity: class one-hots for Gini, (r, r^2) columns for variance.
     Returns (cost, feature, threshold) with cost = inf when no valid split
-    exists. Features are scanned in ascending order and thresholds ascending
-    within a feature, so the first strict improvement implements the
+    exists. All candidate features are sorted and scored in one pass over
+    the node's (n, k) block. argmin over the transposed cost returns the
+    first minimum in (feature, threshold) order, which implements the
     lowest-feature / lowest-threshold tie rule.
     """
     n = len(idx)
-    best = (math.inf, -1, 0.0)
-    for f in features:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        stats = target_stats[idx[order]]
-        boundaries = np.flatnonzero(vs[:-1] != vs[1:])
-        if len(boundaries) == 0:
-            continue
-        prefix = np.cumsum(stats, axis=0)
-        left_n = boundaries + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        left = prefix[boundaries]
-        total = prefix[-1]
-        right = total - left
-        cost = cost_fn(left, right, left_n, right_n, n)
-        cost[~valid] = math.inf
-        j = int(np.argmin(cost))
-        if cost[j] < best[0]:
-            threshold = (vs[boundaries[j]] + vs[boundaries[j] + 1]) / 2.0
-            best = (float(cost[j]), int(f), float(threshold))
-    return best
+    values = X[np.ix_(idx, features)]
+    order = np.argsort(values, axis=0, kind="stable")
+    vs = np.take_along_axis(values, order, axis=0)
+    prefix = np.cumsum(target_stats[idx[order]], axis=0)
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    left = prefix[:-1]
+    cost = cost_fn(left, prefix[-1] - left, left_n, right_n, n)
+    cost[(vs[:-1] == vs[1:]) | (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    col, j = divmod(int(np.argmin(cost.T)), n - 1)
+    if cost[j, col] == math.inf:
+        return (math.inf, -1, 0.0)
+    return (float(cost[j, col]), int(features[col]), float((vs[j, col] + vs[j + 1, col]) / 2.0))
 
 
 def _gini_cost(left, right, left_n, right_n, n):
-    gl = 1.0 - np.sum((left / left_n[:, None]) ** 2, axis=1)
-    gr = 1.0 - np.sum((right / right_n[:, None]) ** 2, axis=1)
+    gl = 1.0 - np.sum((left / left_n[..., None]) ** 2, axis=-1)
+    gr = 1.0 - np.sum((right / right_n[..., None]) ** 2, axis=-1)
     return (left_n * gl + right_n * gr) / n
 
 
 def _variance_cost(left, right, left_n, right_n, n):
     # stats columns: (r, r^2); impurity = within-node sum of squared deviations
-    sse_l = left[:, 1] - left[:, 0] ** 2 / left_n
-    sse_r = right[:, 1] - right[:, 0] ** 2 / right_n
+    sse_l = left[..., 1] - left[..., 0] ** 2 / left_n
+    sse_r = right[..., 1] - right[..., 0] ** 2 / right_n
     return (sse_l + sse_r) / n
 
 
@@ -188,6 +176,30 @@ def train_cart(X, y, max_depth=8, min_leaf=2, features_per_split=None, rng=None,
     return _grow_tree(X, onehot, np.arange(len(y)), 0, cfg, rng, leaf_value, _gini_cost)
 
 
+def _feature_matrix(X) -> np.ndarray:
+    """``X`` as a float64 array; TreeError if it holds NaN or inf.
+
+    In training a NaN feature gives a NaN threshold, which sends every row
+    right and leaves an empty child; in prediction it sends the row right
+    whatever the split.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise TreeError("features contain non-finite values")
+    return X
+
+
+def _training_arrays(X, y):
+    """(X, y) as float64 and int64 arrays, or TreeError if they cannot train a model."""
+    X = _feature_matrix(X)
+    y = np.asarray(y, dtype=np.int64)
+    if len(X) < 2:
+        raise TreeError("need at least 2 training rows")
+    if len(np.unique(y)) < 2:
+        raise TreeError("training labels contain a single class")
+    return X, y
+
+
 # ---------------------------------------------------------------------------
 # random forest
 
@@ -203,13 +215,7 @@ class ForestModel:
 def train_random_forest(X, y, config: ForestConfig | None = None) -> ForestModel:
     """Bootstrap-aggregated CART trees with a random feature subset per split."""
     config = config or ForestConfig()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(X) < 2:
-        raise TreeError("need at least 2 training rows")
-    classes = np.unique(y)
-    if len(classes) < 2:
-        raise TreeError("training labels contain a single class")
+    X, y = _training_arrays(X, y)
     C = int(y.max() + 1)
     p = X.shape[1]
     k = config.features_per_split or math.ceil(math.sqrt(p))
@@ -246,12 +252,7 @@ def train_gradient_boosting(X, y, config: BoostConfig | None = None) -> BoostMod
     negative gradient; leaf values are Newton steps sum(y-p)/sum(p(1-p))
     scaled by the learning rate."""
     config = config or BoostConfig()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len(X) < 2:
-        raise TreeError("need at least 2 training rows")
-    if len(np.unique(y)) < 2:
-        raise TreeError("training labels contain a single class")
+    X, y = _training_arrays(X, y)
     if not np.all((y == 0) | (y == 1)):
         raise TreeError("boosting requires binary labels {0, 1}")
 
@@ -296,7 +297,7 @@ def _log_loss(y, p):
 
 def predict_tabular(model, X) -> np.ndarray:
     """Class probabilities for a forest or boosting model; rows sum to 1."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _feature_matrix(X)
     if X.shape[1] != model.n_features:
         raise TreeError(f"feature count {X.shape[1]} does not match training ({model.n_features})")
     if isinstance(model, ForestModel):

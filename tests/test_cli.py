@@ -156,6 +156,19 @@ def test_baseline_bad_config_value_exits_1_naming_key(tmp_path, capsys):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("model", ["random_forest", "gradient_boosting"])
+def test_baseline_rejects_non_finite_features(tmp_path, capsys, model):
+    rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
+    rows += [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0,{'nan' if i == 2 else '1.0'}" for i in range(1, 21)]
+    features = tmp_path / "nan.csv"
+    features.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "model.bin"
+    argv = ["baseline", "--model", model, "--features", str(features), "--labels", str(features), "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: baseline: features contain non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_twice_identical_svg(workdir):
     out = str(workdir / "expout")
     rep1 = str(workdir / "rep1")
@@ -264,6 +277,17 @@ def test_graph_rejects_non_finite_features(tmp_path, capsys):
     assert main(argv) == 1
     assert "features contain non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "g.edges").exists()
+
+
+def test_graph_spatial_rejects_cosine_metric(tiny_dataset_dir, tmp_path, capsys):
+    features, out = str(tmp_path / "expression.csv"), str(tmp_path / "spatial.edges")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
+    argv = ["graph", "--features", features, "--kind", "spatial", "--k", "5", "--out", out]
+    assert main(argv + ["--metric", "cosine"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph: ") and "--metric cosine" in err and "--kind spatial" in err
+    assert not os.path.exists(out)
+    assert main(argv + ["--metric", "euclidean"]) == 0
 
 
 @pytest.fixture(scope="module")

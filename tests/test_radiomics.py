@@ -491,6 +491,25 @@ def test_radiomics_config_rejects_unknown_keys():
         RadiomicsConfig(offsets=((0, 0),))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("levels", 2.5),
+        ("levels", "8"),
+        ("levels", True),
+        ("levels", 1),
+        ("symmetric", 1),
+        ("symmetric", "yes"),
+        ("shape", None),
+        ("channels", "ag01"),
+        ("channels", ["ag01", 2]),
+    ],
+)
+def test_radiomics_config_rejects_bad_value_by_key_name(key, value):
+    with pytest.raises(ValueError, match=key):
+        RadiomicsConfig.from_dict({key: value})
+
+
 def test_radiomics_config_rejects_non_unit_offsets():
     with pytest.raises(ValueError, match="unit steps"):
         RadiomicsConfig(offsets=((0, 2),))

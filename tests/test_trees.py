@@ -189,6 +189,21 @@ def test_forest_single_class_errors():
         train_random_forest(X, np.zeros(10, dtype=int), ForestConfig(n_trees=2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_raise_tree_error(bad):
+    X, y = separable_1d()
+    X_bad = X.copy()
+    X_bad[3, 0] = bad
+    for train, config in (
+        (train_random_forest, ForestConfig(n_trees=2, seed=0)),
+        (train_gradient_boosting, BoostConfig(n_rounds=2, seed=0)),
+    ):
+        with pytest.raises(TreeError, match="features contain non-finite values"):
+            train(X_bad, y, config)
+        with pytest.raises(TreeError, match="features contain non-finite values"):
+            predict_tabular(train(X, y, config), X_bad)
+
+
 def test_single_tree_forest_equals_reference_cart():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 3))
