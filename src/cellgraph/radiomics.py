@@ -126,7 +126,13 @@ class RadiomicsConfig:
             isinstance(self.channels, list) and all(isinstance(c, str) for c in self.channels)
         ):
             raise ValueError(f"channels must be null or a list of antigen names, got {self.channels!r}")
-        self.offsets = tuple((int(dr), int(dc)) for dr, dc in self.offsets)
+        pairs = self.offsets if isinstance(self.offsets, (list, tuple)) else [self.offsets]
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"offsets must be a list of [dr, dc] pairs, got {self.offsets!r}")
+            for step in pair:
+                check_field("offsets", step, int)
+        self.offsets = tuple((int(dr), int(dc)) for dr, dc in pairs)
         if any(o == (0, 0) for o in self.offsets):
             raise ValueError("offsets must be non-zero")
         if any(max(abs(dr), abs(dc)) > 1 for dr, dc in self.offsets):
@@ -137,9 +143,6 @@ class RadiomicsConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown radiomics config keys: {sorted(unknown)}")
-        if "offsets" in raw:
-            raw = dict(raw)
-            raw["offsets"] = tuple(tuple(o) for o in raw["offsets"])
         return cls(**raw)
 
 

@@ -503,6 +503,10 @@ def test_radiomics_config_rejects_unknown_keys():
         ("shape", None),
         ("channels", "ag01"),
         ("channels", ["ag01", 2]),
+        ("offsets", 5),
+        ("offsets", [[0, 1, 1]]),
+        ("offsets", [[0, 1.5]]),
+        ("offsets", [[0, "1"]]),
     ],
 )
 def test_radiomics_config_rejects_bad_value_by_key_name(key, value):
