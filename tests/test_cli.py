@@ -235,6 +235,15 @@ def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     assert digest == "90a846b33d9bc98ada0fdfcc4af7948935e71ca015d6ab700b9e4775e5b1bb8d"
 
 
+def test_extract_expression_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
+    # Expression CSV of the shared 3-sample synth set; any change to the
+    # per-cell channel means, the centroids or the CSV format moves it.
+    out = str(tmp_path / "expression.csv")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", out]) == 0
+    digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+    assert digest == "6dd6527525b154a22e0ba06bb99f63c7ff3ad3c71751a290fefd2493f5d3035d"
+
+
 @pytest.mark.parametrize(
     "kind, expected",
     [

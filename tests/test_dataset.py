@@ -438,3 +438,29 @@ def test_model_file_fuzz_raises_only_typed_errors(model_blobs, tmp_path_factory,
     value = data.draw(_json_values, label="value")
     for body in (value, {**payload, key: value}, {k: v for k, v in payload.items() if k != key}):
         _load_both(path, _framed(json.dumps(body).encode("ascii")))
+
+
+def _config_classes():
+    from cellgraph.experiment import ExperimentConfig, ExperimentError
+    from cellgraph.grand import GrandConfig
+    from cellgraph.radiomics import RadiomicsConfig
+    from cellgraph.synth import SynthConfig
+    from cellgraph.trees import BoostConfig, ForestConfig
+
+    return [
+        (SynthConfig, "synth", ValueError),
+        (RadiomicsConfig, "radiomics", ValueError),
+        (GrandConfig, "grand", ValueError),
+        (ForestConfig, "forest", ValueError),
+        (BoostConfig, "boost", ValueError),
+        (ExperimentConfig, "experiment", ExperimentError),
+    ]
+
+
+@pytest.mark.parametrize("cls, name, error", _config_classes(), ids=lambda v: getattr(v, "__name__", v))
+def test_every_config_rejects_unknown_keys_and_round_trips(cls, name, error):
+    from dataclasses import asdict
+
+    with pytest.raises(error, match=re.escape(f"unknown {name} config keys: ['bogus', 'typo']")):
+        cls.from_dict({"typo": 1, "bogus": 2})
+    assert cls.from_dict(asdict(cls())) == cls()

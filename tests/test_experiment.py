@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -180,3 +182,22 @@ def test_missing_dataset_errors(tmp_path):
     config = ExperimentConfig(data_dir=str(tmp_path / "absent"))
     with pytest.raises(ExperimentError, match="manifest"):
         run_experiment(config, str(tmp_path / "out"))
+
+
+def test_tree_only_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
+    # Both feature families, no reduction, both tree baselines: no BLAS call
+    # is involved, so these bytes hold on any CPU. The report embeds
+    # data_dir, hence the relative path.
+    monkeypatch.chdir(os.path.dirname(small_data))
+    config = ExperimentConfig.from_dict({
+        "data_dir": "data",
+        "reductions": ["none"],
+        "models": ["random_forest", "gradient_boosting"],
+        "forest": {"n_trees": 10},
+        "boost": {"n_rounds": 10},
+        "seed": 5,
+    })
+    report = run_experiment(config, str(tmp_path / "out"))
+    assert len(report.cells) == 4 and all(c["status"] == "ok" for c in report.cells.values())
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "69432a113d9395764e6d4849d10f95692eb9ada525dc0b94a926b9afd950d0e3"
