@@ -62,6 +62,15 @@ def check_field(key: str, value, kind: type, lo=-math.inf, hi=math.inf) -> None:
         raise ValueError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
 
 
+def config_from_dict(cls, raw: dict, error: type = ValueError):
+    """``cls(**raw)`` for a config dataclass; a key that is not a field raises ``error``."""
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        name = cls.__name__.removesuffix("Config").lower()
+        raise error(f"unknown {name} config keys: {sorted(unknown)}")
+    return cls(**raw)
+
+
 @dataclass(frozen=True)
 class ChannelImage:
     """One grayscale antigen response image; ``values`` is (height, width) u16."""

@@ -14,7 +14,8 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,25 +39,6 @@ FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
 MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
 _GRAPH_KINDS = {"grand_feature_graph": "feature", "grand_spatial_graph": "spatial"}
-
-_CONFIG_KEYS = {
-    "data_dir",
-    "feature_types",
-    "reductions",
-    "models",
-    "k",
-    "reduce_dim",
-    "seed",
-    "threads",
-    "split_by",
-    "threshold",
-    "grand",
-    "forest",
-    "boost",
-    "tsne",
-    "umap",
-    "radiomics",
-}
 
 
 class ExperimentError(Exception):
@@ -105,34 +87,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
-            raise ExperimentError(f"unknown experiment config keys: {sorted(unknown)}")
-        return cls(**raw)
+    from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))
 
     def to_dict(self) -> dict:
         # snapshot of result-affecting parameters; thread count is an
         # execution detail and never changes results, so it stays out of
         # the reproducibility record
-        return {
-            "data_dir": self.data_dir,
-            "feature_types": list(self.feature_types),
-            "reductions": list(self.reductions),
-            "models": list(self.models),
-            "k": self.k,
-            "reduce_dim": self.reduce_dim,
-            "seed": self.seed,
-            "split_by": self.split_by,
-            "threshold": self.threshold,
-            "grand": self.grand,
-            "forest": self.forest,
-            "boost": self.boost,
-            "tsne": self.tsne,
-            "umap": self.umap,
-            "radiomics": self.radiomics,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "threads"}
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import _atomic_write, check_field, read_model_file, write_model_file
+from .dataset import _atomic_write, check_field, config_from_dict, read_model_file, write_model_file
 
 
 class GrandError(Exception):
@@ -53,15 +53,7 @@ class GrandConfig:
         if not 0.0 <= self.input_dropout < 1.0:
             raise ValueError("input_dropout must lie in [0, 1)")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GrandConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown grand config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass
@@ -364,7 +356,7 @@ def predict_grand(model: GrandModel, adj: sp.csr_matrix, X: np.ndarray):
 
 def save_checkpoint(path: str, model: GrandModel) -> None:
     params = {k: v.tolist() for k, v in model.params().items()}
-    write_model_file(path, {"kind": "grand", "config": model.config.to_dict(), "params": params})
+    write_model_file(path, {"kind": "grand", "config": asdict(model.config), "params": params})
 
 
 def load_checkpoint(path: str) -> GrandModel:

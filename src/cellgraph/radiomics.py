@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_pixels, check_field
+from .dataset import config_from_dict
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -138,12 +139,7 @@ class RadiomicsConfig:
         if any(max(abs(dr), abs(dc)) > 1 for dr, dc in self.offsets):
             raise ValueError("offsets must be unit steps: GLRLM runs are scanned along them")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RadiomicsConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown radiomics config keys: {sorted(unknown)}")
-        return cls(**raw)
+    from_dict = classmethod(config_from_dict)
 
 
 def _bins(values: np.ndarray, vmin, vmax, levels: int) -> np.ndarray:

@@ -15,7 +15,7 @@ density is feasible; infeasible densities fail with the achieved count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .dataset import (
     Sample,
     StainStack,
     check_field,
+    config_from_dict,
     pool_tables,
     save_dataset,
 )
@@ -79,15 +80,7 @@ class SynthConfig:
         if self.n_melanoma > self.n_samples:
             raise ValueError("n_melanoma must not exceed n_samples")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    from_dict = classmethod(config_from_dict)
 
     @property
     def n_marker_channels(self) -> int:

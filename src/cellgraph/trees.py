@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import check_field, read_model_file, write_model_file
+from .dataset import check_field, config_from_dict, read_model_file, write_model_file
 from .rng import derive_seed
 
 
@@ -45,12 +45,7 @@ class ForestConfig:
             check_field("features_per_split", self.features_per_split, int, lo=1)
         check_field("bootstrap", self.bootstrap, bool)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ForestConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown forest config keys: {sorted(unknown)}")
-        return cls(**raw)
+    from_dict = classmethod(config_from_dict)
 
 
 @dataclass
@@ -67,12 +62,7 @@ class BoostConfig:
         if self.learning_rate <= 0.0:
             raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate!r}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BoostConfig":
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown boost config keys: {sorted(unknown)}")
-        return cls(**raw)
+    from_dict = classmethod(config_from_dict)
 
 
 # ---------------------------------------------------------------------------
