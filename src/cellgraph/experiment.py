@@ -86,6 +86,13 @@ class ExperimentConfig:
             ds.check_field("threshold", self.threshold, float, lo=0.0, hi=1.0)
         except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
+        # read the stage configs now, so a typo fails the run before any cell
+        for key, stage in (("grand", GrandConfig), ("forest", ForestConfig), ("boost", BoostConfig),
+                           ("radiomics", RadiomicsConfig)):
+            try:
+                ds.config_from_dict(stage, getattr(self, key))
+            except (ValueError, TypeError) as exc:
+                raise ExperimentError(f"{key}: {exc}") from exc
 
     from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))
 

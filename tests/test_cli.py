@@ -156,6 +156,16 @@ def test_baseline_bad_config_value_exits_1_naming_key(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_experiment_nested_config_typo_exits_1(tiny_dataset_dir, tmp_path, capsys):
+    config, out = tmp_path / "exp.json", tmp_path / "out"
+    config.write_text(json.dumps({"models": ["random_forest", "grand_feature_graph"], "grand": {"max_epoch": 5}}))
+    argv = ["--config", str(config), "experiment", "--data", tiny_dataset_dir, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment: grand: unknown grand config keys: ['max_epoch']")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("model", ["random_forest", "gradient_boosting"])
 def test_baseline_rejects_non_finite_features(tmp_path, capsys, model):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -176,6 +177,28 @@ def test_config_rejects_unknown_keys():
 def test_config_rejects_bad_value_by_key_name(key, value):
     with pytest.raises(ExperimentError, match=key):
         ExperimentConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize(
+    "nested, message",
+    [
+        ({"grand": {"max_epoch": 5}}, "grand: unknown grand config keys: ['max_epoch']"),
+        ({"radiomics": {"level": 8}}, "radiomics: unknown radiomics config keys: ['level']"),
+        ({"forest": {"trees": 5}}, "forest: unknown forest config keys: ['trees']"),
+        ({"boost": {"rounds": 5}}, "boost: unknown boost config keys: ['rounds']"),
+        ({"grand": {"hidden_dim": 0}}, "grand: hidden_dim must lie in"),
+        ({"radiomics": {"levels": 2.5}}, "radiomics: levels must be an integer"),
+        ({"forest": [1]}, "forest: "),
+        ({"boost": None}, "boost: "),
+    ],
+)
+def test_nested_config_fails_at_construction(nested, message):
+    # A nested typo used to fail only at run time, every cell of that model
+    # or feature family recorded as failed while the rest of the grid ran.
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        ExperimentConfig.from_dict({"data_dir": "x", **nested})
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        ExperimentConfig(**nested)
 
 
 def test_missing_dataset_errors(tmp_path):
