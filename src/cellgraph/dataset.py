@@ -433,8 +433,7 @@ def _cell_stub(sample_id: str, mask: LabelMask, label_map: dict) -> CellTable:
     mask_ids, rows, cols, bounds = cell_pixels(mask)
     ids = sorted(set(mask_ids.tolist()) | set(label_map))
     centroids = np.full((len(ids), 2), np.nan)
-    for i, lo, hi in zip(np.searchsorted(ids, mask_ids), bounds[:-1], bounds[1:]):
-        centroids[i] = (cols[lo:hi].mean(), rows[lo:hi].mean())
+    centroids[np.searchsorted(ids, mask_ids)] = cell_means(np.column_stack([cols, rows]), bounds)
     labels = np.array([label_map.get(cid, CLASS_UNLABELED) for cid in ids], dtype=np.int64)
     return CellTable(
         cell_ids=np.array(ids, dtype=np.int64),
@@ -459,6 +458,15 @@ def cell_pixels(mask: LabelMask):
     order = np.argsort(labels, kind="stable")
     ids, starts = np.unique(labels[order], return_index=True)
     return ids, rows[order], cols[order], np.append(starts, len(order))
+
+
+def cell_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row i is the float64 mean of ``values[bounds[i]:bounds[i + 1]]`` along axis 0.
+
+    ``values`` is (pixels, k) in ``cell_pixels`` order. For integer inputs
+    the sums are exact, so they equal a per-cell ``mean()`` bit for bit.
+    """
+    return np.add.reduceat(values.astype(np.float64), bounds[:-1], axis=0) / np.diff(bounds)[:, None]
 
 
 def pool_tables(tables: list) -> CellTable:

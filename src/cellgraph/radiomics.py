@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_pixels, check_field
-from .dataset import config_from_dict
+from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_means, cell_pixels
+from .dataset import check_field, config_from_dict
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -467,15 +467,13 @@ def radiomic_feature_table(
     rank = np.repeat(np.arange(n), sizes)
     cells = np.full((mask.height, mask.width), -1, dtype=np.int64)
     cells[rows_all, cols_all] = rank
-    edges = _boundary_edges(cells, n)
     pixels = [(rows_all[bounds[i] : bounds[i + 1]], cols_all[bounds[i] : bounds[i + 1]]) for i in range(n)]
 
     features = np.zeros((n, len(names)))
-    centroids = np.zeros((n, 2))
-    for idx, (rows, cols) in enumerate(pixels):
-        shape = _shape(rows, cols, int(edges[idx]), stack.pixel_spacing_um)
-        centroids[idx] = shape["centroid"]
-        if config.shape:
+    if config.shape:
+        edges = _boundary_edges(cells, n)
+        for idx, (rows, cols) in enumerate(pixels):
+            shape = _shape(rows, cols, int(edges[idx]), stack.pixel_spacing_um)
             features[idx, : len(SHAPE_NAMES)] = [shape[s] for s in SHAPE_NAMES]
 
     levels = config.levels
@@ -522,7 +520,7 @@ def radiomic_feature_table(
     return CellTable(
         cell_ids=ids.astype(np.int64),
         sample_ids=[stack.sample_id] * n,
-        centroids=centroids,
+        centroids=cell_means(np.column_stack([cols_all, rows_all]), bounds),
         labels=out_labels,
         features=features,
         feature_names=names,

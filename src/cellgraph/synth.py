@@ -25,6 +25,7 @@ from .dataset import (
     Dataset,
     LabelMask,
     Sample,
+    cell_means,
     StainStack,
     check_field,
     config_from_dict,
@@ -156,14 +157,10 @@ def _generate_sample(config: SynthConfig, index: int, diagnosis: str, stream, ch
         values = np.clip(np.rint(plane), 0, 65535).astype(np.uint16)
         channels.append((f"ag{k + 1:02d}", ChannelImage(width=size, height=size, values=values)))
 
-    # integer pixel sums are exact in any order, so these equal per-cell means
-    centroids = np.column_stack([np.bincount(cell_of, cols, n_cells), np.bincount(cell_of, rows, n_cells)])
-    centroids /= counts[:, None]
-
     cells = CellTable(
         cell_ids=np.arange(1, n_cells + 1, dtype=np.int64),
         sample_ids=[sid] * n_cells,
-        centroids=centroids,
+        centroids=cell_means(np.column_stack([cols, rows]), np.append(0, np.cumsum(counts))),
         labels=labels,
         features=np.zeros((n_cells, 0)),
         feature_names=[],

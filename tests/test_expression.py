@@ -76,13 +76,6 @@ def test_feature_bounded_by_channel_extremes(seed):
     assert cell_values.min() <= table.features[0, 0] <= cell_values.max()
 
 
-def test_median_aggregator():
-    stack = make_stack([np.array([[1, 2, 100, 0]])])
-    mask = make_mask([[1, 1, 1, 0]])
-    table = expression_profile(stack, mask, aggregator="median")
-    assert table.features[0, 0] == 2.0
-
-
 def test_empty_mask_errors():
     with pytest.raises(ExpressionError, match="no cells"):
         expression_profile(make_stack([np.zeros((2, 2))]), make_mask(np.zeros((2, 2))))
