@@ -246,6 +246,8 @@ def read_pgm(path: str) -> ChannelImage:
         raise DatasetError(f"{path}: malformed PGM header") from exc
     if maxval != 65535:
         raise DatasetError(f"{path}: expected maxval 65535, got {maxval}")
+    if width < 1 or height < 1:
+        raise DatasetError(f"{path}: image dimensions must be >= 1, got {width}x{height}")
     expected = width * height * 2
     body = data[pos : pos + expected]
     if len(body) != expected:
@@ -316,6 +318,8 @@ def read_labels_csv(path: str) -> dict:
         raise DatasetError(f"cannot read labels file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: malformed CSV ({exc})") from None
     if not rows or rows[0] != ["cell_id", "class_label"]:
         raise DatasetError(f"{path}: expected header 'cell_id,class_label'")
     labels = {}
@@ -584,6 +588,8 @@ def read_feature_csv(path: str) -> CellTable:
         raise DatasetError(f"cannot read feature table {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: malformed CSV ({exc})") from None
     if not rows or rows[0][:5] != ["cell_id", "sample_id", "cx", "cy", "label"]:
         raise DatasetError(f"{path}: expected feature table header")
     names = rows[0][5:]
@@ -602,19 +608,22 @@ def read_feature_csv(path: str) -> CellTable:
             centroids[i] = (float(row[2]), float(row[3]))
             labels[i] = int(row[4])
             features[i] = [float(v) for v in row[5:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DatasetError(f"{path}:{lineno}: malformed feature row: {exc}") from exc
         if labels[i] not in (CLASS_HEALTHY, CLASS_TUMOR, CLASS_UNLABELED):
             raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or -1, got {labels[i]}")
         sample_ids.append(row[1])
-    return CellTable(
-        cell_ids=cell_ids,
-        sample_ids=sample_ids,
-        centroids=centroids,
-        labels=labels,
-        features=features,
-        feature_names=names,
-    )
+    try:
+        return CellTable(
+            cell_ids=cell_ids,
+            sample_ids=sample_ids,
+            centroids=centroids,
+            labels=labels,
+            features=features,
+            feature_names=names,
+        )
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def read_edge_list(path: str) -> CellGraph:
             src, dst, weight = ln.split()
             edges[i] = (int(src), int(dst))
             weights[i] = float(weight)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
     try:
         return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=[("", i) for i in range(n)])

@@ -15,6 +15,7 @@ from cellgraph.dataset import (
     load_dataset,
     pool_tables,
     read_feature_csv,
+    read_labels_csv,
     read_mask,
     read_pgm,
     save_dataset,
@@ -25,6 +26,7 @@ from cellgraph.dataset import (
     write_pgm,
     CellTable,
 )
+from cellgraph.graphs import CellGraph, GraphError, read_edge_list, write_edge_list
 from conftest import make_mask, make_stack
 
 
@@ -90,6 +92,14 @@ def test_pgm_rejects_malformed_header(tmp_path):
         read_pgm(str(path))
     path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 16)
     with pytest.raises(DatasetError, match="maxval"):
+        read_pgm(str(path))
+
+
+@pytest.mark.parametrize("header, pixels", [(b"P5\n-1 -2\n65535\n", 4), (b"P5\n0 2\n65535\n", 0)])
+def test_pgm_rejects_non_positive_dimensions_naming_path(tmp_path, header, pixels):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + b"\x00" * pixels)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: image dimensions must be >= 1")):
         read_pgm(str(path))
 
 
@@ -261,6 +271,30 @@ def test_feature_csv_bad_number_names_path_and_line(tmp_path):
         read_feature_csv(str(path))
     path.write_bytes(b"cell_id,sample_id,cx,cy,label,f\n1,s\xe901,1,2,0,3\n")
     with pytest.raises(DatasetError, match=re.escape(f"{path}: not UTF-8")):
+        read_feature_csv(str(path))
+
+
+@pytest.mark.parametrize("reader", ["labels", "features"])
+def test_csv_readers_reject_oversized_field_naming_path(tmp_path, reader):
+    # the csv module refuses fields over 131,072 characters
+    path = tmp_path / "big.csv"
+    header = "cell_id,class_label" if reader == "labels" else "cell_id,sample_id,cx,cy,label"
+    path.write_text(f"{header}\n1,{'0' * 200_000}\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: malformed CSV")):
+        (read_labels_csv if reader == "labels" else read_feature_csv)(str(path))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["1,s01,1,2,0,3", "1,s01,4,5,1,6"], ": (sample_id, cell_id) pairs must be unique"),
+        (["99999999999999999999,s01,1,2,0,3"], ":2: malformed feature row"),
+    ],
+)
+def test_feature_csv_bad_rows_name_path(tmp_path, rows, message):
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["cell_id,sample_id,cx,cy,label,f"] + rows) + "\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}{message}")):
         read_feature_csv(str(path))
 
 
@@ -464,3 +498,50 @@ def test_every_config_rejects_unknown_keys_and_round_trips(cls, name, error):
     with pytest.raises(error, match=re.escape(f"unknown {name} config keys: ['bogus', 'typo']")):
         cls.from_dict({"typo": 1, "bogus": 2})
     assert cls.from_dict(asdict(cls())) == cls()
+
+
+@pytest.fixture(scope="module")
+def reader_blobs(tmp_path_factory):
+    """Bytes of one small valid file per reader; two-digit PGM dimensions let
+    a one-byte change reach zero or a negative size."""
+    root = tmp_path_factory.mktemp("readers")
+    rng = np.random.default_rng(5)
+    pixels = rng.integers(0, 65536, (12, 10)).astype(np.uint16)
+    write_pgm(str(root / "pgm"), ChannelImage(width=10, height=12, values=pixels))
+    write_mask(str(root / "cgmk"), make_mask(rng.integers(0, 4, (3, 5))))
+    write_labels_csv(str(root / "labels"), [1, 2, 3, 12], [0, 1, -1, 1])
+    write_feature_csv(str(root / "features"), CellTable(
+        cell_ids=np.array([1, 2, 11]), sample_ids=["s01", "s01", "s02"], centroids=rng.random((3, 2)),
+        labels=np.array([0, 1, -1]), features=rng.random((3, 2)), feature_names=["f1", "f2"],
+    ))
+    edges = np.array([[0, 1], [1, 0], [2, 10], [10, 3]])
+    write_edge_list(str(root / "edges"), CellGraph(11, edges, rng.random(4) + 0.5, [("", i) for i in range(11)]))
+    return {kind: (root / kind).read_bytes() for kind in _READERS}
+
+
+_READERS = {"pgm": read_pgm, "cgmk": read_mask, "labels": read_labels_csv, "features": read_feature_csv,
+            "edges": read_edge_list}
+_SPECIAL_BYTES = list(b"0123456789-+., \n\r\t#\"'e\x00\x80\xff")
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_fuzz_loads_or_raises_typed_error_naming_path(reader_blobs, tmp_path_factory, kind, data):
+    blob = reader_blobs[kind]
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+    else:
+        # half of the positions fall in the first 32 bytes, where the headers are
+        position = st.integers(0, min(31, len(blob) - 1)) | st.integers(0, len(blob) - 1)
+        value = st.sampled_from(_SPECIAL_BYTES) | st.integers(0, 255)
+        changed = bytearray(blob)
+        for pos, byte in data.draw(st.lists(st.tuples(position, value), min_size=1, max_size=4), label="changes"):
+            changed[pos] = byte
+        blob = bytes(changed)
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{kind}"
+    path.write_bytes(blob)
+    try:
+        _READERS[kind](str(path))
+    except (DatasetError, GraphError) as exc:
+        assert str(path) in str(exc)

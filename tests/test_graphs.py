@@ -250,6 +250,7 @@ def test_edge_budget_scaled_down():
         ("# nodes -1\n", "node count"),
         ("# nodes 2\n0 2 1\n", "out of range"),
         ("# nodes 2\n1 1 1\n", "self-loops"),
+        ("# nodes 2\n0 99999999999999999999 1\n", 2),
     ],
 )
 def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, where):
