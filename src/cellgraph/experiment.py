@@ -129,7 +129,7 @@ def extract_features(data: ds.Dataset, feature_type: str, radiomics: dict) -> ds
     for the radiomics family.
     """
     if feature_type == "radiomics":
-        rconf = RadiomicsConfig.from_dict(radiomics) if radiomics else RadiomicsConfig()
+        rconf = RadiomicsConfig.from_dict(radiomics)
     elif feature_type != "expression":
         raise ExperimentError(f"unknown feature type {feature_type!r}")
     tables = []

@@ -25,8 +25,8 @@ from .dataset import (
     Dataset,
     LabelMask,
     Sample,
-    cell_means,
     StainStack,
+    cell_means,
     check_field,
     config_from_dict,
     pool_tables,
