@@ -1,16 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellgraph.dimred import (
     DimRedError,
     fit_attraction_curve,
     fuzzy_memberships,
     pca,
+    smooth_knn_calibration,
     symmetrize_memberships,
     tsne,
     tsne_conditional_probabilities,
     umap,
 )
+from cellgraph.graphs import sq_distances
 from conftest import knn_purity
 
 
@@ -195,3 +200,219 @@ def test_umap_rejects_degenerate_input():
     X = np.ones((10, 3))
     with pytest.raises(DimRedError, match="identical"):
         umap(X, 2, n_neighbors=3, n_epochs=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# same bits: per-row reference loops and pinned digests
+
+
+def reference_conditional_probabilities(D2, perplexity, tol=1e-3):
+    """One row at a time: bisect the precision of row i until 2^H(P_i) is
+    within ``tol`` of ``perplexity``; the entropy sums the non-zero terms."""
+    n = D2.shape[0]
+    P = np.zeros((n, n))
+    realized = np.zeros(n)
+    for i in range(n):
+        d2 = np.delete(D2[i], i)
+        beta_lo, beta_hi = 0.0, np.inf
+        beta = 1.0
+        row = None
+        for _ in range(200):
+            w = np.exp(-(d2 - d2.min()) * beta)
+            total = w.sum()
+            row = w / total
+            nz = row[row > 0]
+            entropy = -np.sum(nz * np.log2(nz))
+            perp = 2.0**entropy
+            if abs(perp - perplexity) <= tol:
+                break
+            if perp > perplexity:
+                beta_lo = beta
+                beta = beta * 2.0 if beta_hi == np.inf else (beta + beta_hi) / 2.0
+            else:
+                beta_hi = beta
+                beta = (beta_lo + beta) / 2.0
+        else:
+            raise DimRedError(f"perplexity {perplexity} infeasible for point {i} (realized {perp:.6f})")
+        realized[i] = perp
+        P[i, :i] = row[:i]
+        P[i, i + 1 :] = row[i:]
+    return P, realized
+
+
+def reference_smooth_knn_calibration(knn_dists, n_neighbors, n_iter=100):
+    """One row at a time: double sigma until the membership sum reaches the
+    target, then bisect it."""
+    n = knn_dists.shape[0]
+    target = np.log2(n_neighbors) if n_neighbors > 1 else 1.0
+    rho = knn_dists[:, 0].copy()
+    sigma = np.zeros(n)
+    for i in range(n):
+        offsets = np.maximum(knn_dists[i] - rho[i], 0.0)
+        lo, hi = 0.0, 1.0
+        for _ in range(64):
+            if np.sum(np.exp(-offsets / hi)) >= target:
+                break
+            hi *= 2.0
+        s = hi
+        for _ in range(n_iter):
+            s = (lo + hi) / 2.0
+            val = np.sum(np.exp(-offsets / s)) if s > 0 else float(np.sum(offsets == 0))
+            if abs(val - target) < 1e-5:
+                break
+            if val > target:
+                hi = s
+            else:
+                lo = s
+        sigma[i] = max(s, 1e-12)
+    return rho, sigma
+
+
+@st.composite
+def point_sets(draw, max_n=30):
+    """Small-integer points (exact ties and duplicates), some moved far out
+    so that their conditional probabilities underflow to 0 in other rows."""
+    n = draw(st.integers(4, max_n))
+    dim = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                               min_size=n, max_size=n)), dtype=np.float64)
+    scale = draw(st.sampled_from([1.0, 0.01, 7.3]))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        X[i] += draw(st.sampled_from([40.0, 300.0, -1000.0]))
+    return X * scale
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DimRedError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), st.floats(0.0, 1.0))
+def test_conditional_probabilities_match_per_row_reference(X, frac):
+    n = X.shape[0]
+    perplexity = 1.0 + frac * (n / 3.0 - 1.0)
+    D2 = sq_distances(X, X)
+    got = _outcome(tsne_conditional_probabilities, D2, perplexity)
+    expected = _outcome(reference_conditional_probabilities, D2, perplexity)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+
+@st.composite
+def knn_distance_rows(draw):
+    """Ascending non-negative rows: exact zeros, repeated values, long rows
+    (pairwise-sum unrolling starts at 8) and very large offsets."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 40))
+    values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 3.0, 1e3, 1e12]), st.floats(0.0, 50.0))
+    rows = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
+    return np.sort(np.array(rows, dtype=np.float64), axis=1), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(knn_distance_rows(), st.sampled_from([100, 3, 0]))
+def test_smooth_knn_calibration_matches_per_row_reference(rows, n_iter):
+    dists, k = rows
+    rho, sigma = smooth_knn_calibration(dists, k, n_iter)
+    ref_rho, ref_sigma = reference_smooth_knn_calibration(dists, k, n_iter)
+    assert rho.tobytes() == ref_rho.tobytes()
+    assert sigma.tobytes() == ref_sigma.tobytes()
+
+
+@pytest.mark.parametrize("perplexity", [2.5, 30.0, 90.0])
+def test_conditional_probabilities_match_reference_on_long_rows(perplexity):
+    # rows longer than numpy's 128-element pairwise-sum block, with ties and
+    # far points whose probabilities underflow to 0
+    rng = np.random.default_rng(103)
+    X = np.round(rng.normal(size=(300, 3)), 2)
+    X[:4] += 500.0
+    D2 = sq_distances(X, X)
+    got = tsne_conditional_probabilities(D2, perplexity)
+    expected = reference_conditional_probabilities(D2, perplexity)
+    assert (got[0] == 0).any()
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def test_infeasible_perplexity_names_lowest_failing_point():
+    # rows 0-9 calibrate; rows 10-12 are one point three times, whose two
+    # zero-distance neighbours keep the perplexity at or above 2
+    X = np.vstack([np.arange(10.0)[:, None] ** 1.5, np.full((3, 1), 50.0)])
+    D2 = sq_distances(X, X)
+    message = "perplexity 1.5 infeasible for point 10 (realized 2.000000)"
+    with pytest.raises(DimRedError) as exc:
+        tsne_conditional_probabilities(D2, 1.5)
+    assert str(exc.value) == message
+    assert _outcome(reference_conditional_probabilities, D2, 1.5) == message
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _outlier_points():
+    """60 points in a 5-D cloud and three far outliers: every cloud row of
+    the conditional matrix has exact zeros in the outlier columns."""
+    rng = np.random.default_rng(101)
+    X = rng.normal(size=(63, 5))
+    X[60:] += np.array([[800.0, 0, 0, 0, 0], [0, -900.0, 0, 0, 0], [0, 0, 0, 1000.0, 0]])
+    return X
+
+
+def _large_points():
+    """n > 1,024 (one more than graphs.knn's row block)."""
+    return np.random.default_rng(102).normal(size=(1100, 8))
+
+
+# Digests of the per-row implementations, recorded with numpy 2.4.6 and
+# scipy-openblas 0.3.31 on x86-64 (AVX-512). Distances go through BLAS, so
+# another BLAS or CPU may give other bits; the reference tests above do not
+# depend on BLAS.
+TSNE_PINS = {
+    "outliers": (
+        "053515f13e2fa6c962ca00ab957e362d8a5937809f73c5c46794c99d3ed1194b",
+        "ffd03b5ac0b0aeb861339bc028cfdf2b24253e0e77e2e7f0d4f146b7c9be39d0",
+        "b549f16345c75f8d3c80fa0fa755c1dd0ea0a6c0c962f47a4c3ee9ba06d39ab3",
+    ),
+    "large": (
+        "6ab4b4f77392b6af25257d23bc594a379267fd71014b37ddb937de63869e872e",
+        "172ff1af4773808ee0bc5713316552702f641c344f8ec18220ba66be4217617c",
+        "cc99e4182726cc19ed45d586522009051fb7a20e793e54b6fc905185eda9cea7",
+    ),
+}
+UMAP_PINS = {
+    "outliers": "b6bd62f50770def00e2266017c3c7c15baa58e706bca18d0cb6ad974c3bd6ecb",
+    "large": "e8fee0bbc7fb17e88320c8fe8b56d3f8adf7277d94254da1bbf993e8817265d8",
+}
+
+
+def test_outlier_rows_have_underflowed_probabilities():
+    X = _outlier_points()
+    P, _ = tsne_conditional_probabilities(sq_distances(X, X), 8.0)
+    off = P[~np.eye(len(X), dtype=bool)].reshape(len(X), -1)
+    assert (off[:60] == 0).any(axis=1).all()
+
+
+@pytest.mark.parametrize("name", sorted(TSNE_PINS))
+def test_tsne_bits_are_pinned(name):
+    if name == "outliers":
+        emb = tsne(_outlier_points(), 2, perplexity=8.0, n_iters=260, seed=3)
+    else:
+        emb = tsne(_large_points(), 3, perplexity=30.0, n_iters=4, seed=4)
+    got = (_sha(emb.Y), _sha(emb.diagnostics["P"]), _sha(emb.diagnostics["realized_perplexity"]))
+    assert got == TSNE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(UMAP_PINS))
+def test_umap_bits_are_pinned(name):
+    if name == "outliers":
+        emb = umap(_outlier_points(), 2, n_neighbors=8, n_epochs=60, seed=5)
+    else:
+        emb = umap(_large_points(), 3, n_neighbors=15, n_epochs=20, seed=6)
+    assert _sha(emb.Y) == UMAP_PINS[name]

@@ -224,3 +224,28 @@ def test_tree_only_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
     assert len(report.cells) == 4 and all(c["status"] == "ok" for c in report.cells.values())
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == "69432a113d9395764e6d4849d10f95692eb9ada525dc0b94a926b9afd950d0e3"
+
+
+def _run_reductions(small_data, monkeypatch, out):
+    monkeypatch.chdir(os.path.dirname(small_data))
+    config = ExperimentConfig.from_dict({
+        "data_dir": "data",
+        "feature_types": ["expression"],
+        "reductions": ["tsne", "umap"],
+        "models": ["random_forest", "gradient_boosting"],
+        "forest": {"n_trees": 10},
+        "boost": {"n_rounds": 10},
+        "tsne": {"perplexity": 10, "n_iters": 260},
+        "umap": {"n_neighbors": 8, "n_epochs": 60},
+        "seed": 6,
+    })
+    return run_experiment(config, str(out))
+
+
+def test_reduction_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
+    # t-SNE and UMAP distances go through BLAS: recorded with numpy 2.4.6 and
+    # scipy-openblas 0.3.31 on x86-64 (AVX-512).
+    report = _run_reductions(small_data, monkeypatch, tmp_path / "out")
+    assert all(c["status"] == "ok" for c in report.cells.values())
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "a5e3e7b74f0a96ce9b3c11609f1856cd836d03f6a4f3fb510f4b435590be0cec"
