@@ -100,45 +100,59 @@ def tsne_conditional_probabilities(D2: np.ndarray, perplexity: float, tol: float
 
     Each row i of the returned matrix is P(j|i) with bandwidth chosen so
     that 2^H(P_i) matches ``perplexity`` within ``tol``. Also returns the
-    realized perplexities.
+    realized perplexities. All rows are searched at once; each keeps its own
+    bracket and leaves the search at its own step, so every row has the bits
+    of a search on that row alone.
     """
     n = D2.shape[0]
-    P = np.zeros((n, n))
+    # row i of the (n, n-1) off-diagonal block is D2[i] without entry i
+    off = D2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
+    neg = -(off - off.min(axis=1, keepdims=True))
+    beta = np.ones(n)
+    beta_lo = np.zeros(n)
+    beta_hi = np.full(n, np.inf)
+    P_off = np.zeros((n, n - 1))
     realized = np.zeros(n)
-    for i in range(n):
-        d2 = np.delete(D2[i], i)
-        beta_lo, beta_hi = 0.0, np.inf
-        beta = 1.0
-        row = None
-        for _ in range(200):
-            w = np.exp(-(d2 - d2.min()) * beta)
-            total = w.sum()
-            row = w / total
-            nz = row[row > 0]
-            entropy = -np.sum(nz * np.log2(nz))
-            perp = 2.0**entropy
-            if abs(perp - perplexity) <= tol:
-                break
-            if perp > perplexity:  # too flat: raise precision
-                beta_lo = beta
-                beta = beta * 2.0 if beta_hi == np.inf else (beta + beta_hi) / 2.0
-            else:
-                beta_hi = beta
-                beta = (beta_lo + beta) / 2.0
-        else:
-            raise DimRedError(
-                f"perplexity {perplexity} infeasible for point {i} "
-                f"(realized {perp:.6f})"
-            )
-        realized[i] = perp
-        P[i, :i] = row[:i]
-        P[i, i + 1 :] = row[i:]
+    rows = np.arange(n)
+    for _ in range(200):
+        w = neg[rows]
+        w *= beta[rows, None]
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy = -(w * np.log2(w)).sum(axis=1)
+        # 0 * log2(0) made the sum NaN: such a row sums its non-zero terms
+        # alone, as the grouping of numpy's pairwise sum depends on length
+        for j in np.flatnonzero(np.isnan(entropy)):
+            nz = w[j][w[j] > 0]
+            entropy[j] = -np.sum(nz * np.log2(nz))
+        # a scalar pow per row: the array power can differ in the last bit
+        perp = np.array([2.0**h for h in entropy])
+        done = np.abs(perp - perplexity) <= tol
+        P_off[rows[done]] = w[done]
+        realized[rows[done]] = perp[done]
+        rows, perp = rows[~done], perp[~done]
+        if not rows.size:
+            break
+        b, lo, hi = beta[rows], beta_lo[rows], beta_hi[rows]
+        flat = perp > perplexity  # too flat: raise precision
+        beta_lo[rows] = np.where(flat, b, lo)
+        beta_hi[rows] = np.where(flat, hi, b)
+        beta[rows] = np.where(flat, np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0), (lo + b) / 2.0)
+    else:
+        raise DimRedError(
+            f"perplexity {perplexity} infeasible for point {rows[0]} "
+            f"(realized {perp[0]:.6f})"
+        )
+    P = np.zeros((n, n))
+    P.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = P_off.reshape(n - 1, n)
     return P, realized
 
 
-def _kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])))
+def _joint_probabilities(X: np.ndarray, perplexity: float):
+    """Symmetrized, normalized P and the realized conditional perplexities."""
+    P_cond, realized = tsne_conditional_probabilities(sq_distances(X, X), perplexity)
+    return (P_cond + P_cond.T) / (2.0 * len(X)), realized
 
 
 def tsne(
@@ -166,25 +180,51 @@ def tsne(
         raise DimRedError(f"perplexity must lie in [1, n/3); got {perplexity} for n={n}")
     if learning_rate is None:
         learning_rate = max(n / early_exaggeration, 50.0)
-    D2 = sq_distances(X, X)
-    P_cond, realized = tsne_conditional_probabilities(D2, perplexity)
-    P = (P_cond + P_cond.T) / (2.0 * n)
+    P, realized = _joint_probabilities(X, perplexity)
+    support = P[P > 0]
+    p_log_p = np.sum(support * np.log(support))
+    p_total = support.sum()
+    del support
+    exaggerated = early_exaggeration * P
+
+    # n x n work buffers, one set per call: calls may run in parallel threads
+    num = np.empty((n, n))
+    buf = np.empty((n, n))
+    diagonal = num.reshape(-1)[:: n + 1]
+
+    def student_t(Y):
+        """num = 1/(1 + |y_i - y_j|^2) with a zero diagonal, in
+        graphs.sq_distances' order of operations; returns (sum of num,
+        KL(P || num / sum)), the KL as sum P log P - <P, log num> + log(sum) sum P."""
+        sq = (Y * Y).sum(axis=1)
+        np.add(sq[:, None], sq[None, :], out=num)
+        np.matmul(Y, Y.T, out=buf)
+        np.multiply(buf, 2.0, out=buf)
+        np.subtract(num, buf, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        np.log(num, out=buf)  # finite: the diagonal is still about 1 here
+        cross = np.vdot(P, buf)
+        diagonal[:] = 0.0
+        total = num.sum()
+        return total, float(p_log_p - cross + np.log(total) * p_total)
 
     Y = _pca_init(X, d, scale=1e-4, seed=seed)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_curve = []
     for it in range(n_iters):
-        exaggeration = early_exaggeration if it < 250 else 1.0
         momentum = 0.5 if it < 250 else 0.8
 
-        num = 1.0 / (1.0 + sq_distances(Y, Y))
-        np.fill_diagonal(num, 0.0)
-        Q = num / num.sum()
-        kl_curve.append(_kl_divergence(P, Q))
+        total, kl = student_t(Y)
+        kl_curve.append(kl)
 
-        PQ = (exaggeration * P - Q) * num
-        grad = 4.0 * (Y * PQ.sum(axis=1)[:, None] - PQ @ Y)
+        # PQ = (exaggeration * P - num / total) * num
+        np.divide(num, total, out=buf)
+        np.subtract(exaggerated if it < 250 else P, buf, out=buf)
+        buf *= num
+        grad = 4.0 * (Y * buf.sum(axis=1)[:, None] - buf @ Y)
 
         agree = np.sign(grad) == np.sign(velocity)
         gains = np.where(agree, gains * 0.8, gains + 0.2)
@@ -193,12 +233,15 @@ def tsne(
         Y = Y + velocity
         Y -= Y.mean(axis=0)
 
-    num = 1.0 / (1.0 + sq_distances(Y, Y))
-    np.fill_diagonal(num, 0.0)
-    kl_curve.append(_kl_divergence(P, num / num.sum()))
+    kl_curve.append(student_t(Y)[1])
     return Embedding(
         Y=Y,
-        diagnostics={"kl_curve": np.array(kl_curve), "realized_perplexity": realized, "P": P},
+        diagnostics={
+            "kl_curve": np.array(kl_curve),
+            "realized_perplexity": realized,
+            "perplexity_error": float(np.abs(realized - perplexity).max()),
+            "P": P,
+        },
     )
 
 
@@ -213,31 +256,40 @@ def smooth_knn_calibration(knn_dists: np.ndarray, n_neighbors: int, n_iter: int 
     sum_j exp(-max(0, d_ij - rho_i) / sigma_i) = log2(n_neighbors) by binary
     search (the sum is monotone in sigma; when the target is below the
     count of zero-offset neighbors, sigma collapses and those memberships
-    saturate at 1).
+    saturate at 1). All rows are searched at once, each leaving the search
+    at its own step, with the bits of a search on that row alone.
     """
     n = knn_dists.shape[0]
     target = np.log2(n_neighbors) if n_neighbors > 1 else 1.0
     rho = knn_dists[:, 0].copy()
-    sigma = np.zeros(n)
-    for i in range(n):
-        offsets = np.maximum(knn_dists[i] - rho[i], 0.0)
-        lo, hi = 0.0, 1.0
-        for _ in range(64):
-            if np.sum(np.exp(-offsets / hi)) >= target:
-                break
-            hi *= 2.0
-        s = hi
-        for _ in range(n_iter):
-            s = (lo + hi) / 2.0
-            val = np.sum(np.exp(-offsets / s)) if s > 0 else float(np.sum(offsets == 0))
-            if abs(val - target) < 1e-5:
-                break
-            if val > target:
-                hi = s
-            else:
-                lo = s
-        sigma[i] = max(s, 1e-12)
-    return rho, sigma
+    neg = -np.maximum(knn_dists - rho[:, None], 0.0)
+
+    def membership_sums(rows, scale):
+        return np.exp(neg[rows] / scale[:, None]).sum(axis=1)
+
+    lo, hi = np.zeros(n), np.ones(n)
+    rows = np.arange(n)
+    for _ in range(64):
+        rows = rows[membership_sums(rows, hi[rows]) < target]
+        if not rows.size:
+            break
+        hi[rows] *= 2.0
+    s = hi.copy()
+    rows = np.arange(n)
+    for _ in range(n_iter):
+        if not rows.size:
+            break
+        mid = (lo[rows] + hi[rows]) / 2.0
+        s[rows] = mid
+        with np.errstate(all="ignore"):  # a tiny or zero sigma; exp(-inf) is 0
+            val = membership_sums(rows, mid)
+        collapsed = mid == 0  # only zero offsets count
+        val[collapsed] = np.sum(neg[rows[collapsed]] == 0, axis=1)
+        searching = np.abs(val - target) >= 1e-5
+        rows, mid, above = rows[searching], mid[searching], val[searching] > target
+        hi[rows[above]] = mid[above]
+        lo[rows[~above]] = mid[~above]
+    return rho, np.maximum(s, 1e-12)
 
 
 def fuzzy_memberships(X, n_neighbors: int):

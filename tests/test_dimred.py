@@ -97,6 +97,24 @@ def test_tsne_kl_decreases():
     assert kl[-1] < kl[0]
 
 
+def test_tsne_kl_curve_is_the_kl_of_each_iterate():
+    # the curve is computed as sum P log P - <P, log num> + log(sum num) sum P;
+    # the direct masked sum differs from it in the last bits only
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 5))
+    emb = tsne(X, 2, perplexity=8, n_iters=30, seed=2)
+    P = emb.diagnostics["P"]
+    num = 1.0 / (1.0 + sq_distances(emb.Y, emb.Y))
+    np.fill_diagonal(num, 0.0)
+    Q = num / num.sum()
+    mask = P > 0
+    direct = np.sum(P[mask] * np.log(P[mask] / Q[mask]))
+    assert len(emb.diagnostics["kl_curve"]) == 31
+    assert emb.diagnostics["kl_curve"][-1] == pytest.approx(direct, rel=1e-12, abs=1e-14)
+    realized = emb.diagnostics["realized_perplexity"]
+    assert emb.diagnostics["perplexity_error"] == np.abs(realized - 8).max()
+
+
 def test_tsne_deterministic():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(25, 5))
@@ -338,6 +356,17 @@ def test_conditional_probabilities_match_reference_on_long_rows(perplexity):
     assert (got[0] == 0).any()
     assert got[0].tobytes() == expected[0].tobytes()
     assert got[1].tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the reference
+def test_smooth_knn_calibration_collapsed_sigma_matches_reference():
+    # four zero offsets against a target of 2: sigma halves until it is 0,
+    # after which only the zero offsets are counted
+    dists = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0], [0.5, 1.0, 1.5, 2.0]])
+    rho, sigma = smooth_knn_calibration(dists, 4, n_iter=1100)
+    ref_rho, ref_sigma = reference_smooth_knn_calibration(dists, 4, n_iter=1100)
+    assert rho.tobytes() == ref_rho.tobytes() and sigma.tobytes() == ref_sigma.tobytes()
+    assert sigma[0] == 1e-12
 
 
 def test_infeasible_perplexity_names_lowest_failing_point():
