@@ -10,6 +10,7 @@ to a separate timings.json for that reason.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import time
@@ -20,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import dataset as ds
-from .dimred import reduce_features
+from .dimred import reduce_features, tsne, umap
 from .expression import expression_profile
 from .grand import GrandConfig, predict_grand, train_grand
 from .graphs import build_cell_graph, normalize_adjacency
@@ -93,6 +94,14 @@ class ExperimentConfig:
                 ds.config_from_dict(stage, getattr(self, key))
             except (ValueError, TypeError) as exc:
                 raise ExperimentError(f"{key}: {exc}") from exc
+        # the reductions take their dict as keyword arguments beside X, d and seed
+        for key, reduce in (("tsne", tsne), ("umap", umap)):
+            params = getattr(self, key)
+            if not isinstance(params, dict):
+                raise ExperimentError(f"{key}: expected a dict of {key} arguments, got {params!r}")
+            unknown = set(params) - (set(inspect.signature(reduce).parameters) - {"X", "d", "seed"})
+            if unknown:
+                raise ExperimentError(f"{key}: unknown {key} config keys: {sorted(unknown)}")
 
     from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))
 
@@ -169,9 +178,24 @@ def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitM
     return metrics.to_dict()
 
 
+def _reduction_notes(diagnostics: dict) -> list:
+    """Log lines for the reduction's diagnostics (t-SNE, UMAP; none otherwise)."""
+    notes = []
+    if "kl_curve" in diagnostics:
+        notes.append(f"tsne_final_kl: {float(diagnostics['kl_curve'][-1])}")
+        notes.append(f"tsne_max_perplexity_error: {diagnostics['perplexity_error']}")
+    if "a" in diagnostics:
+        notes.append(f"umap_a: {diagnostics['a']}")
+        notes.append(f"umap_b: {diagnostics['b']}")
+    return notes
+
+
 def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
                          masks: SplitMasks, config: ExperimentConfig):
-    """All model cells sharing one (feature type, reduction) representation."""
+    """All model cells sharing one (feature type, reduction) representation.
+
+    Returns (results, timings, notes); ``notes`` are the reduction's log lines.
+    """
     results = {}
     timings = {}
     try:
@@ -189,11 +213,13 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
         )
         timings["reduce"] = time.perf_counter() - t0
         X_red = emb.Y
+        notes = _reduction_notes(emb.diagnostics)
+        del emb  # t-SNE's n x n P is not needed by the models
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not raised
         reason = f"{type(exc).__name__}: {exc}"
         for model in config.models:
             results[cell_key(feature_type, reduction, model)] = {"status": "failed", "reason": reason}
-        return results, timings
+        return results, timings, []
 
     for model in config.models:
         key = cell_key(feature_type, reduction, model)
@@ -205,7 +231,7 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
         except Exception as exc:  # noqa: BLE001
             results[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
         timings[key] = time.perf_counter() - t0
-    return results, timings
+    return results, timings, notes
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
@@ -256,11 +282,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     else:
         outcomes = [worker(g) for g in groups]
 
-    for (ft, red), (results, group_timings) in zip(groups, outcomes):
+    for (ft, red), (results, group_timings, notes) in zip(groups, outcomes):
         cells.update(results)
         for name, dt in group_timings.items():
             timings[f"{ft}|{red}|{name}" if name == "reduce" else name] = dt
-        _write_cell_logs(runs_dir, results)
+        _write_cell_logs(runs_dir, results, notes)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
     ds._atomic_write(os.path.join(out_dir, "report.json"), report.to_json().encode("ascii"))
@@ -272,7 +298,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     return report
 
 
-def _write_cell_logs(runs_dir: str, results: dict) -> None:
+def _write_cell_logs(runs_dir: str, results: dict, notes: list) -> None:
     for key, outcome in results.items():
         cell_dir = os.path.join(runs_dir, key.replace("|", "__"))
         os.makedirs(cell_dir, exist_ok=True)
@@ -282,6 +308,7 @@ def _write_cell_logs(runs_dir: str, results: dict) -> None:
                 lines.append(f"{name}: {value}")
         else:
             lines.append(f"reason: {outcome['reason']}")
+        lines.extend(notes)
         ds._atomic_write(os.path.join(cell_dir, "log.txt"), ("\n".join(lines) + "\n").encode("ascii"))
 
 

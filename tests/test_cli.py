@@ -166,6 +166,27 @@ def test_experiment_nested_config_typo_exits_1(tiny_dataset_dir, tmp_path, capsy
     assert not (out / "report.json").exists()
 
 
+def test_experiment_reduction_config_typo_exits_1(tiny_dataset_dir, tmp_path, capsys):
+    config, out = tmp_path / "exp.json", tmp_path / "out"
+    config.write_text(json.dumps({"reductions": ["tsne", "none"], "tsne": {"perplexty": 5}}))
+    argv = ["--config", str(config), "experiment", "--data", tiny_dataset_dir, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment: tsne: unknown tsne config keys: ['perplexty']")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("nodes", [119, 121, 1_000_000])
+def test_train_rejects_graph_node_count_not_matching_table(replay_inputs, tmp_path, capsys, nodes):
+    _, features, _ = replay_inputs  # 3 samples x 60 cells
+    graph = tmp_path / "g.edges"
+    graph.write_text(f"# nodes {nodes}\n0 1 1\n")
+    argv = ["train", "--graph", str(graph), "--features", features, "--labels", features,
+            "--out", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 1
+    assert f"graph has {nodes} nodes but feature table has 180 rows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["random_forest", "gradient_boosting"])
 def test_baseline_rejects_non_finite_features(tmp_path, capsys, model):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]

@@ -190,6 +190,9 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"radiomics": {"levels": 2.5}}, "radiomics: levels must be an integer"),
         ({"forest": [1]}, "forest: "),
         ({"boost": None}, "boost: "),
+        ({"tsne": {"perplexty": 5}}, "tsne: unknown tsne config keys: ['perplexty']"),
+        ({"umap": {"n_neighbors": 8, "seed": 1, "d": 2}}, "umap: unknown umap config keys: ['d', 'seed']"),
+        ({"tsne": [1]}, "tsne: expected a dict of tsne arguments, got [1]"),
     ],
 )
 def test_nested_config_fails_at_construction(nested, message):
@@ -249,3 +252,19 @@ def test_reduction_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
     assert all(c["status"] == "ok" for c in report.cells.values())
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == "a5e3e7b74f0a96ce9b3c11609f1856cd836d03f6a4f3fb510f4b435590be0cec"
+
+    # the reduction diagnostics go to every cell log of the group, not the report
+    def log_fields(key):
+        text = (tmp_path / "out" / "runs" / key.replace("|", "__") / "log.txt").read_text()
+        return dict(line.split(": ", 1) for line in text.splitlines())
+
+    for model in ("random_forest", "gradient_boosting"):
+        tsne_log = log_fields(f"expression|tsne|{model}")
+        assert 0.0 < float(tsne_log["tsne_final_kl"]) < 10.0
+        assert 0.0 <= float(tsne_log["tsne_max_perplexity_error"]) <= 1e-3
+        assert "umap_a" not in tsne_log
+        umap_log = log_fields(f"expression|umap|{model}")
+        assert float(umap_log["umap_a"]) == pytest.approx(1.577, abs=0.05)
+        assert float(umap_log["umap_b"]) == pytest.approx(0.895, abs=0.05)
+        assert "tsne_final_kl" not in umap_log
+    assert "tsne_final_kl" not in json.dumps(report.cells)
