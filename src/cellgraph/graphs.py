@@ -22,14 +22,15 @@ class GraphError(Exception):
 class CellGraph:
     """Directed weighted edge list over cells.
 
-    ``node_keys[i]`` is the (sample_id, cell_id) behind node i. Self-loops
+    ``node_keys[i]`` is the (sample_id, cell_id) behind node i; it is None
+    for a graph read from an edge list, which stores no keys. Self-loops
     are never stored; normalization adds them.
     """
 
     n_nodes: int
     edges: np.ndarray  # (m, 2) int64 (src, dst)
     weights: np.ndarray  # (m,) float64, all finite and > 0
-    node_keys: list  # of (sample_id, cell_id)
+    node_keys: list | None  # of (sample_id, cell_id)
 
     def __post_init__(self):
         if self.n_nodes < 0:
@@ -211,7 +212,7 @@ def read_edge_list(path: str) -> CellGraph:
     except (ValueError, OverflowError) as exc:
         raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
     try:
-        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=[("", i) for i in range(n)])
+        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=None)
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from exc
 

@@ -263,6 +263,24 @@ def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, where
         read_edge_list(str(path))
 
 
+def test_read_edge_list_does_not_allocate_per_declared_node(tmp_path):
+    # the header's node count is not bounded by anything in the file
+    import tracemalloc
+
+    peaks = {}
+    for n in (10, 1_000_000):
+        path = tmp_path / f"g{n}.edges"
+        path.write_text(f"# nodes {n}\n0 1 1\n")
+        tracemalloc.start()
+        try:
+            graph = read_edge_list(str(path))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n_nodes == n and graph.node_keys is None
+    assert peaks[1_000_000] - peaks[10] < 4096
+
+
 def test_read_edge_list_non_utf8_names_path(tmp_path):
     path = tmp_path / "g.edges"
     path.write_bytes(b"# nodes 2\n0 1 \xff\n")
