@@ -16,11 +16,50 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import curve_fit
 
+from .dataset import check_field
 from .graphs import knn, sq_distances
 
 
 class DimRedError(Exception):
     pass
+
+
+# keyword arguments of tsne and umap: key -> (type, lowest value, whether
+# the lowest value itself is allowed); t-SNE's learning_rate may be None
+_ARG_RULES = {
+    "tsne": {
+        "perplexity": (float, 1.0, True),
+        "n_iters": (int, 1, True),
+        "learning_rate": (float, 0.0, False),
+        "early_exaggeration": (float, 0.0, False),
+    },
+    "umap": {
+        "n_neighbors": (int, 1, True),
+        "min_dist": (float, 0.0, True),
+        "n_epochs": (int, 1, True),
+        "learning_rate": (float, 0.0, False),
+        "negative_sample_rate": (int, 0, True),
+    },
+}
+
+
+def check_args(method: str, args: dict) -> None:
+    """Raise DimRedError naming the key unless every key of ``args`` is a
+    keyword argument of ``method`` ("tsne" or "umap") other than ``X``,
+    ``d`` and ``seed``, with a value of the type and range it takes."""
+    unknown = set(args) - set(_ARG_RULES[method])
+    if unknown:
+        raise DimRedError(f"unknown {method} config keys: {sorted(unknown)}")
+    for key, value in args.items():
+        if method == "tsne" and key == "learning_rate" and value is None:
+            continue
+        kind, lo, closed = _ARG_RULES[method][key]
+        try:
+            check_field(key, value, kind, lo=lo)
+        except ValueError as exc:
+            raise DimRedError(str(exc)) from None
+        if not closed and value == lo:
+            raise DimRedError(f"{key} must be > {lo}, got {value!r}")
 
 
 @dataclass
@@ -172,6 +211,8 @@ def tsne(
     standard momentum schedule (0.5 then 0.8) with per-parameter gains; the
     default step size is the max(n / exaggeration, 50) heuristic.
     """
+    check_args("tsne", {"perplexity": perplexity, "n_iters": n_iters, "learning_rate": learning_rate,
+                        "early_exaggeration": early_exaggeration})
     X = _as_matrix(X)
     n = X.shape[0]
     if n < 4:
@@ -352,6 +393,8 @@ def umap(
     ``negative_sample_rate`` uniformly drawn points. Gradient components
     are clipped to [-4, 4] and the step size decays linearly to 0.
     """
+    check_args("umap", {"n_neighbors": n_neighbors, "min_dist": min_dist, "n_epochs": n_epochs,
+                        "learning_rate": learning_rate, "negative_sample_rate": negative_sample_rate})
     X = _as_matrix(X)
     n = X.shape[0]
     W, _, _ = fuzzy_memberships(X, n_neighbors)

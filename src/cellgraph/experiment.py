@@ -10,7 +10,6 @@ to a separate timings.json for that reason.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import time
@@ -21,10 +20,10 @@ from functools import partial
 import numpy as np
 
 from . import dataset as ds
-from .dimred import reduce_features, tsne, umap
+from .dimred import DimRedError, check_args, reduce_features
 from .expression import expression_profile
 from .grand import GrandConfig, predict_grand, train_grand
-from .graphs import build_cell_graph, normalize_adjacency
+from .graphs import build_cell_graph, edge_homophily, normalize_adjacency
 from .harness import (
     SplitMasks,
     case_stratified_split,
@@ -95,13 +94,14 @@ class ExperimentConfig:
             except (ValueError, TypeError) as exc:
                 raise ExperimentError(f"{key}: {exc}") from exc
         # the reductions take their dict as keyword arguments beside X, d and seed
-        for key, reduce in (("tsne", tsne), ("umap", umap)):
+        for key in ("tsne", "umap"):
             params = getattr(self, key)
             if not isinstance(params, dict):
                 raise ExperimentError(f"{key}: expected a dict of {key} arguments, got {params!r}")
-            unknown = set(params) - (set(inspect.signature(reduce).parameters) - {"X", "d", "seed"})
-            if unknown:
-                raise ExperimentError(f"{key}: unknown {key} config keys: {sorted(unknown)}")
+            try:
+                check_args(key, params)
+            except DimRedError as exc:
+                raise ExperimentError(f"{key}: {exc}") from exc
 
     from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))
 
@@ -159,13 +159,22 @@ def _make_split(table: ds.CellTable, config: ExperimentConfig) -> SplitMasks:
 
 
 def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitMasks,
-               config: ExperimentConfig, seed: int) -> dict:
+               config: ExperimentConfig, seed: int):
+    """(test metrics, the model's log lines) for one cell."""
     y = table.labels
+    notes = []
     if model in _GRAPH_KINDS:
-        adj = normalize_adjacency(build_cell_graph(_GRAPH_KINDS[model], X_red, table, config.k))
+        graph = build_cell_graph(_GRAPH_KINDS[model], X_red, table, config.k)
+        n_edges, homophily = edge_homophily(graph, y, masks.train)
+        adj = normalize_adjacency(graph)
         gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
         trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
         probs, _ = predict_grand(trained, adj, X_red)
+        epochs = len(trained.history)
+        # training ends early once `patience` epochs pass without a better validation score
+        stop = "patience" if epochs - trained.best_epoch >= gconf.patience else "max_epochs"
+        notes = [f"graph_edges: {n_edges}", f"graph_train_homophily: {homophily}", f"grand_epochs: {epochs}",
+                 f"grand_best_epoch: {trained.best_epoch}", f"grand_stop: {stop}"]
     elif model == "random_forest":
         fconf = ForestConfig.from_dict({**config.forest, "seed": seed})
         forest = train_random_forest(X_red[masks.train], y[masks.train], fconf)
@@ -175,7 +184,7 @@ def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitM
         boost = train_gradient_boosting(X_red[masks.train], y[masks.train], bconf)
         probs = predict_tabular(boost, X_red)
     metrics = compute_metrics(y[masks.test], probs[masks.test], threshold=config.threshold)
-    return metrics.to_dict()
+    return metrics.to_dict(), notes
 
 
 def _reduction_notes(diagnostics: dict) -> list:
@@ -194,7 +203,8 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
                          masks: SplitMasks, config: ExperimentConfig):
     """All model cells sharing one (feature type, reduction) representation.
 
-    Returns (results, timings, notes); ``notes`` are the reduction's log lines.
+    Returns (results, timings, notes); ``notes`` maps each cell key to its
+    log lines: the reduction's, then the model's.
     """
     results = {}
     timings = {}
@@ -213,24 +223,27 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
         )
         timings["reduce"] = time.perf_counter() - t0
         X_red = emb.Y
-        notes = _reduction_notes(emb.diagnostics)
+        reduction_notes = _reduction_notes(emb.diagnostics)
         del emb  # t-SNE's n x n P is not needed by the models
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not raised
         reason = f"{type(exc).__name__}: {exc}"
         for model in config.models:
             results[cell_key(feature_type, reduction, model)] = {"status": "failed", "reason": reason}
-        return results, timings, []
+        return results, timings, {}
 
+    notes = {}
     for model in config.models:
         key = cell_key(feature_type, reduction, model)
         seed = derive_seed(config.seed, key)
+        model_notes = []
         t0 = time.perf_counter()
         try:
-            metrics = _run_model(model, table, X_red, masks, config, seed)
+            metrics, model_notes = _run_model(model, table, X_red, masks, config, seed)
             results[key] = {"status": "ok", "metrics": metrics}
         except Exception as exc:  # noqa: BLE001
             results[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
         timings[key] = time.perf_counter() - t0
+        notes[key] = reduction_notes + model_notes
     return results, timings, notes
 
 
@@ -298,7 +311,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     return report
 
 
-def _write_cell_logs(runs_dir: str, results: dict, notes: list) -> None:
+def _write_cell_logs(runs_dir: str, results: dict, notes: dict) -> None:
     for key, outcome in results.items():
         cell_dir = os.path.join(runs_dir, key.replace("|", "__"))
         os.makedirs(cell_dir, exist_ok=True)
@@ -308,7 +321,7 @@ def _write_cell_logs(runs_dir: str, results: dict, notes: list) -> None:
                 lines.append(f"{name}: {value}")
         else:
             lines.append(f"reason: {outcome['reason']}")
-        lines.extend(notes)
+        lines.extend(notes.get(key, []))
         ds._atomic_write(os.path.join(cell_dir, "log.txt"), ("\n".join(lines) + "\n").encode("ascii"))
 
 

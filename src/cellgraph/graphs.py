@@ -12,6 +12,9 @@ import scipy.sparse as sp
 from .dataset import CellTable, _atomic_write
 
 _CHUNK_ROWS = 1024
+# rows of a distance chunk partitioned at once: the partition's (rows, n)
+# index array stays an eighth of the chunk, so peak memory does not grow
+_PARTITION_ROWS = 128
 
 
 class GraphError(Exception):
@@ -69,7 +72,8 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
 
     Returns (indices, distances) of shape (n, min(k, n-1)), each row sorted
     by distance, ties by lower index; Euclidean distances are squared.
-    Distances are computed ``_CHUNK_ROWS`` query rows at a time.
+    Distances are computed ``_CHUNK_ROWS`` query rows at a time and
+    partitioned ``_PARTITION_ROWS`` rows at a time.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -87,18 +91,25 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
     for start in range(0, n, _CHUNK_ROWS):
         Q = X[start : start + _CHUNK_ROWS]
         D = sq_distances(Q, X) if metric == "euclidean" else _pairwise_cosine(Q, X)
-        for i, drow in enumerate(D, start=start):
-            drow[i] = np.inf
-            # argpartition gives candidates; widen deterministically on boundary ties
-            cand = np.argpartition(drow, take - 1)[:take]
-            thresh = drow[cand].max()
-            if np.count_nonzero(drow <= thresh) > take:
-                closer = np.flatnonzero(drow < thresh)
-                at = np.flatnonzero(drow == thresh)
-                cand = np.concatenate((closer, at[: take - len(closer)]))
-            chosen = cand[np.lexsort((cand, drow[cand]))]
-            indices[i] = chosen
-            distances[i] = drow[chosen]
+        for sub in range(0, len(D), _PARTITION_ROWS):
+            B = D[sub : sub + _PARTITION_ROWS]
+            rows = np.arange(len(B))
+            B[rows, start + sub + rows] = np.inf
+            # argpartition gives candidates; the take-th smallest distance is
+            # the threshold, and a row with more points at or below it keeps
+            # the lowest indices at the threshold
+            cand = np.argpartition(B, take - 1, axis=1)[:, :take]
+            thresh = np.take_along_axis(B, cand, axis=1).max(axis=1)
+            ties = np.flatnonzero(np.count_nonzero(B <= thresh[:, None], axis=1) > take)
+            if ties.size:
+                T, at = B[ties], thresh[ties, None]
+                # 0 below the threshold, 1 at it, 2 above; a stable sort keeps index order
+                rank = (T > at).astype(np.int8) + (T >= at)
+                cand[ties] = np.argsort(rank, axis=1, kind="stable")[:, :take]
+            dist = np.take_along_axis(B, cand, axis=1)
+            order = np.lexsort((cand, dist), axis=-1)
+            indices[start + sub : start + sub + len(B)] = np.take_along_axis(cand, order, axis=1)
+            distances[start + sub : start + sub + len(B)] = np.take_along_axis(dist, order, axis=1)
     return indices, distances
 
 
@@ -139,6 +150,19 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys
     all_edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
     keys = node_keys if node_keys is not None else [("", i) for i in range(n)]
     return CellGraph(n_nodes=n, edges=all_edges, weights=np.ones(len(all_edges)), node_keys=keys)
+
+
+def edge_homophily(g: CellGraph, labels: np.ndarray, mask: np.ndarray) -> tuple:
+    """(undirected edge count, share of the undirected edges with both ends
+    in ``mask`` that join nodes of equal ``labels``; nan without such edges).
+
+    An undirected edge is a node pair joined in either direction.
+    """
+    codes = np.unique(g.edges.min(axis=1) * g.n_nodes + g.edges.max(axis=1))
+    a, b = np.divmod(codes, g.n_nodes)
+    inside = mask[a] & mask[b]
+    same = labels[a[inside]] == labels[b[inside]]
+    return len(codes), float(same.mean()) if len(same) else float("nan")
 
 
 def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:

@@ -72,22 +72,22 @@ class BoostConfig:
 # leaves {"value": [...]}. Traversal goes left when x[feature] < threshold.
 
 
-def _best_split(X, target_stats, idx, features, min_leaf, cost_fn):
+def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
     """Scan candidate features for the lowest weighted impurity.
 
     ``target_stats`` supplies per-sample statistics whose prefix sums define
     the impurity: class one-hots for Gini, (r, r^2) columns for variance.
-    Returns (cost, feature, threshold) with cost = inf when no valid split
-    exists. All candidate features are sorted and scored in one pass over
-    the node's (n, k) block. argmin over the transposed cost returns the
-    first minimum in (feature, threshold) order, which implements the
+    ``order`` is the node's (n, k) block of row indices, column c holding
+    the node's rows sorted stably by ``X[:, features[c]]`` (see
+    ``_node_order``). Returns (cost, feature, threshold) with cost = inf
+    when no valid split exists. All candidate features are scored in one
+    pass over the block. argmin over the transposed cost returns the first
+    minimum in (feature, threshold) order, which implements the
     lowest-feature / lowest-threshold tie rule.
     """
-    n = len(idx)
-    values = X[np.ix_(idx, features)]
-    order = np.argsort(values, axis=0, kind="stable")
-    vs = np.take_along_axis(values, order, axis=0)
-    prefix = np.cumsum(target_stats[idx[order]], axis=0)
+    n = len(order)
+    vs = X[order, features]
+    prefix = np.cumsum(target_stats[order], axis=0)
     left_n = np.arange(1, n)[:, None]
     right_n = n - left_n
     left = prefix[:-1]
@@ -97,6 +97,11 @@ def _best_split(X, target_stats, idx, features, min_leaf, cost_fn):
     if cost[j, col] == math.inf:
         return (math.inf, -1, 0.0)
     return (float(cost[j, col]), int(features[col]), float((vs[j, col] + vs[j + 1, col]) / 2.0))
+
+
+def _node_order(X, idx, features):
+    """Rows ``idx`` (ascending) sorted stably by each of ``features``: an (n, k) index block."""
+    return idx[np.argsort(X[np.ix_(idx, features)], axis=0, kind="stable")]
 
 
 def _gini_cost(left, right, left_n, right_n, n):
@@ -112,28 +117,47 @@ def _variance_cost(left, right, left_n, right_n, n):
     return (sse_l + sse_r) / n
 
 
-def _grow_tree(X, target_stats, idx, depth, cfg, rng, leaf_value, cost_fn):
-    """Recursive greedy growth shared by classification and regression."""
+def _grow_tree(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn):
+    """Recursive greedy growth shared by classification and regression.
+
+    ``idx`` holds the node's rows in ascending order. ``order`` is None, and
+    the node sorts the features it draws, or the node's ``_node_order`` on
+    every column when every column is a candidate; a child's order is then
+    the parent's filtered to the child's rows, which keeps it stable.
+    """
     n = len(idx)
     pure = bool(np.all(target_stats[idx] == target_stats[idx[0]]))
     if depth >= cfg["max_depth"] or n < 2 * cfg["min_leaf"] or pure:
         return {"value": leaf_value(idx)}
     p = X.shape[1]
-    k = cfg["features_per_split"]
-    if k >= p:
-        features = np.arange(p)
+    if order is None:
+        features = np.sort(rng.choice(p, size=cfg["features_per_split"], replace=False))
+        node_order = _node_order(X, idx, features)
     else:
-        features = np.sort(rng.choice(p, size=k, replace=False))
-    cost, feature, threshold = _best_split(X, target_stats, idx, features, cfg["min_leaf"], cost_fn)
+        features = np.arange(p)
+        node_order = order
+    cost, feature, threshold = _best_split(X, target_stats, node_order, features, cfg["min_leaf"], cost_fn)
     if not math.isfinite(cost):
         return {"value": leaf_value(idx)}
     mask = X[idx, feature] < threshold
+    left_order = right_order = None
+    if order is not None:
+        member = np.zeros(len(X), dtype=bool)
+        member[idx[mask]] = True
+        in_left = member[order.T]
+        left_order = order.T[in_left].reshape(p, -1).T
+        right_order = order.T[~in_left].reshape(p, -1).T
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(X, target_stats, idx[mask], depth + 1, cfg, rng, leaf_value, cost_fn),
-        "right": _grow_tree(X, target_stats, idx[~mask], depth + 1, cfg, rng, leaf_value, cost_fn),
+        "left": _grow_tree(X, target_stats, idx[mask], left_order, depth + 1, cfg, rng, leaf_value, cost_fn),
+        "right": _grow_tree(X, target_stats, idx[~mask], right_order, depth + 1, cfg, rng, leaf_value, cost_fn),
     }
+
+
+def _presort(X):
+    """``_node_order`` of all rows on every column, once per fit."""
+    return _node_order(X, np.arange(len(X)), np.arange(X.shape[1]))
 
 
 def _tree_apply(node, X, idx, out):
@@ -163,7 +187,8 @@ def train_cart(X, y, max_depth=8, min_leaf=2, features_per_split=None, rng=None,
         counts = onehot[idx].sum(axis=0)
         return (counts / counts.sum()).tolist()
 
-    return _grow_tree(X, onehot, np.arange(len(y)), 0, cfg, rng, leaf_value, _gini_cost)
+    order = _presort(X) if cfg["features_per_split"] >= X.shape[1] else None
+    return _grow_tree(X, onehot, np.arange(len(y)), order, 0, cfg, rng, leaf_value, _gini_cost)
 
 
 def _feature_matrix(X) -> np.ndarray:
@@ -250,8 +275,8 @@ def train_gradient_boosting(X, y, config: BoostConfig | None = None) -> BoostMod
     F = np.full(len(y), math.log(prior / (1.0 - prior)))
     base = float(F[0])
     losses = [_log_loss(y, _sigmoid(F))]
-    rng = np.random.default_rng(config.seed)
-    cfg = {"max_depth": config.max_depth, "min_leaf": config.min_leaf, "features_per_split": X.shape[1]}
+    cfg = {"max_depth": config.max_depth, "min_leaf": config.min_leaf}
+    order = _presort(X)
     trees = []
     for _ in range(config.n_rounds):
         prob = _sigmoid(F)
@@ -263,7 +288,7 @@ def train_gradient_boosting(X, y, config: BoostConfig | None = None) -> BoostMod
             h = hessian[idx].sum()
             return float(residual[idx].sum() / h) if h > 0 else 0.0
 
-        tree = _grow_tree(X, stats, np.arange(len(y)), 0, cfg, rng, leaf_value, _variance_cost)
+        tree = _grow_tree(X, stats, np.arange(len(y)), order, 0, cfg, None, leaf_value, _variance_cost)
         step = np.zeros(len(y))
         _tree_apply(tree, X, np.arange(len(y)), step)
         F = F + config.learning_rate * step

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cellgraph.dataset import ChannelImage, LabelMask, StainStack
+
+# CI runs the same examples on every push (derandomize) and prints the blob
+# that replays a failure locally with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_stack(arrays, sample_id="s01", spacing=1.0, names=None):

@@ -176,6 +176,21 @@ def test_experiment_reduction_config_typo_exits_1(tiny_dataset_dir, tmp_path, ca
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("tsne, message", [
+    ({"perplexity": "5"}, "tsne: perplexity must be a finite number, got '5'"),
+    ({"early_exaggeration": 0}, "tsne: early_exaggeration must be > 0.0, got 0"),
+])
+def test_experiment_reduction_config_bad_value_exits_1(tiny_dataset_dir, tmp_path, capsys, tsne, message):
+    # Both used to pass construction and fail every t-SNE cell with a bare
+    # TypeError or ZeroDivisionError.
+    config, out = tmp_path / "exp.json", tmp_path / "out"
+    config.write_text(json.dumps({"reductions": ["tsne", "none"], "tsne": tsne}))
+    argv = ["--config", str(config), "experiment", "--data", tiny_dataset_dir, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: experiment: {message}")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("nodes", [119, 121, 1_000_000])
 def test_train_rejects_graph_node_count_not_matching_table(replay_inputs, tmp_path, capsys, nodes):
     _, features, _ = replay_inputs  # 3 samples x 60 cells

@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellgraph import dimred
 from cellgraph.dimred import (
     DimRedError,
     fit_attraction_curve,
@@ -132,6 +134,25 @@ def test_tsne_rejects_bad_inputs():
     X[0, 0] = np.nan
     with pytest.raises(DimRedError):
         tsne(X, 2, perplexity=3)
+
+
+@pytest.mark.parametrize("method, kwargs, message", [
+    (tsne, {"perplexity": "5"}, "perplexity must be a finite number"),
+    (tsne, {"early_exaggeration": 0.0}, "early_exaggeration must be > 0.0"),
+    (tsne, {"learning_rate": -1.0}, "learning_rate must lie in"),
+    (tsne, {"n_iters": 2.0}, "n_iters must be an integer"),
+    (umap, {"n_neighbors": True}, "n_neighbors must be an integer"),
+    (umap, {"learning_rate": 0}, "learning_rate must be > 0.0"),
+    (umap, {"negative_sample_rate": -1}, "negative_sample_rate must lie in"),
+])
+def test_reduction_rejects_bad_argument_by_key_name(method, kwargs, message):
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    with pytest.raises(DimRedError, match=message):
+        method(X, 2, **kwargs)
+    # the experiment checks its tsne/umap dicts by the same rules: one per
+    # keyword argument it may pass
+    params = set(inspect.signature(method).parameters) - {"X", "d", "seed"}
+    assert set(dimred._ARG_RULES[method.__name__]) == params
 
 
 def test_tsne_infeasible_perplexity_on_identical_points():

@@ -193,6 +193,11 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"tsne": {"perplexty": 5}}, "tsne: unknown tsne config keys: ['perplexty']"),
         ({"umap": {"n_neighbors": 8, "seed": 1, "d": 2}}, "umap: unknown umap config keys: ['d', 'seed']"),
         ({"tsne": [1]}, "tsne: expected a dict of tsne arguments, got [1]"),
+        ({"tsne": {"perplexity": "5"}}, "tsne: perplexity must be a finite number, got '5'"),
+        ({"tsne": {"early_exaggeration": 0}}, "tsne: early_exaggeration must be > 0.0, got 0"),
+        ({"tsne": {"learning_rate": 0.0}}, "tsne: learning_rate must be > 0.0, got 0.0"),
+        ({"umap": {"n_epochs": 1.5}}, "umap: n_epochs must be an integer, got 1.5"),
+        ({"umap": {"min_dist": -0.1}}, "umap: min_dist must lie in [0.0, inf], got -0.1"),
     ],
 )
 def test_nested_config_fails_at_construction(nested, message):
@@ -268,3 +273,34 @@ def test_reduction_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
         assert float(umap_log["umap_b"]) == pytest.approx(0.895, abs=0.05)
         assert "tsne_final_kl" not in umap_log
     assert "tsne_final_kl" not in json.dumps(report.cells)
+
+
+@pytest.mark.parametrize("grand, stop", [
+    ({"max_epochs": 40, "patience": 3}, "patience"),
+    ({"max_epochs": 4, "patience": 30}, "max_epochs"),
+])
+def test_grand_cell_logs_carry_training_and_graph_diagnostics(small_data, tmp_path, grand, stop):
+    config = ExperimentConfig(
+        data_dir=small_data, feature_types=("expression",), reductions=("none",),
+        models=("grand_feature_graph", "grand_spatial_graph", "random_forest"),
+        forest={"n_trees": 5}, grand=grand, seed=8,
+    )
+    report = run_experiment(config, str(tmp_path / "out"))
+    assert all(c["status"] == "ok" for c in report.cells.values())
+
+    def log_fields(key):
+        text = (tmp_path / "out" / "runs" / key.replace("|", "__") / "log.txt").read_text()
+        return dict(line.split(": ", 1) for line in text.splitlines())
+
+    for model in ("grand_feature_graph", "grand_spatial_graph"):
+        log = log_fields(f"expression|none|{model}")
+        epochs, best = int(log["grand_epochs"]), int(log["grand_best_epoch"])
+        assert log["grand_stop"] == stop
+        assert 1 <= best <= epochs <= grand["max_epochs"]
+        if stop == "patience":
+            assert epochs - best == grand["patience"]
+        # 150 cells, k=5: at least 150 * 5 / 2 undirected edges, at most 150 * 5
+        assert 375 <= int(log["graph_edges"]) <= 750
+        assert 0.0 <= float(log["graph_train_homophily"]) <= 1.0
+    assert "grand_epochs" not in log_fields("expression|none|random_forest")
+    assert "grand_epochs" not in (tmp_path / "out" / "report.json").read_text()

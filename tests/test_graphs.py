@@ -8,6 +8,7 @@ from cellgraph.graphs import (
     CellGraph,
     GraphError,
     build_cell_graph,
+    edge_homophily,
     knn,
     knn_feature_graph,
     normalize_adjacency,
@@ -88,6 +89,16 @@ def test_spatial_duplicate_centroids_deterministic():
     g1 = spatial_knn_graph(centroids, ["a"] * 3, k=1)
     g2 = spatial_knn_graph(centroids, ["a"] * 3, k=1)
     assert edges_as_set(g1) == edges_as_set(g2)
+
+
+def test_edge_homophily_hand_computed():
+    # undirected edges: 0-1 (stored both ways), 1-2, 2-3, 3-4, 0-4; node 4
+    # is outside the mask, so 0-1 (same), 1-2 (differ) and 2-3 (same) count
+    g = CellGraph(5, np.array([[0, 1], [1, 0], [1, 2], [2, 3], [3, 4], [4, 0]]), np.ones(6), None)
+    labels = np.array([0, 0, 1, 1, 0])
+    mask = np.array([True, True, True, True, False])
+    assert edge_homophily(g, labels, mask) == (5, 2 / 3)
+    assert np.isnan(edge_homophily(g, labels, np.eye(5, dtype=bool)[0])[1])
 
 
 def test_normalize_two_nodes():
@@ -298,24 +309,42 @@ def test_knn_rejects_non_finite_features():
         spatial_knn_graph(X, ["s01"] * 3, 1)
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def knn_points(draw):
+    """Integer points in [-2, 2]^2 (every squared distance exact, so ties are
+    real ties) or real points in [-3, 3]^3 with some rows copied onto others."""
+    n = draw(st.integers(2, 23))
+    if draw(st.booleans()):
+        cell = st.integers(-2, 2)
+        return np.array(draw(st.lists(st.lists(cell, min_size=2, max_size=2), min_size=n, max_size=n)),
+                        dtype=np.float64)
+    real = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    X = np.array(draw(st.lists(st.lists(real, min_size=3, max_size=3), min_size=n, max_size=n)))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[dst] = X[src]
+    return X
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    points=st.integers(2, 23).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=n, max_size=n)
-    ),
+    X=knn_points(),
     k=st.integers(1, 25),
+    metric=st.sampled_from(["euclidean", "cosine"]),
     chunk=st.integers(1, 7),
+    sub=st.integers(1, 7),
 )
-def test_knn_matches_dense_stable_argsort(points, k, chunk):
-    # Integer coordinates make every squared distance exact, so the oracle's
-    # ties are real ties; small blocks exercise multi-block and one-row tails.
-    X = np.array(points, dtype=np.float64)
-    D = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+def test_knn_matches_dense_stable_argsort(X, k, metric, chunk, sub):
+    # The oracle sorts each row of the distance matrix knn sees (the same
+    # chunked products, so the same bits) with a stable argsort; small chunks
+    # and partition blocks exercise multi-block and one-row tails.
+    distance = graphs.sq_distances if metric == "euclidean" else graphs._pairwise_cosine
+    D = np.vstack([distance(X[s : s + chunk], X) for s in range(0, len(X), chunk)])
     np.fill_diagonal(D, np.inf)
     take = min(k, len(X) - 1)
     expected = np.argsort(D, axis=1, kind="stable")[:, :take]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graphs, "_CHUNK_ROWS", chunk)
-        indices, distances = knn(X, k)
+        mp.setattr(graphs, "_PARTITION_ROWS", sub)
+        indices, distances = knn(X, k, metric)
     np.testing.assert_array_equal(indices, expected)
     np.testing.assert_array_equal(distances, np.take_along_axis(D, expected, axis=1))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -135,8 +136,75 @@ def split_problems(draw):
 def test_best_split_matches_per_feature_reference(problem):
     X, stats, idx, features, min_leaf, variance = problem
     cost_fn = trees._variance_cost if variance else trees._gini_cost
-    got = trees._best_split(X, stats, idx, features, min_leaf, cost_fn)
+    got = trees._best_split(X, stats, trees._node_order(X, idx, features), features, min_leaf, cost_fn)
     assert got == reference_best_split(X, stats, idx, features, min_leaf, variance)
+
+
+def reference_grow(X, target_stats, idx, depth, max_depth, min_leaf, leaf_value, variance):
+    """Greedy growth that sorts every node's rows afresh, one feature at a
+    time (``reference_best_split``), with every feature a candidate."""
+    if (depth >= max_depth or len(idx) < 2 * min_leaf
+            or np.all(target_stats[idx] == target_stats[idx[0]])):
+        return {"value": leaf_value(idx)}
+    cost, feature, threshold = reference_best_split(
+        X, target_stats, idx, range(X.shape[1]), min_leaf, variance)
+    if not math.isfinite(cost):
+        return {"value": leaf_value(idx)}
+    mask = X[idx, feature] < threshold
+    grow = lambda rows: reference_grow(  # noqa: E731
+        X, target_stats, rows, depth + 1, max_depth, min_leaf, leaf_value, variance)
+    return {"feature": feature, "threshold": threshold, "left": grow(idx[mask]), "right": grow(idx[~mask])}
+
+
+@st.composite
+def tied_problems(draw):
+    """A matrix of values rounded to halves in [-1, 1] (many ties in every
+    column), binary labels holding both classes, and tree sizes."""
+    n_rows = draw(st.integers(4, 40))
+    p = draw(st.integers(1, 5))
+    half = st.integers(-2, 2).map(lambda v: v / 2.0)
+    X = np.array(draw(st.lists(st.lists(half, min_size=p, max_size=p), min_size=n_rows, max_size=n_rows)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)))
+    y[:2] = (0, 1)
+    return X, y, draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_problems())
+def test_presorted_trees_equal_per_node_sort_reference(problem):
+    # Boosting sorts its matrix once per fit, and CART with every feature a
+    # candidate once per tree; children filter the parent's order. Each root
+    # call of _grow_tree must give the tree that sorting every node gives.
+    X, y, max_depth, min_leaf, n_rounds = problem
+    roots = []
+    grow = trees._grow_tree
+
+    def checked_grow(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn):
+        tree = grow(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn)
+        if depth == 0:  # boosting's leaf_value reads its round's residuals: compare now
+            variance = cost_fn is trees._variance_cost
+            assert tree == reference_grow(X, target_stats, idx, 0, max_depth, min_leaf, leaf_value, variance)
+            roots.append(tree)
+        return tree
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees, "_grow_tree", checked_grow)
+        boost = train_gradient_boosting(X, y, BoostConfig(n_rounds=n_rounds, max_depth=max_depth,
+                                                          min_leaf=min_leaf))
+        cart = train_cart(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    assert roots == boost.trees + [cart]
+
+
+def test_boosting_model_bytes_on_tied_matrix_are_pinned(tmp_path):
+    # Half-step values tie in every column, so the stable order of equal
+    # values decides each prefix sum; no BLAS call is involved.
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 4, size=(80, 5)).astype(np.float64) / 2.0
+    y = (X[:, 0] + X[:, 1] + rng.integers(0, 2, size=80) > 2.0).astype(int)
+    model = train_gradient_boosting(X, y, BoostConfig(n_rounds=8, max_depth=3, min_leaf=2, seed=0))
+    save_model(str(tmp_path / "b.bin"), model)
+    digest = hashlib.sha256((tmp_path / "b.bin").read_bytes()).hexdigest()
+    assert digest == "0cc53fb9c8878632ade89f0aa5716123e76d3e7847ca6f28275af4251c757fb8"
 
 
 # ---------------------------------------------------------------------------
