@@ -151,9 +151,9 @@ def reference_grow(X, target_stats, idx, depth, max_depth, min_leaf, leaf_value,
     if not math.isfinite(cost):
         return {"value": leaf_value(idx)}
     mask = X[idx, feature] < threshold
-    grow = lambda rows: reference_grow(  # noqa: E731
-        X, target_stats, rows, depth + 1, max_depth, min_leaf, leaf_value, variance)
-    return {"feature": feature, "threshold": threshold, "left": grow(idx[mask]), "right": grow(idx[~mask])}
+    left, right = (reference_grow(X, target_stats, rows, depth + 1, max_depth, min_leaf, leaf_value, variance)
+                   for rows in (idx[mask], idx[~mask]))
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 @st.composite
