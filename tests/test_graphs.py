@@ -340,6 +340,11 @@ def test_knn_matches_dense_stable_argsort(X, k, metric, chunk, sub):
     distance = graphs.sq_distances if metric == "euclidean" else graphs._pairwise_cosine
     D = np.vstack([distance(X[s : s + chunk], X) for s in range(0, len(X), chunk)])
     np.fill_diagonal(D, np.inf)
+    if metric == "euclidean" and np.array_equal(X, np.round(X)):
+        # integer coordinates: the kernel's squared distances are exact
+        exact = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(exact, np.inf)
+        np.testing.assert_array_equal(D, exact)
     take = min(k, len(X) - 1)
     expected = np.argsort(D, axis=1, kind="stable")[:, :take]
     with pytest.MonkeyPatch.context() as mp:
