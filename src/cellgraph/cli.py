@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the full comparison matrix")
     p.add_argument("--config", dest="stage_config", default=None, help="experiment config JSON")
     p.add_argument("--data", default=None, help="dataset directory, overrides config")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=None, help="checked, then unused: the experiment runs on one thread")
     p.add_argument("--out", dest="stage_out", default=None, help="output report directory")
 
     p = sub.add_parser("report", help="render a report to CSV and SVG charts")
@@ -277,8 +277,6 @@ def _cmd_experiment(args) -> None:
         raw["data_dir"] = args.data
     if args.threads is not None:
         raw["threads"] = args.threads
-    elif "threads" not in raw:
-        raw["threads"] = os.cpu_count() or 1
     config = ExperimentConfig.from_dict(raw)
     out = _resolve_out(args, default="experiment_out")
     report = run_experiment(config, out)

@@ -228,7 +228,7 @@ def tsne(
     del support
     exaggerated = early_exaggeration * P
 
-    # n x n work buffers, one set per call: calls may run in parallel threads
+    # n x n work buffers, allocated once per call and reused every iteration
     num = np.empty((n, n))
     buf = np.empty((n, n))
     diagonal = num.reshape(-1)[:: n + 1]
@@ -444,6 +444,8 @@ def umap(
 
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     """Dispatch helper used by the harness and CLI; 'none' passes through."""
+    if method in ("none", "pca") and kwargs:
+        raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":
         return Embedding(Y=np.asarray(X, dtype=np.float64).copy())
     if method == "pca":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -54,7 +53,7 @@ class ExperimentConfig:
     k: int = 5
     reduce_dim: int = 16
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # checked, then unused: groups run one at a time
     split_by: str = "cell"  # or "case"
     threshold: float = 0.5
     grand: dict = field(default_factory=dict)
@@ -106,9 +105,9 @@ class ExperimentConfig:
     from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))
 
     def to_dict(self) -> dict:
-        # snapshot of result-affecting parameters; thread count is an
-        # execution detail and never changes results, so it stays out of
-        # the reproducibility record
+        # snapshot of result-affecting parameters; ``threads`` changes
+        # nothing (groups run one at a time), so it stays out of the
+        # reproducibility record
         return {key: value for key, value in asdict(self).items() if key != "threads"}
 
 
@@ -199,60 +198,55 @@ def _reduction_notes(diagnostics: dict) -> list:
     return notes
 
 
-def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
-                         masks: SplitMasks, config: ExperimentConfig):
-    """All model cells sharing one (feature type, reduction) representation.
+def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable, masks: SplitMasks,
+                         config: ExperimentConfig, cells: dict, timings: dict, runs_dir: str) -> None:
+    """Run all model cells sharing one (feature type, reduction) representation.
 
-    Returns (results, timings, notes); ``notes`` maps each cell key to its
-    log lines: the reduction's, then the model's.
+    Each cell's outcome goes into ``cells``, its time into ``timings`` and its
+    log under ``runs_dir`` as the cell finishes. A log holds the reduction's
+    lines, then the model's.
     """
-    results = {}
-    timings = {}
     try:
         Z, _, _ = standardize_features(table.features, masks.train)
-        kwargs = {}
-        if reduction == "tsne":
-            kwargs = dict(config.tsne)
-        elif reduction == "umap":
-            kwargs = dict(config.umap)
+        kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
         dim = min(config.reduce_dim, Z.shape[1], Z.shape[0] - 1)
         t0 = time.perf_counter()
         emb = reduce_features(
             Z, reduction, dim,
             seed=derive_seed(config.seed, f"reduce|{feature_type}|{reduction}"), **kwargs
         )
-        timings["reduce"] = time.perf_counter() - t0
+        timings[f"{feature_type}|{reduction}|reduce"] = time.perf_counter() - t0
         X_red = emb.Y
         reduction_notes = _reduction_notes(emb.diagnostics)
         del emb  # t-SNE's n x n P is not needed by the models
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not raised
         reason = f"{type(exc).__name__}: {exc}"
         for model in config.models:
-            results[cell_key(feature_type, reduction, model)] = {"status": "failed", "reason": reason}
-        return results, timings, {}
+            key = cell_key(feature_type, reduction, model)
+            cells[key] = {"status": "failed", "reason": reason}
+            _write_cell_log(runs_dir, key, cells[key], [])
+        return
 
-    notes = {}
     for model in config.models:
         key = cell_key(feature_type, reduction, model)
-        seed = derive_seed(config.seed, key)
         model_notes = []
         t0 = time.perf_counter()
         try:
-            metrics, model_notes = _run_model(model, table, X_red, masks, config, seed)
-            results[key] = {"status": "ok", "metrics": metrics}
+            metrics, model_notes = _run_model(model, table, X_red, masks, config, derive_seed(config.seed, key))
+            cells[key] = {"status": "ok", "metrics": metrics}
         except Exception as exc:  # noqa: BLE001
-            results[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
+            cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
         timings[key] = time.perf_counter() - t0
-        notes[key] = reduction_notes + model_notes
-    return results, timings, notes
+        _write_cell_log(runs_dir, key, cells[key], reduction_notes + model_notes)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """Execute the grid and write report.json, table1.csv, and timings.json.
 
-    A failure in any stage marks the affected cells as failed with the
-    reason; remaining cells still run. Deterministic for a fixed config and
-    seed, including with threads > 1.
+    Groups run one at a time, feature type by feature type, in report order;
+    ``config.threads`` is checked but runs nothing in parallel. A failure in
+    any stage marks the affected cells as failed with the reason; remaining
+    cells still run. Deterministic for a fixed config and seed.
     """
     manifest = os.path.join(config.data_dir, "manifest.json")
     if not os.path.isfile(manifest):
@@ -264,42 +258,21 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
 
     cells = {}
     timings = {}
-    tables_by_ft = {}
-    masks_by_ft = {}
     for ft in config.feature_types:
         t0 = time.perf_counter()
         try:
-            tables_by_ft[ft] = extract_features(data, ft, config.radiomics)
-            masks_by_ft[ft] = _make_split(tables_by_ft[ft], config)
+            table = extract_features(data, ft, config.radiomics)
+            masks = _make_split(table, config)
         except Exception as exc:  # noqa: BLE001
             reason = f"{type(exc).__name__}: {exc}"
             for red in config.reductions:
                 for model in config.models:
                     cells[cell_key(ft, red, model)] = {"status": "failed", "reason": reason}
-        timings[f"extract|{ft}"] = time.perf_counter() - t0
-
-    groups = [
-        (ft, red)
-        for ft in config.feature_types
-        for red in config.reductions
-        if ft in masks_by_ft  # both extraction and split succeeded
-    ]
-
-    def worker(group):
-        ft, red = group
-        return _run_reduction_group(ft, red, tables_by_ft[ft], masks_by_ft[ft], config)
-
-    if config.threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(worker, groups))
-    else:
-        outcomes = [worker(g) for g in groups]
-
-    for (ft, red), (results, group_timings, notes) in zip(groups, outcomes):
-        cells.update(results)
-        for name, dt in group_timings.items():
-            timings[f"{ft}|{red}|{name}" if name == "reduce" else name] = dt
-        _write_cell_logs(runs_dir, results, notes)
+            continue
+        finally:
+            timings[f"extract|{ft}"] = time.perf_counter() - t0
+        for red in config.reductions:
+            _run_reduction_group(ft, red, table, masks, config, cells, timings, runs_dir)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
     ds._atomic_write(os.path.join(out_dir, "report.json"), report.to_json().encode("ascii"))
@@ -311,18 +284,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     return report
 
 
-def _write_cell_logs(runs_dir: str, results: dict, notes: dict) -> None:
-    for key, outcome in results.items():
-        cell_dir = os.path.join(runs_dir, key.replace("|", "__"))
-        os.makedirs(cell_dir, exist_ok=True)
-        lines = [f"cell: {key}", f"status: {outcome['status']}"]
-        if outcome["status"] == "ok":
-            for name, value in sorted(outcome["metrics"].items()):
-                lines.append(f"{name}: {value}")
-        else:
-            lines.append(f"reason: {outcome['reason']}")
-        lines.extend(notes.get(key, []))
-        ds._atomic_write(os.path.join(cell_dir, "log.txt"), ("\n".join(lines) + "\n").encode("ascii"))
+def _write_cell_log(runs_dir: str, key: str, outcome: dict, notes: list) -> None:
+    cell_dir = os.path.join(runs_dir, key.replace("|", "__"))
+    os.makedirs(cell_dir, exist_ok=True)
+    lines = [f"cell: {key}", f"status: {outcome['status']}"]
+    if outcome["status"] == "ok":
+        for name, value in sorted(outcome["metrics"].items()):
+            lines.append(f"{name}: {value}")
+    else:
+        lines.append(f"reason: {outcome['reason']}")
+    lines.extend(notes)
+    ds._atomic_write(os.path.join(cell_dir, "log.txt"), ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _write_table_csv(path: str, report: ExperimentReport) -> None:

@@ -54,6 +54,9 @@ class BoostConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf: int = 2
+    # Boosting draws no random numbers. The CLI draws its train/test split
+    # from this seed and stores it in the model file, so `evaluate` replays
+    # the split; the value the experiment passes goes unused.
     seed: int = 0
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +32,8 @@ def test_every_traced_name_exists_and_is_callable():
 
 def test_every_bench_config_is_accepted():
     # Nested experiment configs are read when the config is built, so a bench
-    # config the library refuses would fail every benchmark job.
+    # config the library refuses would fail every benchmark job. The bench
+    # adds data_dir, seed and threads (1 and nproc) to each config at run time.
     from cellgraph.experiment import ExperimentConfig
     from cellgraph.grand import GrandConfig
     from cellgraph.radiomics import RadiomicsConfig
@@ -39,10 +41,14 @@ def test_every_bench_config_is_accepted():
     from cellgraph.trees import ForestConfig
 
     stage_classes = {"extract": RadiomicsConfig, "train": GrandConfig, "baseline": ForestConfig}
-    workloads = _load_bench_module("workloads").WORKLOADS
+    bench_workloads = _load_bench_module("workloads")
+    workloads = bench_workloads.WORKLOADS
     for workload in workloads.values():
         SynthConfig.from_dict(workload.synth)
         ExperimentConfig.from_dict(workload.experiment)
+        for threads in (1, os.cpu_count() or 1):
+            ExperimentConfig.from_dict({**workload.experiment, "data_dir": ".bench_work/data",
+                                        "seed": bench_workloads.derive_seed(1, "experiment"), "threads": threads})
         for stage, raw in workload.stage_configs.items():
             stage_classes[stage].from_dict(raw)
     assert workloads

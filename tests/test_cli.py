@@ -191,6 +191,35 @@ def test_experiment_reduction_config_bad_value_exits_1(tiny_dataset_dir, tmp_pat
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("threads, code", [("1", 0), ("0", 1)])
+def test_experiment_threads_flag_is_checked(tiny_dataset_dir, tmp_path, capsys, threads, code):
+    # The benchmark's CLI chain passes --threads 1; the experiment runs on one
+    # thread whatever the flag says, but a count below 1 is still refused.
+    config, out = tmp_path / "exp.json", tmp_path / "out"
+    config.write_text(json.dumps({"feature_types": ["expression"], "reductions": ["none"],
+                                  "models": ["random_forest"]}))
+    argv = ["--config", str(config), "experiment", "--data", tiny_dataset_dir, "--out", str(out),
+            "--threads", threads]
+    assert main(argv) == code
+    assert (out / "report.json").exists() == (code == 0)
+    if code:
+        assert capsys.readouterr().err.startswith("error: experiment: threads")
+
+
+@pytest.mark.parametrize("method", ["none", "pca"])
+def test_reduce_config_for_method_without_arguments_exits_1(tiny_dataset_dir, tmp_path, capsys, method):
+    # Only t-SNE and UMAP take arguments, so a config file given to the
+    # others is refused rather than ignored.
+    features, config, out = tmp_path / "expr.csv", tmp_path / "c.json", tmp_path / "red.csv"
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", str(features)]) == 0
+    config.write_text(json.dumps({"perplexity": 5}))
+    argv = ["--config", str(config), "reduce", "--method", method, "--in", str(features), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: reduce: reduction '{method}' takes no keyword arguments") and "perplexity" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("nodes", [119, 121, 1_000_000])
 def test_train_rejects_graph_node_count_not_matching_table(replay_inputs, tmp_path, capsys, nodes):
     _, features, _ = replay_inputs  # 3 samples x 60 cells
