@@ -17,7 +17,6 @@ from .dataset import (
     StainStack,
     load_dataset,
     save_dataset,
-    validate_dataset,
 )
 from .synth import SynthConfig, generate_synthetic_dataset
 from .expression import expression_profile

@@ -145,10 +145,6 @@ class LabelMask:
         if self.labels.dtype != np.uint32:
             raise DatasetError(f"mask labels must be uint32, got {self.labels.dtype}")
 
-    def cell_ids(self) -> np.ndarray:
-        ids = np.unique(self.labels)
-        return ids[ids > 0]
-
 
 @dataclass
 class CellTable:
@@ -191,30 +187,48 @@ class CellTable:
 
 @dataclass
 class Sample:
-    """One loaded sample: image stack, instance mask, per-cell label stub."""
+    """One sample: image stack, instance mask, ``{cell_id: class}`` labels and
+    the case diagnosis.
+
+    ``cells`` is derived here and nowhere else: one row per mask cell in
+    ascending id, its pixel-mean centroid (x=column, y=row), its label (-1
+    when ``labels`` has none) and no features yet. Raises DatasetError when
+    the mask and channels differ in size, the mask holds no cell, or
+    ``labels`` names a cell the mask does not hold.
+    """
 
     stack: StainStack
     mask: LabelMask
-    cells: CellTable
+    labels: dict
     diagnosis: str
+    cells: CellTable = field(init=False)
+
+    def __post_init__(self):
+        sid, stack, mask = self.stack.sample_id, self.stack, self.mask
+        if (mask.width, mask.height) != (stack.width, stack.height):
+            raise DatasetError(
+                f"sample {sid}: mask is {mask.width}x{mask.height}, channels are {stack.width}x{stack.height}"
+            )
+        ids, rows, cols, bounds = cell_pixels(mask)
+        if len(ids) == 0:
+            raise DatasetError(f"sample {sid}: mask contains no cells")
+        ids = ids.astype(np.int64)
+        orphans = sorted(set(self.labels) - set(ids.tolist()))
+        if orphans:
+            raise DatasetError(f"sample {sid}: labels name cells the mask does not hold: {orphans}")
+        self.cells = CellTable(
+            cell_ids=ids,
+            sample_ids=[sid] * len(ids),
+            centroids=cell_means(np.column_stack([cols, rows]), bounds),
+            labels=np.array([self.labels.get(cid, CLASS_UNLABELED) for cid in ids.tolist()], dtype=np.int64),
+            features=np.zeros((len(ids), 0)),
+        )
 
 
 @dataclass
 class Dataset:
     samples: list
     pixel_spacing_um: float
-
-    def sample_ids(self) -> list:
-        return [s.stack.sample_id for s in self.samples]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant violation found by validate_dataset."""
-
-    sample_id: str
-    check_id: str
-    message: str
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +398,9 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
 def load_dataset(manifest_path: str) -> Dataset:
     """Load every sample referenced by the manifest.
 
-    Missing files, dimension mismatches, and malformed headers are reported
-    with the offending sample_id and path.
+    Missing files, malformed headers and samples that ``Sample`` rejects
+    (a mask/channel size mismatch, an empty mask, a labels row naming a cell
+    the mask does not hold) raise DatasetError naming the sample_id and paths.
     """
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -411,42 +426,11 @@ def load_dataset(manifest_path: str) -> Dataset:
             stack = StainStack(sample_id=sid, channels=tuple(channels), pixel_spacing_um=spacing)
         except DatasetError as exc:
             raise DatasetError(f"sample {sid}: {exc}") from exc
-        if (mask.width, mask.height) != (stack.width, stack.height):
-            raise DatasetError(
-                f"sample {sid}: mask {mask_path} is {mask.width}x{mask.height}, "
-                f"channels are {stack.width}x{stack.height}"
-            )
-        samples.append(
-            Sample(
-                stack=stack,
-                mask=mask,
-                cells=_cell_stub(sid, mask, label_map),
-                diagnosis=entry["diagnosis"],
-            )
-        )
+        try:
+            samples.append(Sample(stack=stack, mask=mask, labels=label_map, diagnosis=entry["diagnosis"]))
+        except DatasetError as exc:
+            raise DatasetError(f"{exc} (mask {mask_path}, labels {labels_path})") from None
     return Dataset(samples=samples, pixel_spacing_um=spacing)
-
-
-def _cell_stub(sample_id: str, mask: LabelMask, label_map: dict) -> CellTable:
-    """Cell table with centroids and labels but no features yet.
-
-    Mask cells absent from the CSV are kept as unlabeled; CSV entries absent
-    from the mask are kept with NaN centroids so validate_dataset can flag
-    them as orphans instead of silently dropping them.
-    """
-    mask_ids, rows, cols, bounds = cell_pixels(mask)
-    ids = sorted(set(mask_ids.tolist()) | set(label_map))
-    centroids = np.full((len(ids), 2), np.nan)
-    centroids[np.searchsorted(ids, mask_ids)] = cell_means(np.column_stack([cols, rows]), bounds)
-    labels = np.array([label_map.get(cid, CLASS_UNLABELED) for cid in ids], dtype=np.int64)
-    return CellTable(
-        cell_ids=np.array(ids, dtype=np.int64),
-        sample_ids=[sample_id] * len(ids),
-        centroids=centroids,
-        labels=labels,
-        features=np.zeros((len(ids), 0)),
-        feature_names=[],
-    )
 
 
 def cell_pixels(mask: LabelMask):
@@ -523,36 +507,6 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
     manifest_path = os.path.join(out_dir, "manifest.json")
     _atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
     return manifest_path
-
-
-def validate_dataset(dataset: Dataset) -> list:
-    """Collect every invariant violation; an empty list means the dataset is valid.
-
-    Violations are data, not errors: ordering is deterministic by
-    (sample position, check id, detail).
-    """
-    report = []
-    for sample in dataset.samples:
-        sid = sample.stack.sample_id
-        checks = []
-        stack, mask, cells = sample.stack, sample.mask, sample.cells
-        if (mask.width, mask.height) != (stack.width, stack.height):
-            checks.append(
-                Violation(
-                    sid,
-                    "dimension-mismatch",
-                    f"mask {mask.width}x{mask.height} vs channels {stack.width}x{stack.height}",
-                )
-            )
-        if stack.pixel_spacing_um <= 0:
-            checks.append(Violation(sid, "nonpositive-spacing", f"{stack.pixel_spacing_um}"))
-        mask_ids = set(int(c) for c in mask.cell_ids())
-        for cid in cells.cell_ids.tolist():
-            if cid not in mask_ids:
-                checks.append(Violation(sid, "orphan-label", f"cell {cid} recorded but absent from mask"))
-        checks.sort(key=lambda v: (v.check_id, v.message))
-        report.extend(checks)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -443,7 +443,7 @@ def umap(
 
 
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
-    """Dispatch helper used by the harness and CLI; 'none' passes through."""
+    """Dispatch helper used by the experiment and the CLI; 'none' passes through."""
     if method in ("none", "pca") and kwargs:
         raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":

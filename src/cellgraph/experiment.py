@@ -142,11 +142,10 @@ def extract_features(data: ds.Dataset, feature_type: str, radiomics: dict) -> ds
         raise ExperimentError(f"unknown feature type {feature_type!r}")
     tables = []
     for sample in data.samples:
-        labels = dict(zip(sample.cells.cell_ids.tolist(), sample.cells.labels.tolist()))
         if feature_type == "expression":
-            tables.append(expression_profile(sample.stack, sample.mask, labels=labels))
+            tables.append(expression_profile(sample))
         else:
-            tables.append(radiomic_feature_table(sample.stack, sample.mask, rconf, labels=labels))
+            tables.append(radiomic_feature_table(sample, rconf))
     return ds.pool_tables(tables)
 
 

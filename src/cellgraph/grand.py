@@ -62,7 +62,7 @@ class GrandModel:
     b1: np.ndarray
     W2: np.ndarray
     b2: np.ndarray
-    config: GrandConfig | None = None
+    config: GrandConfig
     history: list = field(default_factory=list)
     best_epoch: int = 0
 
@@ -252,6 +252,8 @@ def train_grand(
     """
     config = config or GrandConfig()
     X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise GrandError("features contain non-finite values")
     train_mask, val_mask = np.asarray(masks[0], bool), np.asarray(masks[1], bool)
     if np.any(train_mask & val_mask):
         raise GrandError("train and validation masks overlap")
@@ -292,9 +294,8 @@ def train_grand(
                 params, adj, X, node_masks, input_masks, labels, train_mask, config
             )
         except GrandError as exc:
-            if "non-finite" in str(exc):
-                raise GrandError(f"training diverged at epoch {epoch}: {exc}") from exc
-            raise
+            # the masks are checked above and the config at construction, so a loss error is divergence
+            raise GrandError(f"training diverged at epoch {epoch}: {exc}") from exc
 
         for key in ("W1", "b1", "W2", "b2"):
             g = grads[key]
@@ -340,12 +341,11 @@ def predict_grand(model: GrandModel, adj: sp.csr_matrix, X: np.ndarray):
     class index.
     """
     X = np.asarray(X, dtype=np.float64)
-    K = model.config.prop_order if model.config is not None else 8
     if X.shape[1] != model.W1.shape[0]:
         raise GrandError(
             f"feature dimension {X.shape[1]} does not match model input {model.W1.shape[0]}"
         )
-    X_bar = propagate(adj, X, K)
+    X_bar = propagate(adj, X, model.config.prop_order)
     probs = mlp_forward(model, X_bar)
     return probs, np.argmax(probs, axis=1)
 

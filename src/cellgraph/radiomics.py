@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CLASS_UNLABELED, CellTable, ChannelImage, LabelMask, StainStack, cell_means, cell_pixels
+from .dataset import CellTable, ChannelImage, LabelMask, Sample, cell_pixels
 from .dataset import check_field, config_from_dict
 
 DEFAULT_LEVELS = 16
@@ -417,16 +417,11 @@ def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
     }
 
 
-def radiomic_feature_table(
-    stack: StainStack,
-    mask: LabelMask,
-    config: RadiomicsConfig | None = None,
-    labels: dict | None = None,
-) -> CellTable:
+def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None) -> CellTable:
     """Full radiomic feature table for one sample.
 
     Columns are ``shape__<name>`` once, then ``<antigen>__<name>`` per
-    selected channel in stack order; rows are cells in ascending cell_id.
+    selected channel in stack order; rows are ``sample.cells``.
     GLCM features come from one matrix accumulated over all offsets; GLRLM
     features are averaged over per-direction matrices, which keeps run
     percentage within [0, 1]. A cell/channel whose texture is degenerate
@@ -436,14 +431,8 @@ def radiomic_feature_table(
     docstring); each cell's GLRLM is cut after its own longest run.
     """
     config = config or RadiomicsConfig()
-    if (mask.width, mask.height) != (stack.width, stack.height):
-        raise RadiomicsError(
-            f"sample {stack.sample_id}: mask {mask.width}x{mask.height} does not "
-            f"match channels {stack.width}x{stack.height}"
-        )
+    stack, mask = sample.stack, sample.mask
     ids, rows_all, cols_all, bounds = cell_pixels(mask)
-    if len(ids) == 0:
-        raise RadiomicsError(f"sample {stack.sample_id}: mask contains no cells")
 
     if config.channels is None:
         selected = list(stack.antigen_names)
@@ -515,13 +504,4 @@ def radiomic_feature_table(
             features[idx, col : col + len(row)] = row
         col += len(FIRST_ORDER_NAMES) + len(GLCM_NAMES) + len(GLRLM_NAMES)
 
-    label_map = labels or {}
-    out_labels = np.array([label_map.get(int(c), CLASS_UNLABELED) for c in ids], dtype=np.int64)
-    return CellTable(
-        cell_ids=ids.astype(np.int64),
-        sample_ids=[stack.sample_id] * n,
-        centroids=cell_means(np.column_stack([cols_all, rows_all]), bounds),
-        labels=out_labels,
-        features=features,
-        feature_names=names,
-    )
+    return replace(sample.cells, features=features, feature_names=names)

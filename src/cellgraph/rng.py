@@ -1,8 +1,8 @@
 """Portable deterministic PRNG: splitmix64 seeding, xoshiro256** streams.
 
 Every stochastic stage of the synthetic generator draws from one
-Xoshiro256StarStar stream per sample, so serial and parallel generation
-produce identical bytes on any platform.
+Xoshiro256StarStar stream per sample, so generation produces identical bytes
+on any platform.
 
 Bulk draws (``normals``) run the same stream in numpy lanes: xoshiro256** is
 linear over GF(2)^256, so a jump-ahead map (Haramoto et al. 2008, INFORMS J.

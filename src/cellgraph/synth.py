@@ -20,13 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    CellTable,
     ChannelImage,
     Dataset,
     LabelMask,
     Sample,
     StainStack,
-    cell_means,
     check_field,
     config_from_dict,
     pool_tables,
@@ -157,18 +155,10 @@ def _generate_sample(config: SynthConfig, index: int, diagnosis: str, stream, ch
         values = np.clip(np.rint(plane), 0, 65535).astype(np.uint16)
         channels.append((f"ag{k + 1:02d}", ChannelImage(width=size, height=size, values=values)))
 
-    cells = CellTable(
-        cell_ids=np.arange(1, n_cells + 1, dtype=np.int64),
-        sample_ids=[sid] * n_cells,
-        centroids=cell_means(np.column_stack([cols, rows]), np.append(0, np.cumsum(counts))),
-        labels=labels,
-        features=np.zeros((n_cells, 0)),
-        feature_names=[],
-    )
     return Sample(
         stack=StainStack(sample_id=sid, channels=tuple(channels), pixel_spacing_um=config.pixel_spacing_um),
         mask=LabelMask(width=size, height=size, labels=mask),
-        cells=cells,
+        labels=dict(zip(range(1, n_cells + 1), labels.tolist())),
         diagnosis=diagnosis,
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cellgraph.dataset import ChannelImage, LabelMask, StainStack
+from cellgraph.dataset import ChannelImage, LabelMask, Sample, StainStack
 
 # CI runs the same examples on every push (derandomize) and prints the blob
 # that replays a failure locally with @reproduce_failure.
@@ -26,6 +26,11 @@ def make_stack(arrays, sample_id="s01", spacing=1.0, names=None):
 def make_mask(arr):
     arr = np.asarray(arr, dtype=np.uint32)
     return LabelMask(width=arr.shape[1], height=arr.shape[0], labels=arr)
+
+
+def make_sample(arrays, mask_values, labels=None, **stack_args):
+    """Sample from channel arrays and mask values; ``stack_args`` go to make_stack."""
+    return Sample(make_stack(arrays, **stack_args), make_mask(mask_values), labels or {}, "healthy")
 
 
 def knn_purity(Y, labels, k=10):

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cellgraph.dataset import (
     ChannelImage,
     DatasetError,
-    Sample,
-    Dataset,
     cell_pixels,
     load_dataset,
     pool_tables,
@@ -19,7 +17,6 @@ from cellgraph.dataset import (
     read_mask,
     read_pgm,
     save_dataset,
-    validate_dataset,
     write_feature_csv,
     write_labels_csv,
     write_mask,
@@ -27,7 +24,7 @@ from cellgraph.dataset import (
     CellTable,
 )
 from cellgraph.graphs import CellGraph, GraphError, read_edge_list, write_edge_list
-from conftest import make_mask, make_stack
+from conftest import make_mask, make_sample
 
 
 def write_minimal_dataset(root, mask_values=None, skip_mask=False):
@@ -164,54 +161,36 @@ def test_synthetic_dataset_preserves_diagnosis_split(tmp_path):
     assert diagnoses.count("healthy") == 7
 
 
-def test_validate_clean_dataset_is_empty(tiny_dataset_dir):
-    data = load_dataset(os.path.join(tiny_dataset_dir, "manifest.json"))
-    assert validate_dataset(data) == []
+def test_sample_cells_follow_the_mask():
+    mask_values = [[3, 0, 1], [3, 0, 0]]
+    sample = make_sample([np.zeros((2, 3))], mask_values, labels={3: 1})
+    assert sample.cells.cell_ids.tolist() == [1, 3]
+    assert sample.cells.labels.tolist() == [-1, 1]  # a cell with no label is unlabeled
+    assert sample.cells.centroids.tolist() == [[2.0, 0.0], [0.0, 0.5]]
+    with pytest.raises(DatasetError, match=re.escape("labels name cells the mask does not hold: [2]")):
+        make_sample([np.zeros((2, 3))], mask_values, labels={2: 0, 3: 1})
 
 
-def test_validate_flags_dimension_mismatch():
-    stack = make_stack([np.zeros((5, 5))])
-    mask = make_mask(np.pad(np.ones((2, 2)), (0, 2)))  # 4x4
-    cells = CellTable(
-        cell_ids=np.array([1]),
-        sample_ids=["s01"],
-        centroids=np.array([[0.5, 0.5]]),
-        labels=np.array([0]),
-        features=np.zeros((1, 0)),
-        feature_names=[],
-    )
-    data = Dataset(samples=[Sample(stack=stack, mask=mask, cells=cells, diagnosis="healthy")],
-                   pixel_spacing_um=1.0)
-    report = validate_dataset(data)
-    assert len(report) == 1
-    assert report[0].check_id == "dimension-mismatch"
-
-
-def test_validate_flags_orphan_label(tmp_path):
-    # delete a cell's pixels from the mask and revalidate
+def test_orphan_labels_row_fails_load(tmp_path):
     manifest = write_minimal_dataset(tmp_path)
-    data = load_dataset(manifest)
-    sample = data.samples[0]
-    labels = sample.mask.labels.copy()
-    labels[labels == 2] = 0
-    data.samples[0] = Sample(
-        stack=sample.stack,
-        mask=make_mask(labels),
-        cells=sample.cells,
-        diagnosis=sample.diagnosis,
-    )
-    report = validate_dataset(data)
-    assert [v.check_id for v in report] == ["orphan-label"]
-    assert "2" in report[0].message
+    mask_path, labels_path = tmp_path / "s01" / "mask.cgmk", tmp_path / "s01" / "labels.csv"
+    write_labels_csv(str(labels_path), [1, 2, 9], [0, 1, 1])
+    with pytest.raises(DatasetError, match=re.escape(f"[9] (mask {mask_path}, labels {labels_path})")):
+        load_dataset(manifest)
 
 
-def test_orphan_csv_entry_survives_load_and_is_flagged(tmp_path):
-    manifest = write_minimal_dataset(tmp_path)
-    write_labels_csv(str(tmp_path / "s01" / "labels.csv"), [1, 2, 9], [0, 1, 1])
-    data = load_dataset(manifest)
-    report = validate_dataset(data)
-    assert [v.check_id for v in report] == ["orphan-label"]
-    assert "9" in report[0].message
+def test_validate_flags_dimension_mismatch(tmp_path):
+    # a 5x5 mask over 4x4 channels is rejected when the dataset loads
+    mask_values = np.pad([[1, 1], [2, 2]], ((0, 3), (0, 3)))
+    manifest = write_minimal_dataset(tmp_path, mask_values=mask_values)
+    with pytest.raises(DatasetError, match="sample s01: mask is 5x5, channels are 4x4"):
+        load_dataset(manifest)
+
+
+def test_empty_mask_fails_load(tmp_path):
+    manifest = write_minimal_dataset(tmp_path, mask_values=np.zeros((4, 4)))
+    with pytest.raises(DatasetError, match=re.escape(f"no cells (mask {tmp_path / 's01' / 'mask.cgmk'}")):
+        load_dataset(manifest)
 
 
 def test_save_load_round_trip_bit_exact(tiny_dataset_dir, tmp_path):
@@ -328,8 +307,8 @@ def test_centroids_agree_across_extractors(tiny_dataset_dir):
     from cellgraph.radiomics import RadiomicsConfig, radiomic_feature_table
 
     sample = load_dataset(os.path.join(tiny_dataset_dir, "manifest.json")).samples[0]
-    expr = expression_profile(sample.stack, sample.mask)
-    rad = radiomic_feature_table(sample.stack, sample.mask, RadiomicsConfig(channels=["ag01"]))
+    expr = expression_profile(sample)
+    rad = radiomic_feature_table(sample, RadiomicsConfig(channels=["ag01"]))
     for table in (expr, rad):
         np.testing.assert_array_equal(table.cell_ids, sample.cells.cell_ids)
         assert table.centroids.tobytes() == sample.cells.centroids.tobytes()

@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellgraph.expression import ExpressionError, expression_profile
-from conftest import make_mask, make_stack
+from cellgraph.dataset import DatasetError
+from cellgraph.expression import expression_profile
+from conftest import make_sample
 
 
 def test_two_pixel_mean():
-    stack = make_stack([np.array([[10, 20], [0, 0]])])
-    mask = make_mask([[1, 1], [0, 0]])
-    table = expression_profile(stack, mask)
+    table = expression_profile(make_sample([np.array([[10, 20], [0, 0]])], [[1, 1], [0, 0]]))
     assert table.features[0, 0] == 15.0
 
 
 def test_constant_channel():
-    stack = make_stack([np.full((3, 3), 7)])
-    mask = make_mask([[1, 1, 0], [1, 0, 0], [0, 0, 2]])
-    table = expression_profile(stack, mask)
+    table = expression_profile(make_sample([np.full((3, 3), 7)], [[1, 1, 0], [1, 0, 0], [0, 0, 2]]))
     assert list(table.features[:, 0]) == [7.0, 7.0]
 
 
@@ -27,9 +24,7 @@ def test_matches_bruteforce_accumulation_oracle():
     mask_values[:3, :3] = 1
     mask_values[5:, 5:] = 2
     mask_values[0, 6] = 3
-    stack = make_stack(arrays)
-    mask = make_mask(mask_values)
-    table = expression_profile(stack, mask)
+    table = expression_profile(make_sample(arrays, mask_values))
 
     # independent loop-over-all-pixels oracle
     for row, cid in enumerate([1, 2, 3]):
@@ -44,18 +39,17 @@ def test_matches_bruteforce_accumulation_oracle():
 
 
 def test_centroids_are_pixel_means():
-    stack = make_stack([np.zeros((4, 4))])
-    mask = make_mask([[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]])
-    table = expression_profile(stack, mask)
+    mask_values = [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0]]
+    table = expression_profile(make_sample([np.zeros((4, 4))], mask_values))
     assert tuple(table.centroids[0]) == (1.5, 1.5)
 
 
 def test_channel_permutation_permutes_columns():
     rng = np.random.default_rng(3)
     arrays = [rng.integers(0, 100, (5, 5)) for _ in range(3)]
-    mask = make_mask(np.ones((5, 5)))
-    a = expression_profile(make_stack(arrays, names=["x", "y", "z"]), mask)
-    b = expression_profile(make_stack(arrays[::-1], names=["z", "y", "x"]), mask)
+    mask_values = np.ones((5, 5))
+    a = expression_profile(make_sample(arrays, mask_values, names=["x", "y", "z"]))
+    b = expression_profile(make_sample(arrays[::-1], mask_values, names=["z", "y", "x"]))
     for name in ("x", "y", "z"):
         np.testing.assert_array_equal(
             a.features[:, a.feature_names.index(name)],
@@ -71,22 +65,21 @@ def test_feature_bounded_by_channel_extremes(seed):
     mask_values = (rng.random((6, 6)) < 0.5).astype(np.uint32)
     if mask_values.sum() == 0:
         mask_values[0, 0] = 1
-    table = expression_profile(make_stack([arr]), make_mask(mask_values))
+    table = expression_profile(make_sample([arr], mask_values))
     cell_values = arr[mask_values == 1]
     assert cell_values.min() <= table.features[0, 0] <= cell_values.max()
 
 
 def test_empty_mask_errors():
-    with pytest.raises(ExpressionError, match="no cells"):
-        expression_profile(make_stack([np.zeros((2, 2))]), make_mask(np.zeros((2, 2))))
+    with pytest.raises(DatasetError, match="no cells"):
+        make_sample([np.zeros((2, 2))], np.zeros((2, 2)))
 
 
 def test_dimension_mismatch_errors():
-    with pytest.raises(ExpressionError, match="does not match"):
-        expression_profile(make_stack([np.zeros((3, 3))]), make_mask(np.ones((2, 2))))
+    with pytest.raises(DatasetError, match="mask is 2x2, channels are 3x3"):
+        make_sample([np.zeros((3, 3))], np.ones((2, 2)))
 
 
 def test_cells_ordered_by_ascending_id():
-    mask = make_mask([[3, 0], [1, 2]])
-    table = expression_profile(make_stack([np.zeros((2, 2))]), mask)
+    table = expression_profile(make_sample([np.zeros((2, 2))], [[3, 0], [1, 2]]))
     assert list(table.cell_ids) == [1, 2, 3]

@@ -124,7 +124,7 @@ def test_mlp_rows_sum_to_one():
     rng = np.random.default_rng(1)
     model = GrandModel(
         W1=rng.normal(size=(4, 6)), b1=rng.normal(size=6),
-        W2=rng.normal(size=(6, 3)), b2=rng.normal(size=3),
+        W2=rng.normal(size=(6, 3)), b2=rng.normal(size=3), config=GrandConfig(),
     )
     probs = mlp_forward(model, rng.normal(size=(20, 4)) * 10)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -134,7 +134,7 @@ def test_mlp_matches_direct_formula():
     rng = np.random.default_rng(2)
     model = GrandModel(
         W1=rng.normal(size=(3, 5)), b1=rng.normal(size=5),
-        W2=rng.normal(size=(5, 2)), b2=rng.normal(size=2),
+        W2=rng.normal(size=(5, 2)), b2=rng.normal(size=2), config=GrandConfig(),
     )
     X = rng.normal(size=(7, 3))
     probs = mlp_forward(model, X)
@@ -418,6 +418,20 @@ def test_train_divergence_reports_epoch():
     config = GrandConfig(learning_rate=1e12, max_epochs=50, patience=50, seed=1)
     with np.errstate(all="ignore"), pytest.raises(GrandError, match="epoch"):
         train_grand(adj, X, y, (train, val), config)
+
+
+def test_train_rejects_non_finite_features():
+    adj, X, y, train, val = two_cluster_problem()
+    X[3, 1] = np.nan
+    with pytest.raises(GrandError, match="^features contain non-finite values$"):
+        train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5))
+
+
+def test_train_overflow_diverges_at_first_epoch():
+    adj, X, y, train, val = two_cluster_problem()
+    config = GrandConfig(learning_rate=1e3, max_epochs=5)
+    with np.errstate(all="ignore"), pytest.raises(GrandError, match="^training diverged at epoch 1: "):
+        train_grand(adj, X * 1e3, y, (train, val), config)
 
 
 def test_predict_deterministic_and_normalized():

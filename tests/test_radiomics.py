@@ -24,7 +24,7 @@ from cellgraph.radiomics import (
     radiomic_feature_table,
     shape_features,
 )
-from conftest import make_mask, make_stack
+from conftest import make_mask, make_sample, make_stack
 
 
 def region_of(arr, mask_values=None):
@@ -444,22 +444,22 @@ def synth_sample(n_channels=12, seed=37):
 
 def test_table_column_count_all_channels():
     sample = synth_sample(n_channels=12)
-    table = radiomic_feature_table(sample.stack, sample.mask)
+    table = radiomic_feature_table(sample)
     assert len(table.feature_names) == 7 + 12 * (8 + 5 + 5)  # 223
 
 
 def test_table_column_count_single_channel():
     sample = synth_sample(n_channels=4)
     config = RadiomicsConfig(channels=["ag02"])
-    table = radiomic_feature_table(sample.stack, sample.mask, config)
+    table = radiomic_feature_table(sample, config)
     assert len(table.feature_names) == 7 + 18
     assert all(n.startswith(("shape__", "ag02__")) for n in table.feature_names)
 
 
 def test_table_deterministic_csv_bytes(tmp_path):
     sample = synth_sample(n_channels=3)
-    a = radiomic_feature_table(sample.stack, sample.mask)
-    b = radiomic_feature_table(sample.stack, sample.mask)
+    a = radiomic_feature_table(sample)
+    b = radiomic_feature_table(sample)
     pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     a.to_csv(pa)
     b.to_csv(pb)
@@ -471,10 +471,9 @@ def test_table_degenerate_cell_gets_nan_and_warning():
     mask_values = np.zeros((6, 6), dtype=np.uint32)
     mask_values[0, 0] = 1  # single-pixel cell: no GLCM pairs
     mask_values[3:5, 3:5] = 2
-    stack = make_stack([values])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = radiomic_feature_table(stack, make_mask(mask_values))
+        table = radiomic_feature_table(make_sample([values], mask_values))
     assert any("no valid pixel pairs" in str(w.message) for w in caught)
     assert len(table) == 2  # the degenerate cell is kept
     glcm_cols = [i for i, n in enumerate(table.feature_names) if "glcm" in n]
@@ -526,8 +525,9 @@ def test_radiomics_config_rejects_non_unit_offsets():
 # whole-sample table against per-cell brute-force oracles
 
 
-def reference_table(stack, mask, config):
+def reference_table(sample, config):
     """Feature rows and warning messages built cell by cell from the oracles."""
+    stack, mask = sample.stack, sample.mask
     rows_out, messages = [], []
     for cid in np.unique(mask.labels[mask.labels > 0]).tolist():
         pixels = np.nonzero(mask.labels == cid)
@@ -564,11 +564,11 @@ def reference_table(stack, mask, config):
     return np.array(rows_out, dtype=np.float64), messages
 
 
-def assert_table_matches_reference(stack, mask, config):
+def assert_table_matches_reference(sample, config):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = radiomic_feature_table(stack, mask, config)
-    expected, messages = reference_table(stack, mask, config)
+        table = radiomic_feature_table(sample, config)
+    expected, messages = reference_table(sample, config)
     assert table.features.shape == expected.shape
     assert table.features.tobytes() == expected.tobytes()
     assert sorted(str(w.message) for w in caught) == sorted(messages)
@@ -590,10 +590,10 @@ def test_table_matches_oracles_on_touching_split_single_and_constant_cells(level
     rng = np.random.default_rng(levels)
     textured = rng.integers(0, 4, mask_values.shape) * 9000
     textured[:2, :4] = 123  # constant-intensity cells
-    stack = make_stack([constant, textured, rng.integers(0, 65536, mask_values.shape)], spacing=0.45)
+    sample = make_sample([constant, textured, rng.integers(0, 65536, mask_values.shape)], mask_values, spacing=0.45)
     for channels in (None, ["ag02"], ["ag03", "ag01"]):
         config = RadiomicsConfig(levels=levels, channels=channels)
-        assert_table_matches_reference(stack, make_mask(mask_values), config)
+        assert_table_matches_reference(sample, config)
 
 
 @st.composite
@@ -611,11 +611,10 @@ def labelled_samples(draw):
         symmetric=draw(st.booleans()),
         shape=draw(st.booleans()),
     )
-    return make_stack(channels), make_mask(labels), config
+    return make_sample(channels, labels), config
 
 
 @settings(max_examples=80, deadline=None)
 @given(labelled_samples())
-def test_table_bytes_match_per_cell_oracles(sample):
-    stack, mask, config = sample
-    assert_table_matches_reference(stack, mask, config)
+def test_table_bytes_match_per_cell_oracles(sample_and_config):
+    assert_table_matches_reference(*sample_and_config)

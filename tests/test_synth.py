@@ -90,7 +90,7 @@ def test_marker_channel_separation():
 
     means, labels = [], []
     for sample in dataset.samples:
-        table = expression_profile(sample.stack, sample.mask)
+        table = expression_profile(sample)
         means.append(table.features)
         labels.append(sample.cells.labels)
     X = np.vstack(means)
