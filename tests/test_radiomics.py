@@ -133,6 +133,84 @@ def glrlm_feature_oracle(R, n_pixels):
 
 
 # ---------------------------------------------------------------------------
+# frozen one-cell feature formulas: the library computes all cells of a
+# sample at once, and its table must equal these bodies bit for bit
+
+
+def reference_first_order(image, pixels):
+    rows, cols = pixels
+    values = image.values[rows, cols].astype(np.float64)
+    n = len(values)
+    mean = values.sum() / n
+    centered = values - mean
+    m2 = (centered**2).sum() / n
+    if m2 > 0:
+        m3 = (centered**3).sum() / n
+        m4 = (centered**4).sum() / n
+        skewness = m3 / m2**1.5
+        kurtosis = m4 / m2**2 - 3.0
+    else:
+        skewness = 0.0
+        kurtosis = 0.0
+    vmin, vmax = values.min(), values.max()
+    span = vmax - vmin
+    bins = np.floor((values - vmin) * 16 / np.where(span > 0, span, 1.0)).astype(np.int64)
+    np.minimum(bins, 15, out=bins)
+    counts = np.bincount(bins, minlength=16).astype(np.float64)
+    p = counts[counts > 0] / n
+    entropy = float(-(p * np.log2(p)).sum())
+    return {
+        "mean": float(mean),
+        "variance": float(m2),
+        "skewness": float(skewness),
+        "kurtosis": float(kurtosis),
+        "energy": float((values**2).sum()),
+        "entropy": entropy,
+        "min": float(vmin),
+        "max": float(vmax),
+    }
+
+
+def reference_glcm_features(P):
+    levels = P.shape[0]
+    i = np.arange(levels, dtype=np.float64)
+    ii, jj = np.ix_(i, i)
+    d2 = (ii - jj) ** 2
+    px = P.sum(axis=1)
+    py = P.sum(axis=0)
+    mu_x = (i * px).sum()
+    mu_y = (i * py).sum()
+    var_x = ((i - mu_x) ** 2 * px).sum()
+    var_y = ((i - mu_y) ** 2 * py).sum()
+    if var_x > 0 and var_y > 0:
+        correlation = float(((ii * jj * P).sum() - mu_x * mu_y) / math.sqrt(var_x * var_y))
+    else:
+        correlation = 0.0
+    nz = P[P > 0]
+    return {
+        "glcm_contrast": float((P * d2).sum()),
+        "glcm_correlation": correlation,
+        "glcm_asm": float((P * P).sum()),
+        "glcm_idm": float((P / (1.0 + d2)).sum()),
+        "glcm_entropy": float(-(nz * np.log2(nz)).sum()),
+    }
+
+
+def reference_glrlm_features(R, n_runs, n_pixels):
+    nr = float(n_runs)
+    squared_lengths = np.arange(1, R.shape[1] + 1, dtype=np.float64) ** 2
+    by_length = R.sum(axis=0)
+    by_gray = R.sum(axis=1)
+    return {
+        "glrlm_sre": float((by_length / squared_lengths).sum() / nr),
+        "glrlm_lre": float((by_length * squared_lengths).sum() / nr),
+        "glrlm_gln": float((by_gray**2).sum() / nr),
+        "glrlm_rln": float((by_length**2).sum() / nr),
+        "glrlm_rp": float(nr / n_pixels),
+    }
+
+
+# ---------------------------------------------------------------------------
 # quantize
 
 
@@ -390,6 +468,27 @@ def test_glrlm_features_match_direct_summation():
         assert math.isclose(f[name], expected, rel_tol=1e-12), name
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.int64, (6, 6), elements=st.integers(0, 65535)),
+    arrays(np.bool_, (6, 6)),
+    st.sampled_from([2, 8, 16]),
+)
+def test_one_cell_features_equal_frozen_formulas(values, inside, levels):
+    inside[0, 0] = True
+    image, pixels = region_of(values, inside)
+    assert first_order_features(image, pixels) == reference_first_order(image, pixels)
+    q = quantize(image, pixels, levels)
+    try:
+        m = glcm(q)
+    except DegenerateRegionError:  # isolated pixels: no pairs
+        pass
+    else:
+        assert glcm_features(m) == reference_glcm_features(m.P)
+    r = glrlm(q)
+    assert glrlm_features(r, len(pixels[0])) == reference_glrlm_features(r.R, r.n_runs, len(pixels[0]))
+
+
 # ---------------------------------------------------------------------------
 # invariance properties
 
@@ -526,7 +625,7 @@ def test_radiomics_config_rejects_non_unit_offsets():
 
 
 def reference_table(sample, config):
-    """Feature rows and warning messages built cell by cell from the oracles."""
+    """Feature rows and warning messages built cell by cell from the oracles and frozen formulas."""
     stack, mask = sample.stack, sample.mask
     rows_out, messages = [], []
     for cid in np.unique(mask.labels[mask.labels > 0]).tolist():
@@ -538,7 +637,7 @@ def reference_table(sample, config):
         for antigen, image in stack.channels:
             if config.channels is not None and antigen not in config.channels:
                 continue
-            fo = first_order_features(image, pixels)
+            fo = reference_first_order(image, pixels)
             row += [fo[s] for s in FIRST_ORDER_NAMES]
             grid, _, _ = quantize(image, pixels, config.levels).grid()
             P = glcm_oracle(grid, config.offsets, config.symmetric, config.levels)
@@ -549,7 +648,7 @@ def reference_table(sample, config):
                     f"no valid pixel pairs, GLCM features set to NaN"
                 )
             else:
-                gf = glcm_features(GlcmMatrix(P=P, offsets=config.offsets, symmetric=config.symmetric))
+                gf = reference_glcm_features(P)
                 row += [gf[s] for s in GLCM_NAMES]
             per_dir = []
             for direction in config.offsets:
@@ -557,8 +656,7 @@ def reference_table(sample, config):
                 R = np.zeros((config.levels, max(length for _, length in runs)))
                 for (g, length), count in runs.items():
                     R[g, length - 1] = count
-                m = GlrlmMatrix(R=R, directions=(direction,), n_runs=int(R.sum()))
-                per_dir.append(glrlm_features(m, len(pixels[0])))
+                per_dir.append(reference_glrlm_features(R, int(R.sum()), len(pixels[0])))
             row += [sum(d[s] for d in per_dir) / len(per_dir) for s in GLRLM_NAMES]
         rows_out.append(row)
     return np.array(rows_out, dtype=np.float64), messages
@@ -598,18 +696,38 @@ def test_table_matches_oracles_on_touching_split_single_and_constant_cells(level
 
 @st.composite
 def labelled_samples(draw):
-    h = draw(st.integers(1, 7))
-    w = draw(st.integers(1, 7))
-    labels = draw(arrays(np.uint32, (h, w), elements=st.integers(0, 4)))
+    tiled = draw(st.booleans())
+    if tiled:
+        # A grid of equal rectangular cells, each channel repeating one block
+        # or drawn freely: several cells share a pixel count, a histogram
+        # support and a longest run.
+        bh, bw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        th, tw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        ids = np.arange(1, th * tw + 1, dtype=np.uint32).reshape(th, tw)
+        labels = np.kron(ids, np.ones((bh, bw), dtype=np.uint32))
+        labels[labels == draw(st.integers(0, th * tw))] = 0  # maybe one gap
+        h, w = labels.shape
+    else:
+        h = draw(st.integers(1, 7))
+        w = draw(st.integers(1, 7))
+        labels = draw(arrays(np.uint32, (h, w), elements=st.integers(0, 4)))
     if not labels.any():
         labels[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
     scale = draw(st.sampled_from([1, 7000]))  # few distinct values: equal bins everywhere
-    channels = [draw(arrays(np.int64, (h, w), elements=st.integers(0, 9))) * scale for _ in range(3)]
+    channels = []
+    for _ in range(3):
+        if tiled and draw(st.booleans()):
+            block = draw(arrays(np.int64, (bh, bw), elements=st.integers(0, 9)))
+            channels.append(np.tile(block, (th, tw)) * scale)
+        else:
+            channels.append(draw(arrays(np.int64, (h, w), elements=st.integers(0, 9))) * scale)
+    shape = draw(st.booleans())
+    names = st.sampled_from(["ag01", "ag02", "ag03"])
     config = RadiomicsConfig(
         levels=draw(st.sampled_from([2, 8, 16])),
-        channels=draw(st.none() | st.lists(st.sampled_from(["ag01", "ag02", "ag03"]), unique=True)),
+        channels=draw(st.none() | st.lists(names, unique=True, min_size=0 if shape else 1)),
         symmetric=draw(st.booleans()),
-        shape=draw(st.booleans()),
+        shape=shape,
     )
     return make_sample(channels, labels), config
 
@@ -618,3 +736,35 @@ def labelled_samples(draw):
 @given(labelled_samples())
 def test_table_bytes_match_per_cell_oracles(sample_and_config):
     assert_table_matches_reference(*sample_and_config)
+
+
+# SHA-256 of the concatenated feature bytes of every sample's table (default
+# RadiomicsConfig: all 12 channels). One dataset has the benchmark's grid shape
+# (bench/workloads.py), the other two samples of the default synth config.
+PINNED_TABLES = {
+    "bench_grid": (
+        {"n_samples": 4, "n_melanoma": 2, "cells_per_sample": 25, "image_size": 70,
+         "intensity_separation": 0.8, "texture_contrast_separation": 0.25, "seed": 1},
+        "b448313eb75e264eed6d6d0dbefbbe71478a943384d2ba36d246966191f7d1da",
+    ),
+    "default": (
+        {"n_samples": 2, "n_melanoma": 1, "seed": 7},
+        "9aab549a61a2f0bcb3b61c0ba5f9b34b0f42a4ce867239e1b3149c71e2b9ca59",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+def test_table_bytes_are_pinned(name):
+    import hashlib
+
+    from cellgraph.synth import SynthConfig, generate_synthetic_dataset
+
+    synth, digest = PINNED_TABLES[name]
+    dataset, _ = generate_synthetic_dataset(SynthConfig(**synth))
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for sample in dataset.samples:
+            h.update(radiomic_feature_table(sample).features.tobytes())
+    assert h.hexdigest() == digest
