@@ -234,6 +234,16 @@ def _binary_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return 2.0 * tp / denom if denom > 0 else 0.0
 
 
+def _check_graph_inputs(adj: sp.csr_matrix, X: np.ndarray) -> np.ndarray:
+    """``X`` as float64, once it is finite and ``adj`` is n x n for its n rows."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise GrandError("features contain non-finite values")
+    if adj.shape != (len(X), len(X)):
+        raise GrandError(f"adjacency is {adj.shape[0]} x {adj.shape[1]}, features have {len(X)} rows")
+    return X
+
+
 def train_grand(
     adj: sp.csr_matrix,
     X: np.ndarray,
@@ -251,10 +261,12 @@ def train_grand(
     ``patience`` epochs without improvement. Deterministic given the seed.
     """
     config = config or GrandConfig()
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise GrandError("features contain non-finite values")
+    X = _check_graph_inputs(adj, X)
+    labels = np.asarray(labels)
     train_mask, val_mask = np.asarray(masks[0], bool), np.asarray(masks[1], bool)
+    for name, values in (("labels", labels), ("train mask", train_mask), ("validation mask", val_mask)):
+        if len(values) != len(X):
+            raise GrandError(f"{name} has {len(values)} entries, features have {len(X)} rows")
     if np.any(train_mask & val_mask):
         raise GrandError("train and validation masks overlap")
     if not train_mask.any():
@@ -340,7 +352,7 @@ def predict_grand(model: GrandModel, adj: sp.csr_matrix, X: np.ndarray):
     Returns (probabilities, hard labels); argmax ties resolve to the lower
     class index.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_graph_inputs(adj, X)
     if X.shape[1] != model.W1.shape[0]:
         raise GrandError(
             f"feature dimension {X.shape[1]} does not match model input {model.W1.shape[0]}"

@@ -16,8 +16,16 @@ the key stays equal. A key encodes the cell, so runs and pairs cannot cross
 from one cell into a touching one, nor into the background. One ``bincount``
 per offset (pairs) or direction (runs) then fills every cell's matrix. The
 per-cell ``glcm`` and ``glrlm`` run the same two counting kernels on the
-cell's bounding-box grid as a one-cell key map; only the feature formulas
-run once per cell.
+cell's bounding-box grid as a one-cell key map.
+
+The feature formulas also run for all cells at once (``_first_order_block``,
+``_glcm_block``, ``_glrlm_block``), and the public one-cell
+``first_order_features``, ``glcm_features`` and ``glrlm_features`` call them
+with a single cell. Every sum over a cell's pixels, histogram bins or run
+lengths has a length that varies by cell, so cells are grouped by that
+length and each group is summed as one C-contiguous (cells, length) block:
+numpy then sums each row in the same pairwise order as a one-cell 1-D sum,
+and the features keep their bits.
 
 Feature families and their canonical column order:
 
@@ -127,6 +135,8 @@ class RadiomicsConfig:
             isinstance(self.channels, list) and all(isinstance(c, str) for c in self.channels)
         ):
             raise ValueError(f"channels must be null or a list of antigen names, got {self.channels!r}")
+        if self.channels == [] and not self.shape:
+            raise ValueError("channels is empty and shape is false: the table would have no columns")
         pairs = self.offsets if isinstance(self.offsets, (list, tuple)) else [self.offsets]
         for pair in pairs:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -171,44 +181,74 @@ def quantize(image: ChannelImage, pixels: tuple, levels: int) -> QuantizedRegion
 
 
 def first_order_features(image: ChannelImage, pixels: tuple) -> dict:
-    """Intensity statistics over the cell's pixels.
-
-    Variance is the population variance; skewness and excess kurtosis are
-    guarded to 0 for constant regions; energy is the sum of squared
-    intensities; entropy is Shannon entropy in bits over a 16-level
-    quantized histogram.
-    """
+    """Intensity statistics over the cell's pixels (see ``_first_order_block``)."""
     rows, cols = pixels
     if len(rows) == 0:
         raise RadiomicsError("cell pixel set is empty")
     values = image.values[rows, cols].astype(np.float64)
-    n = len(values)
-    mean = values.sum() / n
-    centered = values - mean
-    m2 = (centered**2).sum() / n
-    if m2 > 0:
-        m3 = (centered**3).sum() / n
-        m4 = (centered**4).sum() / n
-        skewness = m3 / m2**1.5
-        kurtosis = m4 / m2**2 - 3.0
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
-    vmin, vmax = values.min(), values.max()
-    bins = _bins(values, vmin, vmax, DEFAULT_LEVELS)
-    counts = np.bincount(bins, minlength=DEFAULT_LEVELS).astype(np.float64)
-    p = counts[counts > 0] / n
-    entropy = float(-(p * np.log2(p)).sum())
-    return {
-        "mean": float(mean),
-        "variance": float(m2),
-        "skewness": float(skewness),
-        "kurtosis": float(kurtosis),
-        "energy": float((values**2).sum()),
-        "entropy": entropy,
-        "min": float(vmin),
-        "max": float(vmax),
-    }
+    row = _first_order_block(values[None], np.array([0, len(values)]))[0, 0]
+    return dict(zip(FIRST_ORDER_NAMES, row.tolist()))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Per row of ``p``, -sum(p * log2 p) over the row's nonzero entries.
+
+    Rows are grouped by their number of nonzero entries, and each group's
+    entries are gathered into one contiguous (rows, count) block.
+    """
+    nonzero = p > 0
+    counts = nonzero.sum(axis=1)
+    out = np.empty(len(p))
+    for width in np.unique(counts).tolist():
+        rows = counts == width
+        q = p[rows][nonzero[rows]].reshape(int(rows.sum()), width)
+        out[rows] = -(q * np.log2(q)).sum(axis=1)
+    return out
+
+
+def _first_order_block(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """First-order features, (C, n, 8) in ``FIRST_ORDER_NAMES`` order.
+
+    ``values`` is (C, N) float64, one row per channel, with pixels in
+    ``cell_pixels`` order; cell i owns ``values[:, bounds[i]:bounds[i + 1]]``.
+    Variance is the population variance; skewness and excess kurtosis are
+    guarded to 0 for constant cells; energy is the sum of squared
+    intensities; entropy is Shannon entropy in bits over a 16-level
+    quantized histogram.
+    """
+    n_channels = len(values)
+    sizes = np.diff(bounds)
+    n = len(sizes)
+    out = np.empty((n_channels, n, len(FIRST_ORDER_NAMES)))
+    for size in np.unique(sizes).tolist():
+        cells = np.flatnonzero(sizes == size)
+        # A fancy-index gather is not C-contiguous; summing it would change the grouping.
+        block = np.ascontiguousarray(values[:, bounds[cells, None] + np.arange(size)])
+        mean = block.sum(axis=2) / size
+        centered = block - mean[..., None]
+        out[:, cells, 0] = mean
+        out[:, cells, 1] = (centered**2).sum(axis=2) / size
+        out[:, cells, 2] = (centered**3).sum(axis=2) / size
+        out[:, cells, 3] = (centered**4).sum(axis=2) / size
+        out[:, cells, 4] = (block**2).sum(axis=2)
+    m2 = out[..., 1]
+    varying = m2 > 0
+    # Scalar powers, one cell at a time: numpy's array power can round
+    # differently from the scalar pow in the last bit.
+    m2_varying = m2[varying]
+    skewness, kurtosis = np.zeros_like(m2), np.zeros_like(m2)
+    skewness[varying] = out[..., 2][varying] / np.array([m**1.5 for m in m2_varying])
+    kurtosis[varying] = out[..., 3][varying] / np.array([m**2 for m in m2_varying]) - 3.0
+    out[..., 2], out[..., 3] = skewness, kurtosis
+    out[..., 6] = np.minimum.reduceat(values, bounds[:-1], axis=1)
+    out[..., 7] = np.maximum.reduceat(values, bounds[:-1], axis=1)
+    rank = np.repeat(np.arange(n), sizes)
+    keys = (np.arange(n_channels)[:, None] * n + rank) * DEFAULT_LEVELS
+    keys += _bins(values, out[:, rank, 6], out[:, rank, 7], DEFAULT_LEVELS)
+    counts = np.bincount(keys.ravel(), minlength=n_channels * n * DEFAULT_LEVELS)
+    p = counts.reshape(n_channels * n, DEFAULT_LEVELS) / np.tile(sizes, n_channels)[:, None]
+    out[..., 5] = _entropy_bits(p).reshape(n_channels, n)
+    return out
 
 
 def shape_features(mask: LabelMask, cell_id: int, pixel_spacing_um: float) -> dict:
@@ -353,34 +393,43 @@ def glcm(q: QuantizedRegion, offsets: tuple = DEFAULT_OFFSETS, symmetric: bool =
 
 
 def glcm_features(m: GlcmMatrix) -> dict:
-    """Contrast, correlation, ASM, IDM and entropy of a normalized GLCM.
+    """Contrast, correlation, ASM, IDM and entropy of a normalized GLCM (see ``_glcm_block``)."""
+    return dict(zip(GLCM_NAMES, _glcm_block(m.P[None])[0].tolist()))
+
+
+def _glcm_block(P: np.ndarray) -> np.ndarray:
+    """GLCM features, (n, 5) in ``GLCM_NAMES`` order, of normalized matrices P (n, L, L).
 
     Correlation is guarded to 0 when either marginal has zero standard
     deviation; entropy is in bits with 0*log(0) = 0.
     """
-    P = m.P
-    levels = P.shape[0]
+    n, levels = len(P), P.shape[1]
     i = np.arange(levels, dtype=np.float64)
     ii, jj = np.ix_(i, i)
     d2 = (ii - jj) ** 2
-    px = P.sum(axis=1)
-    py = P.sum(axis=0)
-    mu_x = (i * px).sum()
-    mu_y = (i * py).sum()
-    var_x = ((i - mu_x) ** 2 * px).sum()
-    var_y = ((i - mu_y) ** 2 * py).sum()
-    if var_x > 0 and var_y > 0:
-        correlation = float(((ii * jj * P).sum() - mu_x * mu_y) / math.sqrt(var_x * var_y))
-    else:
-        correlation = 0.0
-    nz = P[P > 0]
-    return {
-        "glcm_contrast": float((P * d2).sum()),
-        "glcm_correlation": correlation,
-        "glcm_asm": float((P * P).sum()),
-        "glcm_idm": float((P / (1.0 + d2)).sum()),
-        "glcm_entropy": float(-(nz * np.log2(nz)).sum()),
-    }
+    px = P.sum(axis=2)
+    py = P.sum(axis=1)
+    mu_x = (i * px).sum(axis=1)
+    mu_y = (i * py).sum(axis=1)
+    var_x = ((i - mu_x[:, None]) ** 2 * px).sum(axis=1)
+    var_y = ((i - mu_y[:, None]) ** 2 * py).sum(axis=1)
+
+    def total(a):  # each matrix summed as one row of L*L values, as a whole-matrix sum is
+        return a.reshape(n, levels * levels).sum(axis=1)
+
+    varies = (var_x > 0) & (var_y > 0)
+    correlation = np.zeros(n)
+    correlation[varies] = ((total(ii * jj * P) - mu_x * mu_y)[varies]) / np.sqrt((var_x * var_y)[varies])
+    return np.stack(
+        [
+            total(P * d2),
+            correlation,
+            total(P * P),
+            total(P / (1.0 + d2)),
+            _entropy_bits(P.reshape(n, levels * levels)),
+        ],
+        axis=1,
+    )
 
 
 def glrlm(q: QuantizedRegion, directions: tuple = DEFAULT_OFFSETS) -> GlrlmMatrix:
@@ -400,21 +449,40 @@ def glrlm(q: QuantizedRegion, directions: tuple = DEFAULT_OFFSETS) -> GlrlmMatri
 
 
 def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
-    """Run-emphasis and non-uniformity statistics of a run-length matrix."""
+    """Run-emphasis and non-uniformity statistics of a run-length matrix (see ``_glrlm_block``)."""
     if m.n_runs < 1:
         raise DegenerateRegionError("no runs in GLRLM")
-    R = m.R
-    nr = float(m.n_runs)
-    squared_lengths = np.arange(1, R.shape[1] + 1, dtype=np.float64) ** 2
-    by_length = R.sum(axis=0)
-    by_gray = R.sum(axis=1)
-    return {
-        "glrlm_sre": float((by_length / squared_lengths).sum() / nr),
-        "glrlm_lre": float((by_length * squared_lengths).sum() / nr),
-        "glrlm_gln": float((by_gray**2).sum() / nr),
-        "glrlm_rln": float((by_length**2).sum() / nr),
-        "glrlm_rp": float(nr / n_pixels),
-    }
+    row = _glrlm_block(m.R[None], np.array([m.R.shape[1]]), np.array([m.n_runs]), np.array([n_pixels]))[0]
+    return dict(zip(GLRLM_NAMES, row.tolist()))
+
+
+def _glrlm_block(counts: np.ndarray, longest: np.ndarray, n_runs: np.ndarray, n_pixels: np.ndarray) -> np.ndarray:
+    """GLRLM features, (n, 5) in ``GLRLM_NAMES`` order, of one direction's run counts.
+
+    ``counts`` is (n, levels, W); cell i's run-length matrix is
+    ``counts[i, :, :longest[i]]``, holding ``n_runs[i]`` runs over
+    ``n_pixels[i]`` pixels. Cells are grouped by ``longest``, so each sum
+    over run lengths ends at the cell's own longest run.
+    """
+    out = np.empty((len(counts), len(GLRLM_NAMES)))
+    for width in np.unique(longest).tolist():
+        cells = np.flatnonzero(longest == width)
+        R = np.ascontiguousarray(counts[cells, :, :width], dtype=np.float64)
+        nr = n_runs[cells].astype(np.float64)
+        squared_lengths = np.arange(1, width + 1, dtype=np.float64) ** 2
+        by_length = R.sum(axis=1)
+        by_gray = R.sum(axis=2)
+        out[cells] = np.stack(
+            [
+                (by_length / squared_lengths).sum(axis=1) / nr,
+                (by_length * squared_lengths).sum(axis=1) / nr,
+                (by_gray**2).sum(axis=1) / nr,
+                (by_length**2).sum(axis=1) / nr,
+                nr / n_pixels[cells],
+            ],
+            axis=1,
+        )
+    return out
 
 
 def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None) -> CellTable:
@@ -427,8 +495,10 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     percentage within [0, 1]. A cell/channel whose texture is degenerate
     (e.g. a single-pixel cell has no pixel pairs) gets NaN for that feature
     family plus a warning; cells are never dropped. Pixel pairs and runs are
-    counted for all cells of a channel at once on a key map (see the module
-    docstring); each cell's GLRLM is cut after its own longest run.
+    counted for all cells of a channel at once on a key map, and the feature
+    formulas run for all cells at once, first-order for all selected channels
+    together (see the module docstring); each cell's GLRLM is cut after its
+    own longest run.
     """
     config = config or RadiomicsConfig()
     stack, mask = sample.stack, sample.mask
@@ -452,56 +522,49 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
         names += [f"{antigen}__{s}" for s in GLRLM_NAMES]
 
     n = len(ids)
-    sizes = np.diff(bounds).tolist()
+    sizes = np.diff(bounds)
     rank = np.repeat(np.arange(n), sizes)
     cells = np.full((mask.height, mask.width), -1, dtype=np.int64)
     cells[rows_all, cols_all] = rank
-    pixels = [(rows_all[bounds[i] : bounds[i + 1]], cols_all[bounds[i] : bounds[i + 1]]) for i in range(n)]
 
     features = np.zeros((n, len(names)))
     if config.shape:
         edges = _boundary_edges(cells, n)
-        for idx, (rows, cols) in enumerate(pixels):
-            shape = _shape(rows, cols, int(edges[idx]), stack.pixel_spacing_um)
+        for idx in range(n):
+            b0, b1 = bounds[idx], bounds[idx + 1]
+            shape = _shape(rows_all[b0:b1], cols_all[b0:b1], int(edges[idx]), stack.pixel_spacing_um)
             features[idx, : len(SHAPE_NAMES)] = [shape[s] for s in SHAPE_NAMES]
+
+    values = np.empty((len(selected), len(rows_all)))
+    for c, antigen in enumerate(selected):
+        values[c] = channel_images[antigen].values[rows_all, cols_all]
+    first_order = _first_order_block(values, bounds)
+    vmin, vmax = FIRST_ORDER_NAMES.index("min"), FIRST_ORDER_NAMES.index("max")
 
     levels = config.levels
     col = len(SHAPE_NAMES) if config.shape else 0
-    for antigen in selected:
-        image = channel_images[antigen]
-        values = image.values[rows_all, cols_all].astype(np.float64)
-        vmin = np.minimum.reduceat(values, bounds[:-1])
-        vmax = np.maximum.reduceat(values, bounds[:-1])
+    for c, antigen in enumerate(selected):
         keys = np.full_like(cells, -1)
-        keys[rows_all, cols_all] = rank * levels + _bins(values, vmin[rank], vmax[rank], levels)
+        keys[rows_all, cols_all] = rank * levels + _bins(
+            values[c], first_order[c, rank, vmin], first_order[c, rank, vmax], levels
+        )
         P, pair_totals = _glcm_probabilities(_pair_counts(keys, n, levels, config.offsets), config.symmetric)
-        runs = []
+        paired = pair_totals > 0
+        for idx in np.flatnonzero(~paired).tolist():
+            warnings.warn(
+                f"sample {stack.sample_id} cell {int(ids[idx])} channel {antigen}: "
+                f"no valid pixel pairs, GLCM features set to NaN"
+            )
+        texture = np.full((n, len(GLCM_NAMES)), math.nan)
+        texture[paired] = _glcm_block(P[paired])
+        runs = 0
         for direction in config.offsets:
             counts = _run_counts(keys, n, levels, direction)
             # Each cell's run-length axis ends at its own longest run.
             longest = counts.shape[2] - np.argmax(counts.any(axis=1)[:, ::-1], axis=1)
-            runs.append((direction, counts.astype(np.float64), longest.tolist(), counts.sum(axis=(1, 2)).tolist()))
-        for idx in range(n):
-            fo = first_order_features(image, pixels[idx])
-            row = [fo[s] for s in FIRST_ORDER_NAMES]
-            if pair_totals[idx] > 0:
-                gf = glcm_features(GlcmMatrix(P=P[idx], offsets=config.offsets, symmetric=config.symmetric))
-                row += [gf[s] for s in GLCM_NAMES]
-            else:
-                warnings.warn(
-                    f"sample {stack.sample_id} cell {int(ids[idx])} channel {antigen}: "
-                    f"no valid pixel pairs, GLCM features set to NaN"
-                )
-                row += [math.nan] * len(GLCM_NAMES)
-            per_dir = [
-                glrlm_features(
-                    GlrlmMatrix(R=R[idx, :, : longest[idx]], directions=(direction,), n_runs=n_runs[idx]),
-                    sizes[idx],
-                )
-                for direction, R, longest, n_runs in runs
-            ]
-            row += [sum(d[s] for d in per_dir) / len(per_dir) for s in GLRLM_NAMES]
-            features[idx, col : col + len(row)] = row
-        col += len(FIRST_ORDER_NAMES) + len(GLCM_NAMES) + len(GLRLM_NAMES)
+            runs = runs + _glrlm_block(counts, longest, counts.sum(axis=(1, 2)), sizes)
+        block = np.hstack([first_order[c], texture, runs / len(config.offsets)])
+        features[:, col : col + block.shape[1]] = block
+        col += block.shape[1]
 
     return replace(sample.cells, features=features, feature_names=names)

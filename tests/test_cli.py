@@ -310,6 +310,16 @@ def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     assert digest == "90a846b33d9bc98ada0fdfcc4af7948935e71ca015d6ab700b9e4775e5b1bb8d"
 
 
+def test_extract_radiomics_without_columns_exits_1(tiny_dataset_dir, tmp_path, capsys):
+    config = tmp_path / "r.json"
+    config.write_text(json.dumps({"channels": [], "shape": False}))
+    out = tmp_path / "radiomics.csv"
+    argv = ["--config", str(config), "extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", str(out)]
+    assert main(argv) == 1
+    assert "no columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_expression_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     # Expression CSV of the shared 3-sample synth set; any change to the
     # per-cell channel means, the centroids or the CSV format moves it.

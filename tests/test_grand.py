@@ -427,6 +427,37 @@ def test_train_rejects_non_finite_features():
         train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5))
 
 
+def test_predict_rejects_non_finite_features():
+    adj, X, y, train, val = two_cluster_problem()
+    model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5))
+    for bad in (np.nan, np.inf):
+        X_bad = X.copy()
+        X_bad[7, 2] = bad
+        with pytest.raises(GrandError, match="^features contain non-finite values$"):
+            predict_grand(model, adj, X_bad)
+
+
+def test_adjacency_of_another_size_raises_grand_error():
+    adj, X, y, train, val = two_cluster_problem()
+    model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5))
+    small = adj[:90, :90]
+    with pytest.raises(GrandError, match="^adjacency is 90 x 90, features have 100 rows$"):
+        train_grand(small, X, y, (train, val), GrandConfig(max_epochs=5))
+    with pytest.raises(GrandError, match="^adjacency is 90 x 90, features have 100 rows$"):
+        predict_grand(model, small, X)
+    with pytest.raises(GrandError, match="^adjacency is 100 x 90, features have 100 rows$"):
+        predict_grand(model, adj[:, :90], X)
+
+
+@pytest.mark.parametrize("which", ["labels", "train mask", "validation mask"])
+def test_train_rejects_labels_or_masks_of_another_length(which):
+    adj, X, y, train, val = two_cluster_problem()
+    args = {"labels": y, "train mask": train, "validation mask": val}
+    args[which] = args[which][:-3]
+    with pytest.raises(GrandError, match=f"^{which} has 97 entries, features have 100 rows$"):
+        train_grand(adj, X, args["labels"], (args["train mask"], args["validation mask"]), GrandConfig(max_epochs=5))
+
+
 def test_train_overflow_diverges_at_first_epoch():
     adj, X, y, train, val = two_cluster_problem()
     config = GrandConfig(learning_rate=1e3, max_epochs=5)

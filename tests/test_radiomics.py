@@ -612,6 +612,15 @@ def test_radiomics_config_rejects_bad_value_by_key_name(key, value):
         RadiomicsConfig.from_dict({key: value})
 
 
+def test_radiomics_config_rejects_a_table_without_columns():
+    with pytest.raises(ValueError, match="no columns"):
+        RadiomicsConfig(channels=[], shape=False)
+    with pytest.raises(ValueError, match="no columns"):
+        RadiomicsConfig.from_dict({"channels": [], "shape": False})
+    table = radiomic_feature_table(synth_sample(n_channels=2), RadiomicsConfig(channels=[]))
+    assert table.feature_names == [f"shape__{s}" for s in SHAPE_NAMES]
+
+
 def test_radiomics_config_rejects_non_unit_offsets():
     with pytest.raises(ValueError, match="unit steps"):
         RadiomicsConfig(offsets=((0, 2),))
