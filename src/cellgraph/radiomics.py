@@ -452,36 +452,34 @@ def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
     """Run-emphasis and non-uniformity statistics of a run-length matrix (see ``_glrlm_block``)."""
     if m.n_runs < 1:
         raise DegenerateRegionError("no runs in GLRLM")
-    row = _glrlm_block(m.R[None], np.array([m.R.shape[1]]), np.array([m.n_runs]), np.array([n_pixels]))[0]
+    R = m.R
+    row = _glrlm_block(
+        R.sum(axis=0)[None], R.sum(axis=1)[None], np.array([R.shape[1]]), np.array([m.n_runs]), np.array([n_pixels])
+    )[0]
     return dict(zip(GLRLM_NAMES, row.tolist()))
 
 
-def _glrlm_block(counts: np.ndarray, longest: np.ndarray, n_runs: np.ndarray, n_pixels: np.ndarray) -> np.ndarray:
-    """GLRLM features, (n, 5) in ``GLRLM_NAMES`` order, of one direction's run counts.
+def _glrlm_block(by_length, by_gray, longest, n_runs, n_pixels) -> np.ndarray:
+    """GLRLM features, (n, 5) in ``GLRLM_NAMES`` order, from run-length matrix marginals.
 
-    ``counts`` is (n, levels, W); cell i's run-length matrix is
-    ``counts[i, :, :longest[i]]``, holding ``n_runs[i]`` runs over
-    ``n_pixels[i]`` pixels. Cells are grouped by ``longest``, so each sum
-    over run lengths ends at the cell's own longest run.
+    Row i describes one cell's matrix R: ``by_length[i, l - 1]`` counts its
+    runs of length l (R summed over gray levels), ``by_gray[i]`` its runs per
+    gray level, and the matrix ends at length ``longest[i]``; it holds
+    ``n_runs[i]`` runs over ``n_pixels[i]`` pixels. Rows are grouped by
+    ``longest``, so each sum over run lengths ends at the row's own longest run.
     """
-    out = np.empty((len(counts), len(GLRLM_NAMES)))
+    by_length, by_gray = np.asarray(by_length, np.float64), np.asarray(by_gray, np.float64)
+    nr = n_runs.astype(np.float64)
+    out = np.empty((len(longest), len(GLRLM_NAMES)))
+    out[:, 2] = (by_gray**2).sum(axis=1) / nr
+    out[:, 4] = nr / n_pixels
     for width in np.unique(longest).tolist():
-        cells = np.flatnonzero(longest == width)
-        R = np.ascontiguousarray(counts[cells, :, :width], dtype=np.float64)
-        nr = n_runs[cells].astype(np.float64)
+        rows = np.flatnonzero(longest == width)
+        lengths = np.ascontiguousarray(by_length[rows, :width])
         squared_lengths = np.arange(1, width + 1, dtype=np.float64) ** 2
-        by_length = R.sum(axis=1)
-        by_gray = R.sum(axis=2)
-        out[cells] = np.stack(
-            [
-                (by_length / squared_lengths).sum(axis=1) / nr,
-                (by_length * squared_lengths).sum(axis=1) / nr,
-                (by_gray**2).sum(axis=1) / nr,
-                (by_length**2).sum(axis=1) / nr,
-                nr / n_pixels[cells],
-            ],
-            axis=1,
-        )
+        out[rows, 0] = (lengths / squared_lengths).sum(axis=1) / nr[rows]
+        out[rows, 1] = (lengths * squared_lengths).sum(axis=1) / nr[rows]
+        out[rows, 3] = (lengths**2).sum(axis=1) / nr[rows]
     return out
 
 
@@ -541,30 +539,45 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     first_order = _first_order_block(values, bounds)
     vmin, vmax = FIRST_ORDER_NAMES.index("min"), FIRST_ORDER_NAMES.index("max")
 
+    # Count pairs and runs channel by channel, keeping only the marginals of
+    # the run counts; then each family's formulas run once for the sample.
     levels = config.levels
-    col = len(SHAPE_NAMES) if config.shape else 0
-    for c, antigen in enumerate(selected):
+    pairs = np.empty((len(selected), n, levels, levels), dtype=np.int64)
+    by_length, by_gray = [], []
+    for c in range(len(selected)):
         keys = np.full_like(cells, -1)
         keys[rows_all, cols_all] = rank * levels + _bins(
             values[c], first_order[c, rank, vmin], first_order[c, rank, vmax], levels
         )
-        P, pair_totals = _glcm_probabilities(_pair_counts(keys, n, levels, config.offsets), config.symmetric)
-        paired = pair_totals > 0
-        for idx in np.flatnonzero(~paired).tolist():
-            warnings.warn(
-                f"sample {stack.sample_id} cell {int(ids[idx])} channel {antigen}: "
-                f"no valid pixel pairs, GLCM features set to NaN"
-            )
-        texture = np.full((n, len(GLCM_NAMES)), math.nan)
-        texture[paired] = _glcm_block(P[paired])
-        runs = 0
+        pairs[c] = _pair_counts(keys, n, levels, config.offsets)
         for direction in config.offsets:
             counts = _run_counts(keys, n, levels, direction)
-            # Each cell's run-length axis ends at its own longest run.
-            longest = counts.shape[2] - np.argmax(counts.any(axis=1)[:, ::-1], axis=1)
-            runs = runs + _glrlm_block(counts, longest, counts.sum(axis=(1, 2)), sizes)
-        block = np.hstack([first_order[c], texture, runs / len(config.offsets)])
-        features[:, col : col + block.shape[1]] = block
-        col += block.shape[1]
+            by_length.append(counts.sum(axis=1))
+            by_gray.append(counts.sum(axis=2))
 
+    P, pair_totals = _glcm_probabilities(pairs.reshape(-1, levels, levels), config.symmetric)
+    paired = pair_totals > 0
+    for k in np.flatnonzero(~paired).tolist():
+        warnings.warn(
+            f"sample {stack.sample_id} cell {int(ids[k % n])} channel {selected[k // n]}: "
+            f"no valid pixel pairs, GLCM features set to NaN"
+        )
+    texture = np.full((len(P), len(GLCM_NAMES)), math.nan)
+    texture[paired] = _glcm_block(P[paired])
+
+    width = max((b.shape[1] for b in by_length), default=1)
+    lengths = np.zeros((len(by_length), n, width), dtype=np.int64)
+    for k, b in enumerate(by_length):
+        lengths[k, :, : b.shape[1]] = b
+    lengths = lengths.reshape(-1, width)
+    grays = np.array(by_gray).reshape(-1, levels)
+    # Each cell's run-length axis ends at its own longest run.
+    longest = width - np.argmax(lengths[:, ::-1] > 0, axis=1)
+    per_direction = _glrlm_block(lengths, grays, longest, grays.sum(axis=1), np.tile(sizes, len(by_length)))
+    per_direction = per_direction.reshape(len(selected), len(config.offsets), n, len(GLRLM_NAMES))
+    # Directions are added in order, as the one-cell average over directions adds them.
+    runs = sum(per_direction[:, d] for d in range(len(config.offsets))) / len(config.offsets)
+
+    block = np.concatenate([first_order, texture.reshape(len(selected), n, len(GLCM_NAMES)), runs], axis=2)
+    features[:, len(SHAPE_NAMES) if config.shape else 0 :] = block.transpose(1, 0, 2).reshape(n, -1)
     return replace(sample.cells, features=features, feature_names=names)
