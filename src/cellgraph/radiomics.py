@@ -459,7 +459,9 @@ def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
     return dict(zip(GLRLM_NAMES, row.tolist()))
 
 
-def _glrlm_block(by_length, by_gray, longest, n_runs, n_pixels) -> np.ndarray:
+def _glrlm_block(
+    by_length: np.ndarray, by_gray: np.ndarray, longest: np.ndarray, n_runs: np.ndarray, n_pixels: np.ndarray
+) -> np.ndarray:
     """GLRLM features, (n, 5) in ``GLRLM_NAMES`` order, from run-length matrix marginals.
 
     Row i describes one cell's matrix R: ``by_length[i, l - 1]`` counts its
@@ -537,7 +539,7 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     for c, antigen in enumerate(selected):
         values[c] = channel_images[antigen].values[rows_all, cols_all]
     first_order = _first_order_block(values, bounds)
-    vmin, vmax = FIRST_ORDER_NAMES.index("min"), FIRST_ORDER_NAMES.index("max")
+    min_col, max_col = FIRST_ORDER_NAMES.index("min"), FIRST_ORDER_NAMES.index("max")
 
     # Count pairs and runs channel by channel, keeping only the marginals of
     # the run counts; then each family's formulas run once for the sample.
@@ -547,7 +549,7 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     for c in range(len(selected)):
         keys = np.full_like(cells, -1)
         keys[rows_all, cols_all] = rank * levels + _bins(
-            values[c], first_order[c, rank, vmin], first_order[c, rank, vmax], levels
+            values[c], first_order[c, rank, min_col], first_order[c, rank, max_col], levels
         )
         pairs[c] = _pair_counts(keys, n, levels, config.offsets)
         for direction in config.offsets:
