@@ -314,8 +314,8 @@ def test_extract_radiomics_without_columns_exits_1(tiny_dataset_dir, tmp_path, c
     config = tmp_path / "r.json"
     config.write_text(json.dumps({"channels": [], "shape": False}))
     out = tmp_path / "radiomics.csv"
-    argv = ["--config", str(config), "extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", str(out)]
-    assert main(argv) == 1
+    argv = ["--config", str(config), "extract", "--data", tiny_dataset_dir, "--features", "radiomics"]
+    assert main(argv + ["--out", str(out)]) == 1
     assert "no columns" in capsys.readouterr().err
     assert not out.exists()
 

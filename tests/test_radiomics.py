@@ -12,7 +12,6 @@ from cellgraph.radiomics import (
     GLRLM_NAMES,
     SHAPE_NAMES,
     DegenerateRegionError,
-    GlcmMatrix,
     GlrlmMatrix,
     RadiomicsConfig,
     first_order_features,
