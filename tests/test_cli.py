@@ -362,6 +362,23 @@ def test_baseline_model_bytes_are_pinned(tiny_dataset_dir, tmp_path, model, expe
     assert hashlib.sha256(open(out, "rb").read()).hexdigest() == expected
 
 
+def test_train_checkpoint_and_history_bytes_are_pinned(tiny_dataset_dir, tmp_path):
+    # Default-config GRAND on the feature graph of the shared 3-sample synth
+    # set; any change to the mask draws, the propagation, the loss, its
+    # gradients or the Adam step moves them. The MLP products go through
+    # BLAS: recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on x86-64
+    # (AVX-512).
+    features, graph = str(tmp_path / "expression.csv"), str(tmp_path / "feature.edges")
+    ckpt, hist = str(tmp_path / "grand.ckpt"), str(tmp_path / "history.csv")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
+    assert main(["graph", "--features", features, "--kind", "feature", "--k", "5", "--out", graph]) == 0
+    assert main([
+        "train", "--graph", graph, "--features", features, "--labels", features, "--out", ckpt, "--history", hist,
+    ]) == 0
+    assert hashlib.sha256(open(ckpt, "rb").read()).hexdigest() == "580d7ed088ee2077015dfd0ccf12232491273c19e1bbe28f3512a2c633ed5672"
+    assert hashlib.sha256(open(hist, "rb").read()).hexdigest() == "e6b425ec27fea1dd2c35464d51a7502b8f6eac28cadebdc861e6b868a86f57bc"
+
+
 def test_graph_rejects_non_finite_features(tmp_path, capsys):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
     rows += [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0,{'nan' if i == 2 else '1.0'}" for i in range(1, 6)]

@@ -235,6 +235,25 @@ def test_tree_only_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
     assert digest == "69432a113d9395764e6d4849d10f95692eb9ada525dc0b94a926b9afd950d0e3"
 
 
+def test_grand_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
+    # Both feature families, no reduction, both GRAND graphs; any change to
+    # the adjacency, the mask draws, the loss, its gradients or the Adam step
+    # moves it. The MLP products go through BLAS: recorded with numpy 2.4.6
+    # and scipy-openblas 0.3.31 on x86-64 (AVX-512).
+    monkeypatch.chdir(os.path.dirname(small_data))
+    config = ExperimentConfig.from_dict({
+        "data_dir": "data",
+        "reductions": ["none"],
+        "models": ["grand_feature_graph", "grand_spatial_graph"],
+        "grand": {"max_epochs": 40, "patience": 10},
+        "seed": 5,
+    })
+    report = run_experiment(config, str(tmp_path / "out"))
+    assert len(report.cells) == 4 and all(c["status"] == "ok" for c in report.cells.values())
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == "ef4cde0caf99a9dbdd4cf9d08b5b9b2927e16e98cf143f7a397b77ae0f94b08b"
+
+
 def _run_reductions(small_data, monkeypatch, out):
     monkeypatch.chdir(os.path.dirname(small_data))
     config = ExperimentConfig.from_dict({

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cellgraph import graphs
@@ -127,6 +130,31 @@ def test_normalize_isolated_node():
     g = CellGraph(n_nodes=1, edges=np.zeros((0, 2), dtype=np.int64), weights=np.zeros(0), node_keys=[("", 0)])
     dense = normalize_adjacency(g).toarray()
     assert dense[0, 0] == 1.0
+
+
+def pin_graph():
+    """Duplicate directed edges, asymmetric weights, a hub whose row holds 12
+    entries (past numpy's 8-term sequential sums) and an isolated node 13."""
+    edges = [(0, j) for j in range(1, 12)] + [
+        (3, 0), (0, 1), (5, 0), (1, 2), (2, 1), (2, 1), (4, 6), (12, 4), (7, 8), (8, 7),
+    ]
+    weights = [0.3, 1.7, 0.45, 2.2, 0.9, 1.1, 0.05, 3.3, 0.6, 1.3, 0.77,
+               2.9, 0.31, 0.12, 1.5, 0.25, 0.81, 0.7, 1.05, 0.4, 2.6]
+    return CellGraph(n_nodes=14, edges=np.array(edges, dtype=np.int64), weights=np.array(weights), node_keys=None)
+
+
+def test_normalize_adjacency_bytes_are_pinned():
+    # any change to the duplicate rule, the symmetrization, the degree sum
+    # order, the product order or the index dtype moves these
+    adj = normalize_adjacency(pin_graph())
+    expected = {
+        "data": "e47069e62c3602b7d8e2c454c3b63e5a9a0b3329e5c893ba4d971cf501b1f00c",
+        "indices": "32d93b5473fed81a44a0682747fc2e4237762603fbd5dd2bf80f59f80a74192f",
+        "indptr": "9d694beee6dee84ec50809b5a7e44a6891a92fb4af95e1bc578a044e8cbf6f4a",
+    }
+    for name, digest in expected.items():
+        assert hashlib.sha256(getattr(adj, name).tobytes()).hexdigest() == digest, name
+    assert isinstance(adj, sp.csr_matrix) and adj.has_sorted_indices
 
 
 def test_normalized_adjacency_exactly_symmetric():
