@@ -1,13 +1,23 @@
-"""Semi-supervised node classifier with random propagation.
+"""Semi-supervised node classifier with random propagation (GRAND, Feng et
+al. 2020).
 
-Training alternates S stochastic augmentations per epoch: node features are
-randomly zeroed row-wise (DropNode) with compensation 1/(1-delta), diffused
-over the normalized adjacency by mixed-order propagation, and classified by
-a 2-layer MLP. The loss couples supervised cross-entropy on labeled nodes
-with a consistency term that pulls every augmentation toward the sharpened
-mean prediction. Gradients are computed manually for the fixed architecture
+Each epoch draws S stochastic augmentations: node features are randomly
+zeroed row-wise (DropNode) with compensation 1/(1-delta), diffused over the
+normalized adjacency by mixed-order propagation, and classified by a 2-layer
+MLP. The loss couples supervised cross-entropy on labeled nodes with a
+consistency term that pulls every augmentation toward the sharpened mean
+prediction. Gradients are computed manually for the fixed architecture
 (including the path through the sharpened mean), which keeps them checkable
 against finite differences.
+
+An epoch runs the S augmentations together: the DropNode views sit side by
+side in (n, b*p) blocks of up to 128 KB, each propagated by one chain of
+sparse products, and the MLP, the loss and the backward pass work on
+(S, n, .) stacks. Every output keeps the bits of running the augmentations
+one at a time: a sparse product and the per-slice matrix products compute
+each augmentation on its own, class sums add their columns in numpy's
+order, and the weight gradients are summed over the augmentations in order.
+Adam steps one flat buffer whose views are the parameters.
 """
 
 from __future__ import annotations
@@ -18,6 +28,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import _atomic_write, check_field, config_from_dict, read_model_file, write_model_file
+
+# Augmentations propagated together hold at most this many features (128 KB
+# of float64) side by side. Measured on a 2-core Xeon: a wider block made the
+# sparse product slower per column once it outgrew the core's cache (n=1,800,
+# p=223), and temporaries past glibc's 128 KB mmap threshold were unmapped
+# and faulted back in every epoch (n=100, p=115).
+_BLOCK_ELEMENTS = 16384
 
 
 class GrandError(Exception):
@@ -82,12 +99,34 @@ def propagate(adj: sp.csr_matrix, X: np.ndarray, K: int) -> np.ndarray:
     by running power accumulation without densifying any matrix power."""
     if K < 0:
         raise GrandError("K must be >= 0")
-    acc = X.astype(np.float64).copy()
-    cur = acc.copy()
+    return _hop_average(adj, np.array(X, dtype=np.float64), K)
+
+
+def _hop_average(adj: sp.csr_matrix, acc: np.ndarray, K: int) -> np.ndarray:
+    """``propagate`` accumulated in ``acc``, which holds X and is overwritten."""
+    cur = acc
     for _ in range(K):
         cur = adj @ cur
         acc += cur
-    return acc / (K + 1)
+    acc /= K + 1
+    return acc
+
+
+def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` (np.add or np.maximum) over the class axis, the last, kept
+    as a length-1 axis.
+
+    Below 8 classes numpy's own row reduction combines the columns in
+    order, so doing that one column at a time gives its bits in a few
+    whole-array calls instead of one short inner loop per row.
+    """
+    C = x.shape[-1]
+    if not 2 <= C < 8:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = ufunc(x[..., :1], x[..., 1:2])
+    for c in range(2, C):
+        ufunc(out, x[..., c : c + 1], out=out)
+    return out
 
 
 def mlp_forward(model: GrandModel, X_bar: np.ndarray) -> np.ndarray:
@@ -97,12 +136,14 @@ def mlp_forward(model: GrandModel, X_bar: np.ndarray) -> np.ndarray:
 
 
 def _mlp_forward_parts(params: dict, H: np.ndarray):
+    """(Z1, A1, probabilities) for the rows of ``H``, or of each (n, p)
+    slice of an (S, n, p) stack; every slice gets the bits of its own pass."""
     Z1 = H @ params["W1"] + params["b1"]
     A1 = np.maximum(Z1, 0.0)
     Z2 = A1 @ params["W2"] + params["b2"]
-    Z2 = Z2 - Z2.max(axis=1, keepdims=True)
-    expz = np.exp(Z2)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    Z2 -= _class_reduce(np.maximum, Z2)
+    probs = np.exp(Z2, out=Z2)
+    probs /= _class_reduce(np.add, probs)
     return Z1, A1, probs
 
 
@@ -114,33 +155,46 @@ def sharpen(p: np.ndarray, T: float) -> np.ndarray:
     u = p ** (1.0 / T)
     if u.ndim == 1:
         return u / u.sum()
-    return u / u.sum(axis=1, keepdims=True)
+    return u / _class_reduce(np.add, u)
 
 
-def grand_loss(outputs: list, labels: np.ndarray, train_mask: np.ndarray, lam: float, T: float):
-    """(total, supervised, consistency) for S probability matrices.
+def _consensus(P: np.ndarray, T: float):
+    """(mean over the augmentations of the (S, n, C) stack ``P``, summed in
+    augmentation order, and its sharpened form)."""
+    total = P[0]
+    for s in range(1, len(P)):
+        total = total + P[s]
+    p_bar = total / len(P)
+    return p_bar, sharpen(p_bar, T)
+
+
+def grand_loss(outputs, labels: np.ndarray, train_mask: np.ndarray, lam: float, T: float):
+    """(total, supervised, consistency) for S probability matrices, given as
+    a list of (n, C) arrays or as one (S, n, C) stack.
 
     supervised: mean cross-entropy over train nodes, averaged over
     augmentations. consistency: mean over all nodes of the mean squared
     distance between each augmentation and the sharpened mean prediction.
+    Per-augmentation terms are summed in augmentation order.
     """
-    S = len(outputs)
-    if S < 1:
+    P = np.asarray(outputs, dtype=np.float64)
+    if P.ndim != 3 or len(P) < 1:
         raise GrandError("need at least one augmentation output")
-    n = outputs[0].shape[0]
+    S, n = P.shape[:2]
     train_idx = np.flatnonzero(train_mask)
     if len(train_idx) == 0:
         raise GrandError("empty train mask")
+    # row-major, so that each row's mean sums in the order of a 1-D mean;
+    # the fancy index alone may lay the (S, m) block out column-major
+    picked = np.ascontiguousarray(P[:, train_idx, labels[train_idx]])
     sup = 0.0
-    for P in outputs:
-        picked = P[train_idx, labels[train_idx]]
-        sup += float(np.mean(-np.log(picked)))
+    for value in np.mean(-np.log(picked), axis=1).tolist():
+        sup += value
     sup /= S
-    p_bar = sum(outputs) / S
-    q = sharpen(p_bar, T)
+    _, q = _consensus(P, T)
     con = 0.0
-    for P in outputs:
-        con += float(np.sum((q - P) ** 2))
+    for value in ((q - P) ** 2).reshape(S, -1).sum(axis=1).tolist():
+        con += value
     con /= S * n
     return sup + lam * con, sup, con
 
@@ -163,56 +217,75 @@ def training_loss_and_grads(
     Consistency gradients flow through the sharpened mean (no stop-gradient).
     """
     S = config.n_augmentations
-    n = X.shape[0]
+    n, p = X.shape
     lam, T = config.consistency_weight, config.temperature
     train_idx = np.flatnonzero(train_mask)
     if len(train_idx) == 0:
         raise GrandError("empty train mask")
-    keep_in = 1.0 - config.input_dropout
+    node_masks = np.asarray(node_masks, dtype=np.float64)
+    input_masks = np.asarray(input_masks, dtype=np.float64)
+    if len(node_masks) != S or len(input_masks) != S:
+        raise GrandError(f"need {S} node and input masks, got {len(node_masks)} and {len(input_masks)}")
 
-    caches = []
-    outputs = []
-    for s in range(S):
-        X_tilde = apply_drop_node(X, config.drop_rate, node_masks[s])
-        X_bar = propagate(adj, X_tilde, config.prop_order)
-        H = X_bar * (input_masks[s] / keep_in)
-        Z1, A1, P = _mlp_forward_parts(params, H)
-        caches.append((H, Z1, A1))
-        outputs.append(P)
+    # DropNode views side by side, (n, b, p) for b augmentations at a time:
+    # one sparse product propagates every column on its own
+    scale = node_masks.T / (1.0 - config.drop_rate)
+    H = input_masks / (1.0 - config.input_dropout)
+    b = max(1, min(S, _BLOCK_ELEMENTS // max(1, n * p)))
+    for start in range(0, S, b):
+        X_tilde = X[:, None, :] * scale[:, start : start + b, None]
+        width = X_tilde.shape[1] * p
+        X_bar = _hop_average(adj, X_tilde.reshape(n, width), config.prop_order).reshape(X_tilde.shape)
+        H[start : start + b] *= X_bar.transpose(1, 0, 2)
+    Z1, A1, P = _mlp_forward_parts(params, H)
 
-    total, sup, con = grand_loss(outputs, labels, train_mask, lam, T)
+    total, sup, con = grand_loss(P, labels, train_mask, lam, T)
     if not np.isfinite(total):
         raise GrandError("non-finite loss")
 
-    p_bar = sum(outputs) / S
-    q = sharpen(p_bar, T)
+    p_bar, q = _consensus(P, T)
     # dL/dq from the consistency term, then pulled back through sharpening
     G = (2.0 * lam / n) * (q - p_bar)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_prime = p_bar ** (1.0 / T - 1.0)
     u_prime[~np.isfinite(u_prime)] = 0.0
-    Z_row = (p_bar ** (1.0 / T)).sum(axis=1, keepdims=True)
+    Z_row = _class_reduce(np.add, p_bar ** (1.0 / T))
     # pull back through q = u / sum(u), u = p_bar^(1/T):
     # dL/dp_bar_d = (1/T) p_bar_d^(1/T-1) / Z * (G_d - sum_c G_c q_c)
-    gq = (G - np.sum(G * q, axis=1, keepdims=True)) * u_prime / (T * Z_row)
+    gq = (G - _class_reduce(np.add, G * q)) * u_prime / (T * Z_row)
 
+    picked = (slice(None), train_idx, labels[train_idx])
+    dP = np.zeros_like(P)
+    dP[picked] = -1.0 / (S * len(train_idx) * P[picked])
+    dP += (2.0 * lam / (n * S)) * (P - q)
+    dP += gq / S
+    dZ2 = P * (dP - _class_reduce(np.add, dP * P))
+    dZ1 = dZ2 @ params["W2"].T
+    dZ1 *= Z1 > 0
+
+    # weight gradients summed over the augmentations in order
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     for s in range(S):
-        H, Z1, A1 = caches[s]
-        P = outputs[s]
-        dP = np.zeros_like(P)
-        dP[train_idx, labels[train_idx]] = -1.0 / (S * len(train_idx) * P[train_idx, labels[train_idx]])
-        dP += (2.0 * lam / (n * S)) * (P - q)
-        dP += gq / S
-        dZ2 = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
-        grads["W2"] += A1.T @ dZ2
-        grads["b2"] += dZ2.sum(axis=0)
-        dA1 = dZ2 @ params["W2"].T
-        dZ1 = dA1 * (Z1 > 0)
-        grads["W1"] += H.T @ dZ1
-        grads["b1"] += dZ1.sum(axis=0)
+        grads["W2"] += A1[s].T @ dZ2[s]
+        grads["b2"] += dZ2[s].sum(axis=0)
+        grads["W1"] += H[s].T @ dZ1[s]
+        grads["b1"] += dZ1[s].sum(axis=0)
 
     return total, sup, con, grads
+
+
+_PARAM_KEYS = ("W1", "b1", "W2", "b2")
+
+
+def _param_views(flat: np.ndarray, shapes: dict) -> dict:
+    """W1, b1, W2 and b2 of the given shapes as views of ``flat``, laid out
+    in that order."""
+    views, start = {}, 0
+    for key in _PARAM_KEYS:
+        size = int(np.prod(shapes[key]))
+        views[key] = flat[start : start + size].reshape(shapes[key])
+        start += size
+    return views
 
 
 def _init_params(rng: np.random.Generator, n_in: int, hidden: int, n_classes: int) -> dict:
@@ -277,30 +350,29 @@ def train_grand(
         C = 2
 
     rng = np.random.default_rng(config.seed)
-    params = _init_params(rng, p, config.hidden_dim, C)
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    init = _init_params(rng, p, config.hidden_dim, C)
+    shapes = {k: v.shape for k, v in init.items()}
+    # one flat buffer for the parameters and each Adam moment; params are views
+    theta = np.concatenate([init[k].ravel() for k in _PARAM_KEYS])
+    params = _param_views(theta, shapes)
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     X_bar_eval = propagate(adj, X, config.prop_order)
     has_val = bool(val_mask.any())
 
     best_f1 = -np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_theta = theta.copy()
     best_epoch = 0
     since_best = 0
     history = []
-    keep_in = 1.0 - config.input_dropout
+    S = config.n_augmentations
 
     for epoch in range(1, config.max_epochs + 1):
-        node_masks = [
-            (rng.random(n) < 1.0 - config.drop_rate).astype(np.float64)
-            for _ in range(config.n_augmentations)
-        ]
-        input_masks = [
-            (rng.random((n, p)) < keep_in).astype(np.float64)
-            for _ in range(config.n_augmentations)
-        ]
+        # one draw per mask kind consumes the stream as S draws of each would
+        node_masks = (rng.random((S, n)) < 1.0 - config.drop_rate).astype(np.float64)
+        input_masks = (rng.random((S, n, p)) < 1.0 - config.input_dropout).astype(np.float64)
         try:
             total, sup, con, grads = training_loss_and_grads(
                 params, adj, X, node_masks, input_masks, labels, train_mask, config
@@ -309,13 +381,12 @@ def train_grand(
             # the masks are checked above and the config at construction, so a loss error is divergence
             raise GrandError(f"training diverged at epoch {epoch}: {exc}") from exc
 
-        for key in ("W1", "b1", "W2", "b2"):
-            g = grads[key]
-            adam_m[key] = beta1 * adam_m[key] + (1 - beta1) * g
-            adam_v[key] = beta2 * adam_v[key] + (1 - beta2) * g * g
-            m_hat = adam_m[key] / (1 - beta1**epoch)
-            v_hat = adam_v[key] / (1 - beta2**epoch)
-            params[key] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        g = np.concatenate([grads[k].ravel() for k in _PARAM_KEYS])
+        adam_m = beta1 * adam_m + (1 - beta1) * g
+        adam_v = beta2 * adam_v + (1 - beta2) * g * g
+        m_hat = adam_m / (1 - beta1**epoch)
+        v_hat = adam_v / (1 - beta2**epoch)
+        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
         _, _, probs = _mlp_forward_parts(params, X_bar_eval)
         preds = np.argmax(probs, axis=1)
@@ -327,7 +398,7 @@ def train_grand(
         score = val_f1 if has_val else -total
         if score > best_f1:
             best_f1 = score
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_theta = theta.copy()
             best_epoch = epoch
             since_best = 0
         else:
@@ -336,13 +407,7 @@ def train_grand(
                 break
 
     return GrandModel(
-        W1=best_params["W1"],
-        b1=best_params["b1"],
-        W2=best_params["W2"],
-        b2=best_params["b2"],
-        config=config,
-        history=history,
-        best_epoch=best_epoch,
+        **_param_views(best_theta, shapes), config=config, history=history, best_epoch=best_epoch
     )
 
 

@@ -175,24 +175,26 @@ def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:
     most 1.
     """
     n = g.n_nodes
-    if len(g.edges):
-        # collapse duplicate (src, dst) pairs by max weight, then symmetrize by max
-        codes = g.edges[:, 0] * n + g.edges[:, 1]
-        order = np.lexsort((g.weights, codes))
-        codes, weights = codes[order], g.weights[order]
-        last = np.concatenate((codes[1:] != codes[:-1], [True]))
-        codes, weights = codes[last], weights[last]
-        A = sp.coo_matrix((weights, (codes // n, codes % n)), shape=(n, n)).tocsr()
-        A = A.maximum(A.T)
-    else:
-        A = sp.csr_matrix((n, n))
-    A_tilde = (A + sp.identity(n, format="csr")).tocsr()
-    deg = np.asarray(A_tilde.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    D = sp.diags(inv_sqrt)
-    A_hat = (D @ A_tilde @ D).tocsr()
-    A_hat.sort_indices()
-    return A_hat
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    loops = np.arange(n, dtype=np.int64)
+    # each stored direction, its reverse and a unit self-loop as (row * n + col)
+    # codes; one sort by code, then weight, keeps the max of each entry last
+    codes = np.concatenate((src * n + dst, dst * n + src, loops * (n + 1)))
+    weights = np.concatenate((g.weights, g.weights, np.ones(n)))
+    order = np.lexsort((weights, codes))
+    codes, weights = codes[order], weights[order]
+    last = np.ones(len(codes), dtype=bool)
+    last[:-1] = codes[1:] != codes[:-1]
+    rows, cols = np.divmod(codes[last], n)
+    values = weights[last]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # row sums as scipy's CSR sum takes them: one reduceat over each row's
+    # entries in column order (every row holds its self-loop)
+    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(values, indptr[:-1]))
+    # (D^-1/2 A) D^-1/2: the product order of two sparse diagonal scalings
+    data = inv_sqrt[rows] * values * inv_sqrt[cols]
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def build_cell_graph(kind: str, X: np.ndarray, table: CellTable, k: int, metric: str = "euclidean") -> CellGraph:

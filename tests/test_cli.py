@@ -375,8 +375,11 @@ def test_train_checkpoint_and_history_bytes_are_pinned(tiny_dataset_dir, tmp_pat
     assert main([
         "train", "--graph", graph, "--features", features, "--labels", features, "--out", ckpt, "--history", hist,
     ]) == 0
-    assert hashlib.sha256(open(ckpt, "rb").read()).hexdigest() == "580d7ed088ee2077015dfd0ccf12232491273c19e1bbe28f3512a2c633ed5672"
-    assert hashlib.sha256(open(hist, "rb").read()).hexdigest() == "e6b425ec27fea1dd2c35464d51a7502b8f6eac28cadebdc861e6b868a86f57bc"
+    digests = [hashlib.sha256(open(path, "rb").read()).hexdigest() for path in (ckpt, hist)]
+    assert digests == [
+        "580d7ed088ee2077015dfd0ccf12232491273c19e1bbe28f3512a2c633ed5672",
+        "e6b425ec27fea1dd2c35464d51a7502b8f6eac28cadebdc861e6b868a86f57bc",
+    ]
 
 
 def test_graph_rejects_non_finite_features(tmp_path, capsys):

@@ -1,13 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellgraph import grand
 from cellgraph.grand import (
     GrandConfig,
     GrandError,
     GrandModel,
+    _binary_f1,
+    _class_reduce,
+    _init_params,
     apply_drop_node,
     grand_loss,
     load_checkpoint,
@@ -20,7 +25,7 @@ from cellgraph.grand import (
     training_loss_and_grads,
 )
 from cellgraph.dataset import MODEL_MAGIC
-from cellgraph.graphs import knn_feature_graph, normalize_adjacency
+from cellgraph.graphs import CellGraph, knn_feature_graph, normalize_adjacency
 
 
 def small_adj(n=10, k=3, seed=0):
@@ -522,3 +527,234 @@ def test_history_csv(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "epoch,total,supervised,consistency,val_f1"
     assert len(lines) == len(model.history) + 1
+
+
+# ---------------------------------------------------------------------------
+# bit equality with the per-augmentation epoch
+#
+# Frozen copies of the epoch as it ran one augmentation at a time, before the
+# augmentations were stacked. The stacked epoch must reproduce their bits.
+
+
+def _ref_propagate(adj, X, K):
+    acc = X.astype(np.float64).copy()
+    cur = acc.copy()
+    for _ in range(K):
+        cur = adj @ cur
+        acc += cur
+    return acc / (K + 1)
+
+
+def _ref_forward(params, H):
+    Z1 = H @ params["W1"] + params["b1"]
+    A1 = np.maximum(Z1, 0.0)
+    Z2 = A1 @ params["W2"] + params["b2"]
+    Z2 = Z2 - Z2.max(axis=1, keepdims=True)
+    expz = np.exp(Z2)
+    return Z1, A1, expz / expz.sum(axis=1, keepdims=True)
+
+
+def _ref_sharpen(p, T):
+    u = p ** (1.0 / T)
+    return u / u.sum(axis=1, keepdims=True)
+
+
+def _ref_loss(outputs, labels, train_mask, lam, T):
+    S, n = len(outputs), outputs[0].shape[0]
+    train_idx = np.flatnonzero(train_mask)
+    sup = 0.0
+    for P in outputs:
+        sup += float(np.mean(-np.log(P[train_idx, labels[train_idx]])))
+    sup /= S
+    q = _ref_sharpen(sum(outputs) / S, T)
+    con = 0.0
+    for P in outputs:
+        con += float(np.sum((q - P) ** 2))
+    con /= S * n
+    return sup + lam * con, sup, con
+
+
+def _ref_loss_and_grads(params, adj, X, node_masks, input_masks, labels, train_mask, config):
+    S, n = config.n_augmentations, X.shape[0]
+    lam, T = config.consistency_weight, config.temperature
+    train_idx = np.flatnonzero(train_mask)
+    keep_in = 1.0 - config.input_dropout
+    caches, outputs = [], []
+    for s in range(S):
+        X_tilde = X * (node_masks[s] / (1.0 - config.drop_rate))[:, None]
+        H = _ref_propagate(adj, X_tilde, config.prop_order) * (input_masks[s] / keep_in)
+        Z1, A1, P = _ref_forward(params, H)
+        caches.append((H, Z1, A1))
+        outputs.append(P)
+    total, sup, con = _ref_loss(outputs, labels, train_mask, lam, T)
+    p_bar = sum(outputs) / S
+    q = _ref_sharpen(p_bar, T)
+    G = (2.0 * lam / n) * (q - p_bar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_prime = p_bar ** (1.0 / T - 1.0)
+    u_prime[~np.isfinite(u_prime)] = 0.0
+    Z_row = (p_bar ** (1.0 / T)).sum(axis=1, keepdims=True)
+    gq = (G - np.sum(G * q, axis=1, keepdims=True)) * u_prime / (T * Z_row)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    for s in range(S):
+        H, Z1, A1 = caches[s]
+        P = outputs[s]
+        dP = np.zeros_like(P)
+        dP[train_idx, labels[train_idx]] = -1.0 / (S * len(train_idx) * P[train_idx, labels[train_idx]])
+        dP += (2.0 * lam / (n * S)) * (P - q)
+        dP += gq / S
+        dZ2 = P * (dP - np.sum(dP * P, axis=1, keepdims=True))
+        grads["W2"] += A1.T @ dZ2
+        grads["b2"] += dZ2.sum(axis=0)
+        dZ1 = (dZ2 @ params["W2"].T) * (Z1 > 0)
+        grads["W1"] += H.T @ dZ1
+        grads["b1"] += dZ1.sum(axis=0)
+    return total, sup, con, grads
+
+
+def _ref_train(adj, X, labels, train_mask, val_mask, config, C):
+    n, p = X.shape
+    rng = np.random.default_rng(config.seed)
+    params = _init_params(rng, p, config.hidden_dim, C)
+    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    X_bar_eval = _ref_propagate(adj, X, config.prop_order)
+    has_val = bool(val_mask.any())
+    best_f1, best_epoch, since_best, history = -np.inf, 0, 0, []
+    best_params = {k: v.copy() for k, v in params.items()}
+    S, keep_in = config.n_augmentations, 1.0 - config.input_dropout
+    for epoch in range(1, config.max_epochs + 1):
+        node_masks = [(rng.random(n) < 1.0 - config.drop_rate).astype(np.float64) for _ in range(S)]
+        input_masks = [(rng.random((n, p)) < keep_in).astype(np.float64) for _ in range(S)]
+        total, sup, con, grads = _ref_loss_and_grads(
+            params, adj, X, node_masks, input_masks, labels, train_mask, config
+        )
+        for key in ("W1", "b1", "W2", "b2"):
+            g = grads[key]
+            adam_m[key] = 0.9 * adam_m[key] + (1 - 0.9) * g
+            adam_v[key] = 0.999 * adam_v[key] + (1 - 0.999) * g * g
+            m_hat = adam_m[key] / (1 - 0.9**epoch)
+            v_hat = adam_v[key] / (1 - 0.999**epoch)
+            params[key] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        preds = np.argmax(_ref_forward(params, X_bar_eval)[2], axis=1)
+        val_f1 = _binary_f1(labels[val_mask], preds[val_mask]) if has_val else float("nan")
+        history.append({"epoch": epoch, "total": total, "supervised": sup, "consistency": con, "val_f1": val_f1})
+        score = val_f1 if has_val else -total
+        if score > best_f1:
+            best_f1, best_epoch, since_best = score, epoch, 0
+            best_params = {k: v.copy() for k, v in params.items()}
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+    return best_params, history, best_epoch
+
+
+def random_weighted_graph(rng, n):
+    """Normalized adjacency of random directed edges with random weights,
+    duplicates included; some nodes may stay isolated."""
+    m = int(rng.integers(0, 3 * n + 1))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = src != dst
+    edges = np.stack([src[keep], dst[keep]], axis=1).astype(np.int64)
+    return normalize_adjacency(CellGraph(n, edges, rng.uniform(0.1, 3.0, len(edges)), None))
+
+
+def as_given(masks, as_list):
+    return [m for m in masks] if as_list else np.asarray(masks)
+
+
+# 1/(1-delta) is not a power of two for any of these drop rates
+NON_DYADIC_DROPS = [0.1, 0.3, 0.6, 0.7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 24), p=st.integers(1, 5), S=st.integers(1, 5), K=st.integers(0, 4),
+    C=st.sampled_from([2, 3]), delta=st.sampled_from(NON_DYADIC_DROPS), input_dropout=st.sampled_from([0.0, 0.4]),
+    as_list=st.booleans(), block=st.sampled_from([1, 20, 16384]), seed=st.integers(0, 2**16),
+)
+def test_stacked_loss_and_grads_match_per_augmentation_bits(n, p, S, K, C, delta, input_dropout, as_list, block, seed):
+    rng = np.random.default_rng(seed)
+    adj = random_weighted_graph(rng, n)
+    X = rng.normal(size=(n, p))
+    labels = rng.integers(0, C, n)
+    train_mask = rng.random(n) < 0.5
+    train_mask[0] = True
+    config = GrandConfig(
+        drop_rate=delta, prop_order=K, n_augmentations=S, hidden_dim=int(rng.integers(1, 6)),
+        input_dropout=input_dropout, temperature=0.5, consistency_weight=0.7,
+    )
+    params = _init_params(rng, p, config.hidden_dim, C)
+    node_masks = (rng.random((S, n)) < 1.0 - delta).astype(np.float64)
+    input_masks = (rng.random((S, n, p)) < 1.0 - input_dropout).astype(np.float64)
+
+    expected = _ref_loss_and_grads(params, adj, X, list(node_masks), list(input_masks), labels, train_mask, config)
+    # block < n * p propagates one augmentation at a time, 20 some at a time
+    with mock.patch.object(grand, "_BLOCK_ELEMENTS", block):
+        got = training_loss_and_grads(
+            params, adj, X, as_given(node_masks, as_list), as_given(input_masks, as_list), labels, train_mask, config
+        )
+    assert got[:3] == expected[:3]
+    for key in ("W1", "b1", "W2", "b2"):
+        assert got[3][key].tobytes() == expected[3][key].tobytes(), key
+
+    # grand_loss takes the outputs as a list or as one stack
+    outputs = [rng.dirichlet(np.ones(C), size=n) for _ in range(S)]
+    ref = _ref_loss(outputs, labels, train_mask, 0.7, 0.5)
+    assert grand_loss(outputs, labels, train_mask, 0.7, 0.5) == ref
+    assert grand_loss(np.stack(outputs), labels, train_mask, 0.7, 0.5) == ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 24), p=st.integers(1, 5), S=st.integers(1, 5), K=st.integers(0, 4),
+    C=st.sampled_from([2, 3]), delta=st.sampled_from(NON_DYADIC_DROPS), input_dropout=st.sampled_from([0.0, 0.4]),
+    epochs=st.integers(1, 6), patience=st.integers(1, 6), with_val=st.booleans(), seed=st.integers(0, 2**16),
+)
+def test_train_grand_matches_per_augmentation_bits(
+    n, p, S, K, C, delta, input_dropout, epochs, patience, with_val, seed
+):
+    rng = np.random.default_rng(seed)
+    adj = random_weighted_graph(rng, n)
+    X = rng.normal(size=(n, p))
+    labels = rng.integers(0, C, n)
+    split = rng.integers(0, 3, n)
+    train_mask, val_mask = split == 0, (split == 1) & with_val
+    train_mask[0], val_mask[0] = True, False
+    config = GrandConfig(
+        drop_rate=delta, prop_order=K, n_augmentations=S, hidden_dim=int(rng.integers(1, 6)),
+        input_dropout=input_dropout, max_epochs=epochs, patience=patience, seed=seed,
+    )
+    best, history, best_epoch = _ref_train(adj, X, labels, train_mask, val_mask, config, C)
+    model = train_grand(adj, X, labels, (train_mask, val_mask), config, n_classes=C)
+    for key in ("W1", "b1", "W2", "b2"):
+        assert model.params()[key].tobytes() == best[key].tobytes(), key
+    assert repr(model.history) == repr(history)
+    assert model.best_epoch == best_epoch
+
+
+def test_train_grand_matches_per_augmentation_bits_at_defaults():
+    # GrandConfig() defaults, early stopping included, on the two-cluster graph
+    adj, X, y, train, val = two_cluster_problem(seed=3)
+    config = GrandConfig(seed=6)
+    best, history, best_epoch = _ref_train(adj, X, y, train, val, config, 2)
+    model = train_grand(adj, X, y, (train, val), config)
+    for key in ("W1", "b1", "W2", "b2"):
+        assert model.params()[key].tobytes() == best[key].tobytes(), key
+    assert repr(model.history) == repr(history) and model.best_epoch == best_epoch
+    assert len(history) < config.max_epochs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 40), st.integers(1, 12)),
+    ufunc=st.sampled_from([np.add, np.maximum]),
+    seed=st.integers(0, 2**16),
+)
+def test_class_reduce_matches_numpy_row_reduction(shape, ufunc, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    assert _class_reduce(ufunc, x).tobytes() == ufunc.reduce(x, axis=-1, keepdims=True).tobytes()
+    for s in range(shape[0]):
+        assert _class_reduce(ufunc, x[s]).tobytes() == ufunc.reduce(x[s], axis=1, keepdims=True).tobytes()

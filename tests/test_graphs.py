@@ -157,6 +157,49 @@ def test_normalize_adjacency_bytes_are_pinned():
     assert isinstance(adj, sp.csr_matrix) and adj.has_sorted_indices
 
 
+def scipy_normalize_adjacency(g):
+    """Frozen copy of the scipy build of D^-1/2 (A + I) D^-1/2 that
+    ``normalize_adjacency`` replaced; it must keep these bits."""
+    n = g.n_nodes
+    if len(g.edges):
+        codes = g.edges[:, 0] * n + g.edges[:, 1]
+        order = np.lexsort((g.weights, codes))
+        codes, weights = codes[order], g.weights[order]
+        last = np.concatenate((codes[1:] != codes[:-1], [True]))
+        codes, weights = codes[last], weights[last]
+        A = sp.coo_matrix((weights, (codes // n, codes % n)), shape=(n, n)).tocsr()
+        A = A.maximum(A.T)
+    else:
+        A = sp.csr_matrix((n, n))
+    A_tilde = (A + sp.identity(n, format="csr")).tocsr()
+    D = sp.diags(1.0 / np.sqrt(np.asarray(A_tilde.sum(axis=1)).ravel()))
+    A_hat = (D @ A_tilde @ D).tocsr()
+    A_hat.sort_indices()
+    return A_hat
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    m=st.integers(0, 150),
+    unit=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_normalize_adjacency_matches_scipy_build_bits(n, m, unit, seed):
+    # duplicate edges, asymmetric weights, isolated nodes and hubs past 8 entries
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m)
+    keep = (src != dst) & (n > 0)
+    edges = np.stack([src[keep], dst[keep]], axis=1).astype(np.int64)
+    weights = np.ones(len(edges)) if unit else rng.uniform(0.01, 5.0, len(edges))
+    g = CellGraph(n_nodes=n, edges=edges.reshape(-1, 2), weights=weights, node_keys=None)
+    got, expected = normalize_adjacency(g), scipy_normalize_adjacency(g)
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_normalized_adjacency_exactly_symmetric():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(30, 3))
