@@ -144,6 +144,8 @@ class RadiomicsConfig:
             for step in pair:
                 check_field("offsets", step, int)
         self.offsets = tuple((int(dr), int(dc)) for dr, dc in pairs)
+        if not self.offsets:
+            raise ValueError("offsets must hold at least one [dr, dc] pair: texture features average over them")
         if any(o == (0, 0) for o in self.offsets):
             raise ValueError("offsets must be non-zero")
         if any(max(abs(dr), abs(dc)) > 1 for dr, dc in self.offsets):

@@ -320,6 +320,16 @@ def test_extract_radiomics_without_columns_exits_1(tiny_dataset_dir, tmp_path, c
     assert not out.exists()
 
 
+def test_extract_radiomics_without_offsets_exits_1(tiny_dataset_dir, tmp_path, capsys):
+    config = tmp_path / "r.json"
+    config.write_text(json.dumps({"offsets": []}))
+    out = tmp_path / "radiomics.csv"
+    argv = ["--config", str(config), "extract", "--data", tiny_dataset_dir, "--features", "radiomics"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "offsets must hold at least one" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_expression_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     # Expression CSV of the shared 3-sample synth set; any change to the
     # per-cell channel means, the centroids or the CSV format moves it.

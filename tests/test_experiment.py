@@ -199,6 +199,7 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"umap": {"n_epochs": 1.5}}, "umap: n_epochs must be an integer, got 1.5"),
         ({"umap": {"min_dist": -0.1}}, "umap: min_dist must lie in [0.0, inf], got -0.1"),
         ({"radiomics": {"channels": [], "shape": False}}, "radiomics: channels is empty and shape is false"),
+        ({"radiomics": {"offsets": []}}, "radiomics: offsets must hold at least one"),
     ],
 )
 def test_nested_config_fails_at_construction(nested, message):

@@ -604,6 +604,7 @@ def test_radiomics_config_rejects_unknown_keys():
         ("offsets", [[0, 1, 1]]),
         ("offsets", [[0, 1.5]]),
         ("offsets", [[0, "1"]]),
+        ("offsets", []),
     ],
 )
 def test_radiomics_config_rejects_bad_value_by_key_name(key, value):
@@ -618,6 +619,12 @@ def test_radiomics_config_rejects_a_table_without_columns():
         RadiomicsConfig.from_dict({"channels": [], "shape": False})
     table = radiomic_feature_table(synth_sample(n_channels=2), RadiomicsConfig(channels=[]))
     assert table.feature_names == [f"shape__{s}" for s in SHAPE_NAMES]
+
+
+def test_radiomics_config_rejects_empty_offsets():
+    # without a direction the GLRLM average divided by zero inside the table
+    with pytest.raises(ValueError, match="at least one"):
+        RadiomicsConfig(offsets=())
 
 
 def test_radiomics_config_rejects_non_unit_offsets():
