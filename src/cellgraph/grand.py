@@ -90,8 +90,11 @@ class GrandModel:
 def apply_drop_node(X: np.ndarray, delta: float, mask: np.ndarray) -> np.ndarray:
     """DropNode with a pre-drawn {0,1} keep mask: zero the dropped rows and
     rescale the kept ones by 1/(1-delta). When each row is kept with
-    probability 1-delta, the expectation equals X."""
-    return X * (mask / (1.0 - delta))[:, None]
+    probability 1-delta, the expectation equals X.
+
+    An (n, b) mask with X of shape (n, 1, p) gives b views side by side,
+    (n, b, p)."""
+    return X * (mask / (1.0 - delta))[..., None]
 
 
 def propagate(adj: sp.csr_matrix, X: np.ndarray, K: int) -> np.ndarray:
@@ -229,11 +232,10 @@ def training_loss_and_grads(
 
     # DropNode views side by side, (n, b, p) for b augmentations at a time:
     # one sparse product propagates every column on its own
-    scale = node_masks.T / (1.0 - config.drop_rate)
     H = input_masks / (1.0 - config.input_dropout)
     b = max(1, min(S, _BLOCK_ELEMENTS // max(1, n * p)))
     for start in range(0, S, b):
-        X_tilde = X[:, None, :] * scale[:, start : start + b, None]
+        X_tilde = apply_drop_node(X[:, None, :], config.drop_rate, node_masks[start : start + b].T)
         width = X_tilde.shape[1] * p
         X_bar = _hop_average(adj, X_tilde.reshape(n, width), config.prop_order).reshape(X_tilde.shape)
         H[start : start + b] *= X_bar.transpose(1, 0, 2)
