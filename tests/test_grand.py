@@ -661,7 +661,7 @@ def random_weighted_graph(rng, n):
 
 
 def as_given(masks, as_list):
-    return [m for m in masks] if as_list else np.asarray(masks)
+    return list(masks) if as_list else masks
 
 
 # 1/(1-delta) is not a power of two for any of these drop rates
