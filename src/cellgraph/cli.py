@@ -140,13 +140,18 @@ def _load_table_sorted(path: str) -> ds.CellTable:
 def _model_inputs(args, seed: int, standardize: bool):
     """(table, y, masks, X) for train, baseline and evaluate.
 
-    The split comes from the model's seed, and GRAND inputs are standardised
-    with the train rows of that split, so evaluate replays what train saw.
+    Labels come from the features table itself when ``--labels`` names the
+    same file; otherwise only the key and label columns of ``--labels`` are
+    read, and a cell it does not list is unlabeled. The split comes from the
+    model's seed, and GRAND inputs are standardised with the train rows of
+    that split, so evaluate replays what train saw.
     """
     table = _load_table_sorted(args.features)
-    labeled = _load_table_sorted(args.labels)
-    by_key = dict(zip(labeled.keys(), labeled.labels.tolist()))
-    y = np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
+    if os.path.realpath(args.labels) == os.path.realpath(args.features):
+        y = table.labels
+    else:
+        by_key = ds.read_feature_labels(args.labels)
+        y = np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
     masks = stratified_split(y, seed=seed)
     X = standardize_features(table.features, masks.train)[0] if standardize else table.features
     return table, y, masks, X

@@ -323,17 +323,23 @@ def write_labels_csv(path: str, cell_ids, class_labels) -> None:
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def read_labels_csv(path: str) -> dict:
-    """Read ``cell_id,class_label`` rows into an ordered {cell_id: label} map."""
+def _read_csv(path: str, what: str) -> list:
+    """Every row of the CSV file at ``path``; a defect raises DatasetError
+    naming the path and, for an unreadable file, ``what`` it should hold."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            return list(csv.reader(fh))
     except OSError as exc:
-        raise DatasetError(f"cannot read labels file {path}: {exc}") from exc
+        raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
     except csv.Error as exc:
         raise DatasetError(f"{path}: malformed CSV ({exc})") from None
+
+
+def read_labels_csv(path: str) -> dict:
+    """Read ``cell_id,class_label`` rows into an ordered {cell_id: label} map."""
+    rows = _read_csv(path, "labels file")
     if not rows or rows[0] != ["cell_id", "class_label"]:
         raise DatasetError(f"{path}: expected header 'cell_id,class_label'")
     labels = {}
@@ -534,20 +540,31 @@ def write_feature_csv(path: str, table: CellTable) -> None:
     _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def read_feature_csv(path: str) -> CellTable:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DatasetError(f"cannot read feature table {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
-    except csv.Error as exc:
-        raise DatasetError(f"{path}: malformed CSV ({exc})") from None
+def _feature_csv_body(path: str) -> tuple:
+    """(feature names, [(line number, row), ...]) of a feature table CSV,
+    blank lines skipped, after checking the header."""
+    rows = _read_csv(path, "feature table")
     if not rows or rows[0][:5] != ["cell_id", "sample_id", "cx", "cy", "label"]:
-        raise DatasetError(f"{path}: expected feature table header")
-    names = rows[0][5:]
-    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+        raise DatasetError(f"{path}:1: expected feature table header")
+    return rows[0][5:], [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+
+
+def _row_id_and_label(path: str, lineno: int, row: list, width: int) -> tuple:
+    """(cell_id, label) of a feature table row of ``width`` fields, checked."""
+    if len(row) != width:
+        raise DatasetError(f"{path}:{lineno}: row has {len(row)} fields, expected {width}")
+    try:
+        cell_id, label = int(row[0]), int(row[4])
+        np.int64(cell_id)  # an id must fit the int64 cell_ids column
+    except (ValueError, OverflowError) as exc:
+        raise DatasetError(f"{path}:{lineno}: malformed feature row: {exc}") from exc
+    if label not in (CLASS_HEALTHY, CLASS_TUMOR, CLASS_UNLABELED):
+        raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or -1, got {label}")
+    return cell_id, label
+
+
+def read_feature_csv(path: str) -> CellTable:
+    names, body = _feature_csv_body(path)
     n = len(body)
     cell_ids = np.zeros(n, dtype=np.int64)
     sample_ids = []
@@ -555,17 +572,12 @@ def read_feature_csv(path: str) -> CellTable:
     labels = np.zeros(n, dtype=np.int64)
     features = np.zeros((n, len(names)))
     for i, (lineno, row) in enumerate(body):
-        if len(row) != 5 + len(names):
-            raise DatasetError(f"{path}: row {lineno} has {len(row)} fields, expected {5 + len(names)}")
+        cell_ids[i], labels[i] = _row_id_and_label(path, lineno, row, 5 + len(names))
         try:
-            cell_ids[i] = int(row[0])
             centroids[i] = (float(row[2]), float(row[3]))
-            labels[i] = int(row[4])
             features[i] = [float(v) for v in row[5:]]
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: malformed feature row: {exc}") from exc
-        if labels[i] not in (CLASS_HEALTHY, CLASS_TUMOR, CLASS_UNLABELED):
-            raise DatasetError(f"{path}:{lineno}: label must be 0, 1 or -1, got {labels[i]}")
         sample_ids.append(row[1])
     try:
         return CellTable(
@@ -578,6 +590,24 @@ def read_feature_csv(path: str) -> CellTable:
         )
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
+
+
+def read_feature_labels(path: str) -> dict:
+    """The label column of a feature table as {(sample_id, cell_id): label}.
+
+    Checks the header, each row's field count, cell ids and labels as
+    ``read_feature_csv`` does, and that keys are unique; centroids and
+    feature values are not parsed.
+    """
+    names, body = _feature_csv_body(path)
+    labels = {}
+    for lineno, row in body:
+        cell_id, label = _row_id_and_label(path, lineno, row, 5 + len(names))
+        key = (row[1], cell_id)
+        if key in labels:
+            raise DatasetError(f"{path}:{lineno}: duplicate (sample_id, cell_id) {key}")
+        labels[key] = label
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -134,32 +134,58 @@ def _pca_init(X: np.ndarray, d: int, scale: float, seed: int) -> np.ndarray:
 # t-SNE
 
 
+# rows of the conditional matrix calibrated at once: a block's (rows, n)
+# temporaries stay small beside the n x n distances and P
+_SEARCH_ROWS = 64
+
+
 def tsne_conditional_probabilities(D2: np.ndarray, perplexity: float, tol: float = 1e-3):
     """Per-point Gaussian calibration by binary search on the precision.
 
     Each row i of the returned matrix is P(j|i) with bandwidth chosen so
     that 2^H(P_i) matches ``perplexity`` within ``tol``. Also returns the
-    realized perplexities. All rows are searched at once; each keeps its own
-    bracket and leaves the search at its own step, so every row has the bits
-    of a search on that row alone.
+    realized perplexities. Rows are searched ``_SEARCH_ROWS`` at a time,
+    each block to completion and in row order; within a block each row
+    keeps its own bracket and leaves the search at its own step, so every
+    row has the bits of a search on that row alone.
     """
     n = D2.shape[0]
-    # row i of the (n, n-1) off-diagonal block is D2[i] without entry i
-    off = D2.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].reshape(n, n - 1)
-    neg = -(off - off.min(axis=1, keepdims=True))
-    beta = np.ones(n)
-    beta_lo = np.zeros(n)
-    beta_hi = np.full(n, np.inf)
-    P_off = np.zeros((n, n - 1))
+    P = np.zeros((n, n))
     realized = np.zeros(n)
-    rows = np.arange(n)
+    for start in range(0, n, _SEARCH_ROWS):
+        block = P[start : start + _SEARCH_ROWS]
+        rows = np.arange(len(block))
+        # True off the diagonal: a block row without its own entry
+        keep = np.ones(block.shape, dtype=bool)
+        keep[rows, start + rows] = False
+        off = D2[start : start + len(block)][keep].reshape(len(block), n - 1)
+        block[keep] = _calibrate_rows(off, perplexity, tol, start, realized[start : start + len(block)]).ravel()
+    return P, realized
+
+
+def _calibrate_rows(off: np.ndarray, perplexity: float, tol: float, first: int, realized: np.ndarray):
+    """The search of ``tsne_conditional_probabilities`` on the off-diagonal
+    distances of the rows ``first``, ``first + 1``, ...; fills ``realized``
+    and returns the (rows, n-1) probabilities, written over ``off``."""
+    # -(off - row min), in place; a row that is done keeps its probabilities here
+    neg = off
+    neg -= neg.min(axis=1, keepdims=True)
+    np.negative(neg, out=neg)
+    m = len(neg)
+    beta = np.ones(m)
+    beta_lo = np.zeros(m)
+    beta_hi = np.full(m, np.inf)
+    rows = np.arange(m)
     for _ in range(200):
         w = neg[rows]
         w *= beta[rows, None]
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            entropy = -(w * np.log2(w)).sum(axis=1)
+            terms = np.log2(w)
+            terms *= w
+        entropy = -terms.sum(axis=1)
+        del terms
         # 0 * log2(0) made the sum NaN: such a row sums its non-zero terms
         # alone, as the grouping of numpy's pairwise sum depends on length
         for j in np.flatnonzero(np.isnan(entropy)):
@@ -168,30 +194,33 @@ def tsne_conditional_probabilities(D2: np.ndarray, perplexity: float, tol: float
         # a scalar pow per row: the array power can differ in the last bit
         perp = np.array([2.0**h for h in entropy])
         done = np.abs(perp - perplexity) <= tol
-        P_off[rows[done]] = w[done]
+        neg[rows[done]] = w[done]
         realized[rows[done]] = perp[done]
         rows, perp = rows[~done], perp[~done]
         if not rows.size:
-            break
+            return neg
         b, lo, hi = beta[rows], beta_lo[rows], beta_hi[rows]
         flat = perp > perplexity  # too flat: raise precision
         beta_lo[rows] = np.where(flat, b, lo)
         beta_hi[rows] = np.where(flat, hi, b)
         beta[rows] = np.where(flat, np.where(hi == np.inf, b * 2.0, (b + hi) / 2.0), (lo + b) / 2.0)
-    else:
-        raise DimRedError(
-            f"perplexity {perplexity} infeasible for point {rows[0]} "
-            f"(realized {perp[0]:.6f})"
-        )
-    P = np.zeros((n, n))
-    P.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] = P_off.reshape(n - 1, n)
-    return P, realized
+    raise DimRedError(
+        f"perplexity {perplexity} infeasible for point {first + rows[0]} "
+        f"(realized {perp[0]:.6f})"
+    )
 
 
 def _joint_probabilities(X: np.ndarray, perplexity: float):
-    """Symmetrized, normalized P and the realized conditional perplexities."""
+    """Symmetrized, normalized P and the realized conditional perplexities.
+
+    The distances are freed before P is symmetrized, so at most two n x n
+    arrays are alive at once.
+    """
     P_cond, realized = tsne_conditional_probabilities(sq_distances(X, X), perplexity)
-    return (P_cond + P_cond.T) / (2.0 * len(X)), realized
+    P = P_cond + P_cond.T
+    del P_cond
+    P /= 2.0 * len(X)
+    return P, realized
 
 
 def tsne(

@@ -12,8 +12,9 @@ import scipy.sparse as sp
 from .dataset import CellTable, _atomic_write
 
 _CHUNK_ROWS = 1024
-# rows of a distance chunk partitioned at once: the partition's (rows, n)
-# index array stays an eighth of the chunk, so peak memory does not grow
+# rows of a distance chunk finished or partitioned at once: the (rows, n)
+# temporaries of both steps stay an eighth of the chunk, so peak memory
+# does not grow
 _PARTITION_ROWS = 128
 
 
@@ -53,10 +54,25 @@ class CellGraph:
 
 
 def sq_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of Q and of X, clipped at 0."""
-    sq = (Q * Q).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :] - 2.0 * (Q @ X.T)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+    """Squared Euclidean distances between the rows of Q and of X, clipped at 0.
+
+    Each entry is ``(|q|^2 + |x|^2) - 2 q.x`` with q.x from one product
+    ``Q @ X.T``; the rest is done in place on that product,
+    ``_PARTITION_ROWS`` rows at a time, so the result is the only (len(Q),
+    len(X)) array.
+    """
+    sq_q = (Q * Q).sum(axis=1)
+    sq_x = (X * X).sum(axis=1)
+    D = Q @ X.T
+    norms = np.empty((min(len(Q), _PARTITION_ROWS), len(X)))
+    for start in range(0, len(Q), _PARTITION_ROWS):
+        B = D[start : start + _PARTITION_ROWS]
+        S = norms[: len(B)]
+        np.add(sq_q[start : start + len(B), None], sq_x[None, :], out=S)
+        B *= 2.0
+        np.subtract(S, B, out=B)
+        np.maximum(B, 0.0, out=B)
+    return D
 
 
 def _pairwise_cosine(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -97,8 +113,9 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
             B[rows, start + sub + rows] = np.inf
             # argpartition gives candidates; the take-th smallest distance is
             # the threshold, and a row with more points at or below it keeps
-            # the lowest indices at the threshold
-            cand = np.argpartition(B, take - 1, axis=1)[:, :take]
+            # the lowest indices at the threshold; the copy frees the (rows, n)
+            # partition before the next block makes its own
+            cand = np.argpartition(B, take - 1, axis=1)[:, :take].copy()
             thresh = np.take_along_axis(B, cand, axis=1).max(axis=1)
             ties = np.flatnonzero(np.count_nonzero(B <= thresh[:, None], axis=1) > take)
             if ties.size:
@@ -110,6 +127,7 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
             order = np.lexsort((cand, dist), axis=-1)
             indices[start + sub : start + sub + len(B)] = np.take_along_axis(cand, order, axis=1)
             distances[start + sub : start + sub + len(B)] = np.take_along_axis(dist, order, axis=1)
+        del D, B  # free this chunk before the next one is computed
     return indices, distances
 
 

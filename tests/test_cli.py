@@ -476,3 +476,48 @@ def test_evaluate_non_model_file_exits_1_naming_path(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert path in err and "not a model file" in err
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join([header] + rows) + "\n")
+    return str(path)
+
+
+def test_labels_from_another_table_give_the_same_model(tmp_path):
+    # --labels read for its key and label columns only: another table with the
+    # same keys and labels (and feature values that do not parse) trains the
+    # model that the features table's own labels train
+    keys = [(f"s0{1 + i % 2}", i) for i in range(1, 31)]
+    features = _write_rows(tmp_path / "features.csv", "cell_id,sample_id,cx,cy,label,f1,f2",
+                           [f"{c},{s},{c}.0,0.0,{c % 2},{c * 0.5},{c % 7}" for s, c in keys])
+    labels = _write_rows(tmp_path / "labels.csv", "cell_id,sample_id,cx,cy,label,g",
+                         [f"{c},{s},?,?,{c % 2},n/a" for s, c in reversed(keys)])
+    models = []
+    for name, label_path in (("same", features), ("other", labels)):
+        model = str(tmp_path / f"{name}.bin")
+        assert main(["--seed", "2", "baseline", "--model", "random_forest", "--features", features,
+                     "--labels", label_path, "--out", model]) == 0
+        assert main(["evaluate", "--model", model, "--features", features, "--labels", label_path,
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+        models.append(open(model, "rb").read())
+    assert models[0] == models[1]
+    assert (tmp_path / "same.json").read_bytes() == (tmp_path / "other.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "same_file, row, line",
+    [
+        (True, "9,s01,1.0,0.0,1,oops", 4),  # the features table read in full
+        (False, ",s01,?,?,1", 4),  # a labels row missing its cell id
+        (False, "9,s01,?,?,2", 4),  # a label outside {0, 1, -1}
+    ],
+)
+def test_label_read_errors_name_path_and_line(tmp_path, capsys, same_file, row, line):
+    rows = ["1,s01,1.0,0.0,0,1.0", "2,s01,2.0,0.0,1,2.0"]
+    features = _write_rows(tmp_path / "features.csv", "cell_id,sample_id,cx,cy,label,f1",
+                           rows + ([row] if same_file else []))
+    labels = features if same_file else _write_rows(
+        tmp_path / "labels.csv", "cell_id,sample_id,cx,cy,label", ["1,s01,?,?,0", "2,s01,?,?,1", row])
+    for argv in (["baseline", "--model", "random_forest"], ["train", "--graph", str(tmp_path / "g.edges")]):
+        assert main(argv + ["--features", features, "--labels", labels, "--out", str(tmp_path / "m")]) == 1
+        assert f"{labels}:{line}: " in capsys.readouterr().err

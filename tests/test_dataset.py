@@ -13,6 +13,7 @@ from cellgraph.dataset import (
     load_dataset,
     pool_tables,
     read_feature_csv,
+    read_feature_labels,
     read_labels_csv,
     read_mask,
     read_pgm,
@@ -277,6 +278,46 @@ def test_feature_csv_bad_rows_name_path(tmp_path, rows, message):
         read_feature_csv(str(path))
 
 
+def test_feature_labels_equal_the_full_tables_labels(tmp_path):
+    path = tmp_path / "f.csv"
+    write_feature_csv(str(path), CellTable(
+        cell_ids=np.array([3, 1, 2]), sample_ids=["s02", "s01", "s01"], centroids=np.zeros((3, 2)),
+        labels=np.array([-1, 1, 0]), features=np.ones((3, 2)), feature_names=["f1", "f2"],
+    ))
+    table = read_feature_csv(str(path))
+    assert read_feature_labels(str(path)) == dict(zip(table.keys(), table.labels.tolist()))
+
+
+def test_feature_labels_do_not_parse_feature_values(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("cell_id,sample_id,cx,cy,label,f\n1,s01,?,?,1,n/a\n")
+    assert read_feature_labels(str(path)) == {("s01", 1): 1}
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:2: malformed feature row")):
+        read_feature_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["cell_id,sample_id,cx,cy,f", "1,s01,1,2,3"], ":1: expected feature table header"),
+        ([",s01,1,2,0,3"], ":2: malformed feature row"),
+        (["1,s01,1,2,0,3", "x1,s01,1,2,0,3"], ":3: malformed feature row"),
+        (["99999999999999999999,s01,1,2,0,3"], ":2: malformed feature row"),
+        (["1,s01,1,2,0,3", "", "2,s01,1,2,7,3"], ":4: label must be 0, 1 or -1, got 7"),
+        (["1,s01,1,2,one,3"], ":2: malformed feature row"),
+        (["1,s01,1,2,0"], ":2: row has 5 fields, expected 6"),
+        (["1,s01,1,2,0,3", "1,s02,1,2,0,3", "1,s01,4,5,1,6"], ":4: duplicate (sample_id, cell_id) ('s01', 1)"),
+    ],
+)
+def test_feature_labels_bad_rows_name_path_and_line(tmp_path, lines, message):
+    if not lines[0].startswith("cell_id"):
+        lines = ["cell_id,sample_id,cx,cy,label,f"] + lines
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}{message}")):
+        read_feature_labels(str(path))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 7).flatmap(
@@ -495,11 +536,12 @@ def reader_blobs(tmp_path_factory):
     ))
     edges = np.array([[0, 1], [1, 0], [2, 10], [10, 3]])
     write_edge_list(str(root / "edges"), CellGraph(11, edges, rng.random(4) + 0.5, [("", i) for i in range(11)]))
+    (root / "feature_labels").write_bytes((root / "features").read_bytes())
     return {kind: (root / kind).read_bytes() for kind in _READERS}
 
 
 _READERS = {"pgm": read_pgm, "cgmk": read_mask, "labels": read_labels_csv, "features": read_feature_csv,
-            "edges": read_edge_list}
+            "feature_labels": read_feature_labels, "edges": read_edge_list}
 _SPECIAL_BYTES = list(b"0123456789-+., \n\r\t#\"'e\x00\x80\xff")
 
 

@@ -329,12 +329,15 @@ def _outcome(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(point_sets(), st.floats(0.0, 1.0))
-def test_conditional_probabilities_match_per_row_reference(X, frac):
+@given(point_sets(), st.floats(0.0, 1.0), st.sampled_from([1, 3, 7, 64]))
+def test_conditional_probabilities_match_per_row_reference(X, frac, search_rows):
+    # blocks of 1, 3 and 7 rows split the search into several blocks
     n = X.shape[0]
     perplexity = 1.0 + frac * (n / 3.0 - 1.0)
     D2 = sq_distances(X, X)
-    got = _outcome(tsne_conditional_probabilities, D2, perplexity)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimred, "_SEARCH_ROWS", search_rows)
+        got = _outcome(tsne_conditional_probabilities, D2, perplexity)
     expected = _outcome(reference_conditional_probabilities, D2, perplexity)
     if isinstance(expected, str):
         assert got == expected
@@ -400,6 +403,48 @@ def test_infeasible_perplexity_names_lowest_failing_point():
         tsne_conditional_probabilities(D2, 1.5)
     assert str(exc.value) == message
     assert _outcome(reference_conditional_probabilities, D2, 1.5) == message
+
+
+@pytest.mark.parametrize("search_rows", [1, 4, 11, 64])
+def test_infeasible_perplexity_names_lowest_failing_point_in_any_block(search_rows):
+    # rows 10-12 fail: in the block after rows that calibrate, alone in a
+    # block, or at the end of the first block
+    X = np.vstack([np.arange(10.0)[:, None] ** 1.5, np.full((3, 1), 50.0)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimred, "_SEARCH_ROWS", search_rows)
+        message = _outcome(tsne_conditional_probabilities, sq_distances(X, X), 1.5)
+    assert message == "perplexity 1.5 infeasible for point 10 (realized 2.000000)"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced while ``fn`` runs, beyond what was allocated before."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_joint_probabilities_hold_two_square_arrays():
+    # the distances and the conditional P during the search, then the
+    # conditional P and its symmetrized copy; the search adds a few
+    # (_SEARCH_ROWS, n) temporaries
+    n = 600
+    X = np.random.default_rng(104).normal(size=(n, 16))
+    peak = _traced_peak(dimred._joint_probabilities, X, 30.0)
+    assert peak < (2 * n * n + 4 * dimred._SEARCH_ROWS * n) * 8
+
+
+def test_tsne_peaks_at_its_iteration_floor():
+    # P, the exaggerated P and the two work buffers
+    n = 600
+    X = np.random.default_rng(105).normal(size=(n, 16))
+    peak = _traced_peak(tsne, X, 2, perplexity=30.0, n_iters=2, seed=0)
+    assert peak < 4.3 * n * n * 8
 
 
 def _sha(a):

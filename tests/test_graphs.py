@@ -424,3 +424,69 @@ def test_knn_matches_dense_stable_argsort(X, k, metric, chunk, sub):
         indices, distances = knn(X, k, metric)
     np.testing.assert_array_equal(indices, expected)
     np.testing.assert_array_equal(distances, np.take_along_axis(D, expected, axis=1))
+
+
+def one_expression_sq_distances(Q, X):
+    """Frozen copy of the one-expression ``sq_distances``: three (len(Q),
+    len(X)) temporaries, the bits the in-place version must keep."""
+    sq = (Q * Q).sum(axis=1)[:, None] + (X * X).sum(axis=1)[None, :] - 2.0 * (Q @ X.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+@st.composite
+def distance_points(draw):
+    """Normal points in d = 2, 12, 40 or 115 at one of three scales, some
+    rows copied onto others and some moved far out."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([2, 12, 40, 115]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        X[dst] = X[src]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=3)):
+        X[i, draw(st.integers(0, d - 1))] += draw(st.sampled_from([1e3, -1e6, 3e7]))
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=distance_points(), start=st.integers(0, 39), rows=st.integers(1, 40), block=st.integers(1, 7))
+def test_sq_distances_match_one_expression_bits(X, start, rows, block):
+    # Q is a run of X's rows, as in a knn chunk; small blocks exercise the
+    # in-place pass over several blocks and a one-row tail
+    Q = X[start % len(X) :][:rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_PARTITION_ROWS", block)
+        got = graphs.sq_distances(Q, X)
+    assert got.tobytes() == one_expression_sq_distances(Q, X).tobytes()
+    assert graphs.sq_distances(X, X).tobytes() == one_expression_sq_distances(X, X).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=distance_points(), k=st.integers(1, 12), chunk=st.integers(1, 9), block=st.integers(1, 7))
+def test_knn_matches_one_expression_distances(X, k, chunk, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK_ROWS", chunk)
+        mp.setattr(graphs, "_PARTITION_ROWS", block)
+        got = knn(X, k)
+        mp.setattr(graphs, "sq_distances", one_expression_sq_distances)
+        expected = knn(X, k)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def test_knn_holds_one_distance_chunk():
+    # 1,200 rows make a 1,024-row chunk and a 176-row one; each is freed
+    # before the next, and the in-place and partition temporaries are
+    # _PARTITION_ROWS rows each
+    import tracemalloc
+
+    X = np.random.default_rng(7).normal(size=(1200, 12))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        knn(X, 15)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * graphs._CHUNK_ROWS * 1200 * 8
