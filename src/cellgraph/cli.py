@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import dataset as ds
 from .dimred import reduce_features
-from .experiment import ExperimentConfig, extract_features, load_report, run_experiment
+from .experiment import ExperimentConfig, extract_features, load_report, run_experiment, write_table_csv
 from .grand import (
     GrandConfig,
     decode_checkpoint,
@@ -117,13 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise StageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StageError(f"{path}: invalid JSON: {exc}") from exc
+    return ds.read_json(path, "config", StageError)
 
 
 def _resolve_out(args, default: str | None = None) -> str:
@@ -184,10 +177,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_extract(args) -> None:
-    manifest = os.path.join(args.data, "manifest.json")
-    if not os.path.isfile(manifest):
-        raise StageError(f"dataset manifest not found: {manifest}")
-    data = ds.load_dataset(manifest)
+    data = ds.load_dataset(os.path.join(args.data, "manifest.json"))
     # the config file holds radiomics settings; expression extraction ignores it
     radiomics = _load_json(args.config) if args.config and args.features == "radiomics" else {}
     table = extract_features(data, args.features, radiomics)
@@ -262,8 +252,7 @@ def _cmd_evaluate(args) -> None:
     probs = predict_grand(model, _adjacency(args.graph, table), X)[0] if grand else predict_tabular(model, X)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     out = _resolve_out(args, default="metrics.json")
-    text = json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n"
-    ds._atomic_write(out, text.encode("ascii"))
+    ds.write_json(out, metrics.to_dict())
     if args.predictions:
         lines = ["cell_id,sample_id,prob_healthy,prob_tumor,predicted"]
         for i in range(len(table)):
@@ -272,7 +261,7 @@ def _cmd_evaluate(args) -> None:
                 f"{format(probs[i, 0], '.17g')},{format(probs[i, 1], '.17g')},"
                 f"{int(probs[i, 1] >= 0.5)}"
             )
-        ds._atomic_write(args.predictions, ("\n".join(lines) + "\n").encode("ascii"))
+        ds.write_lines(args.predictions, lines)
     print(f"wrote metrics to {out}")
 
 
@@ -290,14 +279,10 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    if not os.path.isfile(args.report):
-        raise StageError(f"report not found: {args.report}")
     report = load_report(args.report)
     out = _resolve_out(args, default="report_out")
     os.makedirs(out, exist_ok=True)
-    from .experiment import _write_table_csv
-
-    _write_table_csv(os.path.join(out, "table1.csv"), report)
+    write_table_csv(os.path.join(out, "table1.csv"), report)
     for metric in METRIC_NAMES:
         bars = []
         for key in sorted(report.cells):
@@ -305,7 +290,7 @@ def _cmd_report(args) -> None:
             if outcome["status"] == "ok" and outcome["metrics"].get(metric) is not None:
                 bars.append((key, outcome["metrics"][metric]))
         svg = bar_chart_svg(f"{metric} by pipeline cell", bars)
-        ds._atomic_write(os.path.join(out, f"{metric}.svg"), svg.encode("ascii"))
+        ds.write_bytes(os.path.join(out, f"{metric}.svg"), svg.encode("ascii"))
     print(f"wrote table and {len(METRIC_NAMES)} charts to {out}")
 
 

@@ -15,11 +15,16 @@ Trained models (GRAND, random forest, gradient boosting) share one model
 file: the magic ``CGMD1``, a u64 little-endian body length, and an ASCII
 JSON body (sorted keys) holding the model ``kind``, its config and its
 parameters. Floats are written by ``repr``, so weights round-trip exactly.
+
+Every file the package reads or writes goes through this module:
+``read_bytes``, ``read_lines`` and ``read_json`` raise the caller's error type
+naming the path, and ``write_bytes`` replaces a file atomically.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -238,15 +243,11 @@ class Dataset:
 def write_pgm(path: str, image: ChannelImage) -> None:
     """Write a binary 16-bit PGM (P5, maxval 65535, big-endian samples)."""
     header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
-    _atomic_write(path, header + image.values.astype(">u2").tobytes())
+    write_bytes(path, header + image.values.astype(">u2").tobytes())
 
 
 def read_pgm(path: str) -> ChannelImage:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"cannot read channel file {path}: {exc}") from exc
+    data = read_bytes(path, "channel file")
     magic, pos = _pgm_token(data, 0, path)
     if magic != b"P5":
         raise DatasetError(f"{path}: not a binary PGM (magic {magic!r})")
@@ -296,15 +297,11 @@ _MASK_MAGIC = b"CGMK"
 
 def write_mask(path: str, mask: LabelMask) -> None:
     header = _MASK_MAGIC + struct.pack("<HH", mask.width, mask.height)
-    _atomic_write(path, header + mask.labels.astype("<u4").tobytes())
+    write_bytes(path, header + mask.labels.astype("<u4").tobytes())
 
 
 def read_mask(path: str) -> LabelMask:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"cannot read mask file {path}: {exc}") from exc
+    data = read_bytes(path, "mask file")
     if len(data) < 8 or data[:4] != _MASK_MAGIC:
         raise DatasetError(f"{path}: bad mask header (expected magic {_MASK_MAGIC!r})")
     width, height = struct.unpack("<HH", data[4:8])
@@ -320,19 +317,14 @@ def write_labels_csv(path: str, cell_ids, class_labels) -> None:
     lines = ["cell_id,class_label"]
     for cid, lab in zip(cell_ids, class_labels):
         lines.append(f"{int(cid)},{int(lab)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_lines(path, lines)
 
 
 def _read_csv(path: str, what: str) -> list:
     """Every row of the CSV file at ``path``; a defect raises DatasetError
     naming the path and, for an unreadable file, ``what`` it should hold."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh))
-    except OSError as exc:
-        raise DatasetError(f"cannot read {what} {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc})") from None
+        return list(csv.reader(read_lines(path, what)))
     except csv.Error as exc:
         raise DatasetError(f"{path}: malformed CSV ({exc})") from None
 
@@ -363,15 +355,7 @@ def read_labels_csv(path: str) -> dict:
 
 
 def load_manifest(manifest_path: str) -> dict:
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{manifest_path}: not UTF-8 text ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{manifest_path}: invalid JSON: {exc}") from exc
+    manifest = read_json(manifest_path, "manifest")
     _require_keys(manifest, _MANIFEST_KEYS, f"{manifest_path}: manifest")
     if not isinstance(manifest["samples"], list) or not manifest["samples"]:
         raise DatasetError(f"{manifest_path}: manifest must list at least one sample")
@@ -404,9 +388,9 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
 def load_dataset(manifest_path: str) -> Dataset:
     """Load every sample referenced by the manifest.
 
-    Missing files, malformed headers and samples that ``Sample`` rejects
-    (a mask/channel size mismatch, an empty mask, a labels row naming a cell
-    the mask does not hold) raise DatasetError naming the sample_id and paths.
+    Unreadable or malformed files and samples that ``Sample`` rejects (a
+    mask/channel size mismatch, an empty mask, a labels row naming a cell the
+    mask does not hold) raise DatasetError naming the sample_id and paths.
     """
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
@@ -414,22 +398,13 @@ def load_dataset(manifest_path: str) -> Dataset:
     samples = []
     for entry in manifest["samples"]:
         sid = entry["sample_id"]
-        channels = []
-        for ch in entry["channels"]:
-            path = os.path.join(base, ch["path"])
-            if not os.path.isfile(path):
-                raise DatasetError(f"sample {sid}: channel file missing: {path}")
-            channels.append((ch["antigen"], read_pgm(path)))
         mask_path = os.path.join(base, entry["mask_path"])
-        if not os.path.isfile(mask_path):
-            raise DatasetError(f"sample {sid}: mask file missing: {mask_path}")
-        mask = read_mask(mask_path)
         labels_path = os.path.join(base, entry["labels_path"])
-        if not os.path.isfile(labels_path):
-            raise DatasetError(f"sample {sid}: labels file missing: {labels_path}")
-        label_map = read_labels_csv(labels_path)
         try:
-            stack = StainStack(sample_id=sid, channels=tuple(channels), pixel_spacing_um=spacing)
+            channels = tuple((ch["antigen"], read_pgm(os.path.join(base, ch["path"]))) for ch in entry["channels"])
+            mask = read_mask(mask_path)
+            label_map = read_labels_csv(labels_path)
+            stack = StainStack(sample_id=sid, channels=channels, pixel_spacing_um=spacing)
         except DatasetError as exc:
             raise DatasetError(f"sample {sid}: {exc}") from exc
         try:
@@ -511,7 +486,7 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
         )
     manifest = {"pixel_spacing_um": dataset.pixel_spacing_um, "samples": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii"))
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -537,7 +512,7 @@ def write_feature_csv(path: str, table: CellTable) -> None:
             str(int(table.labels[i])),
         ] + [_fmt(v) for v in table.features[i]]
         lines.append(",".join(row))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_lines(path, lines)
 
 
 def _feature_csv_body(path: str) -> tuple:
@@ -619,16 +594,12 @@ MODEL_MAGIC = b"CGMD1"
 def write_model_file(path: str, payload: dict) -> None:
     """Write ``payload``, a JSON object with a ``kind`` key, as a model file."""
     body = json.dumps(payload, sort_keys=True).encode("ascii")
-    _atomic_write(path, MODEL_MAGIC + len(body).to_bytes(8, "little") + body)
+    write_bytes(path, MODEL_MAGIC + len(body).to_bytes(8, "little") + body)
 
 
 def read_model_file(path: str, error: type) -> dict:
     """The JSON body of a model file; any defect raises ``error`` naming the path."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise error(f"cannot read model file {path}: {exc}") from exc
+    blob = read_bytes(path, "model file", error)
     if blob[:5] != MODEL_MAGIC:
         raise error(f"{path}: not a model file")
     # a header cut short declares at least 13 bytes, so the size check covers it
@@ -644,8 +615,58 @@ def read_model_file(path: str, error: type) -> dict:
     return payload
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+# ---------------------------------------------------------------------------
+# file access: every read and write of the package goes through these
+
+
+def read_bytes(path: str, what: str, error: type = DatasetError) -> bytes:
+    """The bytes of the file at ``path``; an unreadable file (missing, a
+    directory, no permission) raises ``error`` naming ``what`` it should hold
+    and the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_lines(path: str, what: str, error: type = DatasetError):
+    """Yield the lines of the UTF-8 text file at ``path`` with their line ends
+    as stored, split where a file opened with ``newline=""`` splits them (LF,
+    CRLF, CR). Bytes that are not UTF-8 raise ``error`` naming the path.
+    Lines are decoded as they are read, so only the bytes are held whole.
+    """
+    data = read_bytes(path, what, error)
+    try:
+        yield from io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def read_json(path: str, what: str, error: type = DatasetError):
+    """The JSON value in the UTF-8 file at ``path``; invalid JSON raises
+    ``error`` naming the path."""
+    text = "".join(read_lines(path, what, error))
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and the int-digit limit are ValueErrors
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_bytes(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` atomically, through ``path.tmp``."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def write_lines(path: str, lines: list) -> None:
+    """Write ASCII ``lines``, each ended by a newline."""
+    write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+
+
+def write_json(path: str, value) -> None:
+    """Write ``value`` as ASCII JSON with sorted keys, a two-space indent and
+    a final newline."""
+    write_bytes(path, (json.dumps(value, indent=2, sort_keys=True) + "\n").encode("ascii"))

@@ -10,7 +10,6 @@ to a separate timings.json for that reason.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -117,13 +116,6 @@ class ExperimentReport:
     seed: int
     cells: dict  # "ft|reduction|model" -> {"status", "metrics"/"reason"}
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"config": self.config, "seed": self.seed, "cells": self.cells},
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-
 
 def cell_key(feature_type: str, reduction: str, model: str) -> str:
     return f"{feature_type}|{reduction}|{model}"
@@ -219,11 +211,7 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
         reduction_notes = _reduction_notes(emb.diagnostics)
         del emb  # t-SNE's n x n P is not needed by the models
     except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not raised
-        reason = f"{type(exc).__name__}: {exc}"
-        for model in config.models:
-            key = cell_key(feature_type, reduction, model)
-            cells[key] = {"status": "failed", "reason": reason}
-            _write_cell_log(runs_dir, key, cells[key], [])
+        _fail_cells([cell_key(feature_type, reduction, model) for model in config.models], exc, cells, runs_dir)
         return
 
     for model in config.models:
@@ -248,7 +236,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     cells still run. Deterministic for a fixed config and seed.
     """
     manifest = os.path.join(config.data_dir, "manifest.json")
-    if not os.path.isfile(manifest):
+    if not os.path.isfile(manifest):  # ExperimentError, not the reader's DatasetError
         raise ExperimentError(f"dataset manifest not found: {manifest}")
     data = ds.load_dataset(manifest)
     os.makedirs(out_dir, exist_ok=True)
@@ -263,10 +251,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             table = extract_features(data, ft, config.radiomics)
             masks = _make_split(table, config)
         except Exception as exc:  # noqa: BLE001
-            reason = f"{type(exc).__name__}: {exc}"
-            for red in config.reductions:
-                for model in config.models:
-                    cells[cell_key(ft, red, model)] = {"status": "failed", "reason": reason}
+            keys = [cell_key(ft, red, model) for red in config.reductions for model in config.models]
+            _fail_cells(keys, exc, cells, runs_dir)
             continue
         finally:
             timings[f"extract|{ft}"] = time.perf_counter() - t0
@@ -274,13 +260,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             _run_reduction_group(ft, red, table, masks, config, cells, timings, runs_dir)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
-    ds._atomic_write(os.path.join(out_dir, "report.json"), report.to_json().encode("ascii"))
-    _write_table_csv(os.path.join(out_dir, "table1.csv"), report)
-    ds._atomic_write(
-        os.path.join(out_dir, "timings.json"),
-        (json.dumps({k: round(v, 6) for k, v in sorted(timings.items())}, indent=2) + "\n").encode("ascii"),
-    )
+    ds.write_json(os.path.join(out_dir, "report.json"), asdict(report))
+    write_table_csv(os.path.join(out_dir, "table1.csv"), report)
+    ds.write_json(os.path.join(out_dir, "timings.json"), {k: round(v, 6) for k, v in timings.items()})
     return report
+
+
+def _fail_cells(keys: list, exc: Exception, cells: dict, runs_dir: str) -> None:
+    """Record every cell in ``keys`` as failed by ``exc``, each with its log."""
+    for key in keys:
+        cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
+        _write_cell_log(runs_dir, key, cells[key], [])
 
 
 def _write_cell_log(runs_dir: str, key: str, outcome: dict, notes: list) -> None:
@@ -293,10 +283,10 @@ def _write_cell_log(runs_dir: str, key: str, outcome: dict, notes: list) -> None
     else:
         lines.append(f"reason: {outcome['reason']}")
     lines.extend(notes)
-    ds._atomic_write(os.path.join(cell_dir, "log.txt"), ("\n".join(lines) + "\n").encode("ascii"))
+    ds.write_lines(os.path.join(cell_dir, "log.txt"), lines)
 
 
-def _write_table_csv(path: str, report: ExperimentReport) -> None:
+def write_table_csv(path: str, report: ExperimentReport) -> None:
     lines = ["feature_type,reduction,model,accuracy,precision,recall,f1,roc_auc,status"]
     for key in sorted(report.cells):
         ft, red, model = key.split("|")
@@ -310,10 +300,13 @@ def _write_table_csv(path: str, report: ExperimentReport) -> None:
             )
         else:
             lines.append(f"{ft},{red},{model},,,,,,failed")
-    ds._atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    ds.write_lines(path, lines)
 
 
 def load_report(path: str) -> ExperimentReport:
-    with open(path, "r") as fh:
-        raw = json.load(fh)
-    return ExperimentReport(config=raw["config"], seed=raw["seed"], cells=raw["cells"])
+    """The report.json at ``path``; a file that does not hold one raises
+    ExperimentError naming the path."""
+    raw = ds.read_json(path, "report", ExperimentError)
+    if not (isinstance(raw, dict) and set(raw) == {"config", "seed", "cells"} and isinstance(raw["cells"], dict)):
+        raise ExperimentError(f"{path}: not an experiment report (expected the keys cells, config and seed)")
+    return ExperimentReport(**raw)

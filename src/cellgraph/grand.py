@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import _atomic_write, check_field, config_from_dict, read_model_file, write_model_file
+from .dataset import check_field, config_from_dict, read_model_file, write_lines, write_model_file
 
 # Augmentations propagated together hold at most this many features (128 KB
 # of float64) side by side. Measured on a 2-core Xeon: a wider block made the
@@ -463,4 +463,4 @@ def save_history_csv(path: str, model: GrandModel) -> None:
             f"{row['epoch']},{format(row['total'], '.17g')},{format(row['supervised'], '.17g')},"
             f"{format(row['consistency'], '.17g')},{format(row['val_f1'], '.17g')}"
         )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_lines(path, lines)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import CellTable, _atomic_write
+from .dataset import CellTable, read_lines, write_lines
 
 _CHUNK_ROWS = 1024
 # rows of a distance chunk finished or partitioned at once: the (rows, n)
@@ -80,7 +80,9 @@ def _pairwise_cosine(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     xn = np.linalg.norm(X, axis=1)
     qn[qn == 0] = 1.0
     xn = np.where(xn == 0, 1.0, xn)
-    return 1.0 - (Q / qn[:, None]) @ (X / xn[:, None]).T
+    # 1 - G in place on the product, so the result is the only chunk-sized array
+    G = (Q / qn[:, None]) @ (X / xn[:, None]).T
+    return np.subtract(1.0, G, out=G)
 
 
 def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
@@ -233,15 +235,12 @@ def write_edge_list(path: str, g: CellGraph) -> None:
     lines = [f"# nodes {g.n_nodes}"]
     for (src, dst), w in zip(g.edges.tolist(), g.weights.tolist()):
         lines.append(f"{src} {dst} {format(w, '.17g')}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
+    write_lines(path, lines)
 
 
 def read_edge_list(path: str) -> CellGraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"{path}: not a UTF-8 text edge list") from exc
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(read_lines(path, "edge list", GraphError), start=1)
+             if ln.strip()]
     if not lines or not lines[0][1].startswith("# nodes "):
         raise GraphError(f"{path}: expected '# nodes N' header")
     edges = np.zeros((len(lines) - 1, 2), dtype=np.int64)

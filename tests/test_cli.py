@@ -258,6 +258,14 @@ def test_report_twice_identical_svg(workdir):
     assert open(os.path.join(rep1, "f1.svg")).read().startswith("<svg")
 
 
+def test_report_on_a_non_report_json_exits_1_naming_path(tmp_path, capsys):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"n_samples": 2}))
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "bad")]) == 1
+    assert f"error: report: {path}: not an experiment report" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_reduce_idempotent(workdir):
     features = str(workdir / "expr.csv")
     a, b = str(workdir / "redA.csv"), str(workdir / "redB.csv")

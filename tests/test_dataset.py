@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellgraph.cli import StageError, _load_json
 from cellgraph.dataset import (
     ChannelImage,
     DatasetError,
     cell_pixels,
     load_dataset,
+    load_manifest,
     pool_tables,
     read_feature_csv,
     read_feature_labels,
@@ -19,12 +21,15 @@ from cellgraph.dataset import (
     read_pgm,
     save_dataset,
     write_feature_csv,
+    write_json,
     write_labels_csv,
     write_mask,
     write_pgm,
     CellTable,
 )
+from cellgraph.experiment import ExperimentError, load_report
 from cellgraph.graphs import CellGraph, GraphError, read_edge_list, write_edge_list
+from cellgraph.trees import TreeError, load_model
 from conftest import make_mask, make_sample
 
 
@@ -537,11 +542,20 @@ def reader_blobs(tmp_path_factory):
     edges = np.array([[0, 1], [1, 0], [2, 10], [10, 3]])
     write_edge_list(str(root / "edges"), CellGraph(11, edges, rng.random(4) + 0.5, [("", i) for i in range(11)]))
     (root / "feature_labels").write_bytes((root / "features").read_bytes())
+    channels = [{"antigen": "ag01", "path": "s01/ag01.pgm"}]
+    write_json(str(root / "manifest"), {"pixel_spacing_um": 0.5, "samples": [
+        {"sample_id": "s01", "diagnosis": "melanoma", "channels": channels, "mask_path": "m", "labels_path": "l"},
+    ]})
+    write_json(str(root / "report"), {"config": {"k": 5}, "seed": 3, "cells": {
+        "expression|none|random_forest": {"status": "ok", "metrics": {"f1": 0.5, "roc_auc": None}},
+        "radiomics|none|random_forest": {"status": "failed", "reason": "ValueError: x"},
+    }})
     return {kind: (root / kind).read_bytes() for kind in _READERS}
 
 
 _READERS = {"pgm": read_pgm, "cgmk": read_mask, "labels": read_labels_csv, "features": read_feature_csv,
-            "feature_labels": read_feature_labels, "edges": read_edge_list}
+            "feature_labels": read_feature_labels, "edges": read_edge_list, "manifest": load_manifest,
+            "report": load_report}
 _SPECIAL_BYTES = list(b"0123456789-+., \n\r\t#\"'e\x00\x80\xff")
 
 
@@ -564,5 +578,41 @@ def test_reader_fuzz_loads_or_raises_typed_error_naming_path(reader_blobs, tmp_p
     path.write_bytes(blob)
     try:
         _READERS[kind](str(path))
-    except (DatasetError, GraphError) as exc:
+    except (DatasetError, GraphError, ExperimentError) as exc:
         assert str(path) in str(exc)
+
+
+# every reader of the package with the error it raises
+_TYPED_READERS = {
+    "pgm": (read_pgm, DatasetError), "cgmk": (read_mask, DatasetError), "labels": (read_labels_csv, DatasetError),
+    "features": (read_feature_csv, DatasetError), "feature_labels": (read_feature_labels, DatasetError),
+    "manifest": (load_manifest, DatasetError), "model": (load_model, TreeError), "edges": (read_edge_list, GraphError),
+    "report": (load_report, ExperimentError), "config": (_load_json, StageError),
+}
+_TEXT_KINDS = ("labels", "features", "feature_labels", "edges", "manifest", "report", "config")
+_JSON_KINDS = ("manifest", "report", "config")
+
+
+_DEFECTS = ([(kind, defect) for defect in ("missing", "directory") for kind in _TYPED_READERS]
+            + [(kind, "not UTF-8") for kind in _TEXT_KINDS]
+            + [(kind, defect) for defect in ("invalid JSON", "too many digits") for kind in _JSON_KINDS])
+
+
+@pytest.mark.parametrize("kind, defect", _DEFECTS)
+def test_unreadable_input_raises_typed_error_naming_path(tmp_path, kind, defect):
+    reader, error = _TYPED_READERS[kind]
+    path = tmp_path / kind
+    if defect == "directory":
+        path.mkdir()
+    elif defect == "not UTF-8":
+        path.write_bytes(b"cell_id,\xff\n")
+    elif defect == "invalid JSON":
+        path.write_text('{"seed": 1,}')
+    elif defect == "too many digits":  # json raises a plain ValueError past Python's int digit limit
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+    # "cannot read <what the file should hold> <path>: <OS error>", or "<path>: <defect> ..."
+    where = re.escape(str(path))
+    match = {"missing": f"^cannot read [a-z ]+ {where}: ", "directory": f"^cannot read [a-z ]+ {where}: ",
+             "too many digits": f"^{where}: invalid JSON: Exceeds the limit"}.get(defect, f"^{where}: {defect}")
+    with pytest.raises(error, match=match):
+        reader(str(path))

@@ -78,6 +78,27 @@ def test_failed_cell_recorded_others_proceed(small_data, tmp_path):
     assert report.cells["expression|none|random_forest"]["status"] == "ok"
 
 
+def test_failed_extraction_writes_each_cell_log(small_data, tmp_path):
+    # an unknown radiomics channel fails the radiomics extraction; each of
+    # its cells gets a log, as a failed reduction or model does
+    config = ExperimentConfig(
+        data_dir=small_data,
+        reductions=("none", "pca"),
+        models=("random_forest",),
+        seed=5,
+        radiomics={"channels": ["nope"]},
+    )
+    report = run_experiment(config, str(tmp_path / "out"))
+    runs = tmp_path / "out" / "runs"
+    assert sorted(os.listdir(runs)) == sorted(key.replace("|", "__") for key in report.cells)
+    for red in ("none", "pca"):
+        key = cell_key("radiomics", red, "random_forest")
+        outcome = report.cells[key]
+        assert outcome["status"] == "failed" and "nope" in outcome["reason"]
+        log = (runs / key.replace("|", "__") / "log.txt").read_text()
+        assert log == f"cell: {key}\nstatus: failed\nreason: {outcome['reason']}\n"
+
+
 def test_report_files_written(small_data, tmp_path):
     out = tmp_path / "out"
     config = ExperimentConfig(

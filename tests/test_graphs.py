@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,21 @@ def test_read_edge_list_non_utf8_names_path(tmp_path):
         read_edge_list(str(path))
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_read_edge_list_splits_universal_newlines_only(tmp_path, end):
+    # "\r\n" and "\r" end a line as "\n" does; other characters that
+    # str.splitlines() breaks at (here \x0c) do not
+    lines = ["# nodes 3", "0 1 0.5", "1 2 0.25"]
+    path = tmp_path / "g.edges"
+    path.write_bytes(end.join(lines).encode("ascii") + end.encode("ascii"))
+    back = read_edge_list(str(path))
+    np.testing.assert_array_equal(back.edges, [[0, 1], [1, 2]])
+    np.testing.assert_array_equal(back.weights, [0.5, 0.25])
+    path.write_bytes(end.join(["# nodes 3", "0 1 0.5\x0c1 2 0.25"]).encode("ascii"))
+    with pytest.raises(GraphError, match=re.escape(f"{path}:2: malformed edge line")):
+        read_edge_list(str(path))
+
+
 def test_knn_rejects_non_finite_features():
     X = np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]])
     with pytest.raises(GraphError, match="non-finite"):
@@ -475,7 +491,8 @@ def test_knn_matches_one_expression_distances(X, k, chunk, block):
     assert got[1].tobytes() == expected[1].tobytes()
 
 
-def test_knn_holds_one_distance_chunk():
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_holds_one_distance_chunk(metric):
     # 1,200 rows make a 1,024-row chunk and a 176-row one; each is freed
     # before the next, and the in-place and partition temporaries are
     # _PARTITION_ROWS rows each
@@ -485,7 +502,7 @@ def test_knn_holds_one_distance_chunk():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        knn(X, 15)
+        knn(X, 15, metric)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
