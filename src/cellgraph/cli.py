@@ -16,7 +16,14 @@ import numpy as np
 
 from . import dataset as ds
 from .dimred import reduce_features
-from .experiment import ExperimentConfig, extract_features, load_report, run_experiment, write_table_csv
+from .experiment import (
+    METRIC_NAMES,
+    ExperimentConfig,
+    extract_features,
+    load_report,
+    run_experiment,
+    write_table_csv,
+)
 from .grand import (
     GrandConfig,
     decode_checkpoint,
@@ -38,8 +45,6 @@ from .trees import (
     train_gradient_boosting,
     train_random_forest,
 )
-
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
 
 class StageError(Exception):

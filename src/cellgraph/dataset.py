@@ -359,8 +359,9 @@ def load_manifest(manifest_path: str) -> dict:
     _require_keys(manifest, _MANIFEST_KEYS, f"{manifest_path}: manifest")
     if not isinstance(manifest["samples"], list) or not manifest["samples"]:
         raise DatasetError(f"{manifest_path}: manifest must list at least one sample")
-    if not (isinstance(manifest["pixel_spacing_um"], (int, float)) and manifest["pixel_spacing_um"] > 0):
-        raise DatasetError(f"{manifest_path}: pixel_spacing_um must be a positive number")
+    spacing = manifest["pixel_spacing_um"]
+    if isinstance(spacing, bool) or not (isinstance(spacing, (int, float)) and 0 < spacing < math.inf):
+        raise DatasetError(f"{manifest_path}: pixel_spacing_um must be a positive finite number")
     for entry in manifest["samples"]:
         _require_keys(entry, _SAMPLE_KEYS, f"{manifest_path}: sample entry")
         if entry["diagnosis"] not in DIAGNOSES:

@@ -10,6 +10,7 @@ to a separate timings.json for that reason.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -36,6 +37,7 @@ from .trees import BoostConfig, ForestConfig, predict_tabular, train_gradient_bo
 FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
 MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
+METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 _GRAPH_KINDS = {"grand_feature_graph": "feature", "grand_spatial_graph": "spatial"}
 
 
@@ -309,4 +311,27 @@ def load_report(path: str) -> ExperimentReport:
     raw = ds.read_json(path, "report", ExperimentError)
     if not (isinstance(raw, dict) and set(raw) == {"config", "seed", "cells"} and isinstance(raw["cells"], dict)):
         raise ExperimentError(f"{path}: not an experiment report (expected the keys cells, config and seed)")
+    for key, outcome in raw["cells"].items():
+        problem = _cell_problem(key, outcome)
+        if problem:
+            raise ExperimentError(f"{path}: cell {key!r}: {problem}")
     return ExperimentReport(**raw)
+
+
+def _cell_problem(key: str, outcome) -> str | None:
+    """Why one report cell cannot be read, or None when it can."""
+    if len(key.split("|")) != 3:
+        return "key must be feature_type|reduction|model"
+    if not isinstance(outcome, dict) or outcome.get("status") not in ("ok", "failed"):
+        return 'status must be "ok" or "failed"'
+    if outcome["status"] == "failed":
+        return None if isinstance(outcome.get("reason"), str) else "a failed cell must hold a reason"
+    metrics = outcome.get("metrics")
+    if not isinstance(metrics, dict):
+        return "an ok cell must hold metrics"
+    for name in METRIC_NAMES:
+        value = metrics.get(name)
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                or name == "roc_auc" and value is None):
+            return f"metric {name} must be a number, got {value!r}"
+    return None

@@ -266,6 +266,18 @@ def test_report_on_a_non_report_json_exits_1_naming_path(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("cells, problem", [
+    ({"expression|none|random_forest": {}}, "cell 'expression|none|random_forest': status must be"),
+    ({"expression": {"status": "failed", "reason": "x"}}, "cell 'expression': key must be"),
+])
+def test_report_on_a_malformed_cell_exits_1_naming_path(tmp_path, capsys, cells, problem):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"config": {}, "seed": 1, "cells": cells}))
+    assert main(["report", "--report", str(path), "--out", str(tmp_path / "bad")]) == 1
+    assert f"error: report: {path}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_reduce_idempotent(workdir):
     features = str(workdir / "expr.csv")
     a, b = str(workdir / "redA.csv"), str(workdir / "redB.csv")

@@ -152,6 +152,16 @@ def test_manifest_rejects_unknown_keys(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("spacing", [True, False, 0, -0.5, float("inf"), float("nan"), "0.45", None])
+def test_manifest_rejects_bad_pixel_spacing_naming_path(tmp_path, spacing):
+    manifest = write_minimal_dataset(tmp_path)
+    raw = json.loads(open(manifest).read())
+    raw["pixel_spacing_um"] = spacing
+    open(manifest, "w").write(json.dumps(raw))
+    with pytest.raises(DatasetError, match=re.escape(f"{manifest}: pixel_spacing_um must be a positive finite number")):
+        load_dataset(manifest)
+
+
 def test_synthetic_dataset_preserves_diagnosis_split(tmp_path):
     # production cohort statistics: 27 cases, 20 melanoma
     from cellgraph.synth import SynthConfig, generate_synthetic_dataset

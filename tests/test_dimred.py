@@ -1,5 +1,8 @@
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +223,47 @@ def test_attraction_curve_matches_reference_shape():
     # published reference fit for min_dist 0.1, spread 1.0
     assert a == pytest.approx(1.577, abs=0.05)
     assert b == pytest.approx(0.895, abs=0.05)
+
+
+def curve_fit_reference(min_dist, spread=1.0):
+    """The attraction-curve fit as scipy's curve_fit gives it."""
+    from scipy.optimize import curve_fit
+
+    xs = np.linspace(0.0, spread * 3.0, 300)
+    ys = np.where(xs < min_dist, 1.0, np.exp(-(xs - min_dist) / spread))
+    (a, b), _ = curve_fit(lambda x, a, b: 1.0 / (1.0 + a * x ** (2.0 * b)), xs, ys)
+    return float(a), float(b)
+
+
+def test_attraction_curve_memo_equals_curve_fit_bits():
+    # a scipy whose fit drifts fails here instead of silently moving UMAP
+    # embeddings and report bytes
+    assert dimred._ATTRACTION_CURVES
+    for (min_dist, spread), (a, b) in dimred._ATTRACTION_CURVES.items():
+        ref_a, ref_b = curve_fit_reference(min_dist, spread)
+        assert (a.hex(), b.hex()) == (ref_a.hex(), ref_b.hex())
+    assert fit_attraction_curve(0.1) == fit_attraction_curve(0.1, 1.0) == dimred._ATTRACTION_CURVES[0.1, 1.0]
+
+
+def test_attraction_curve_fits_a_non_default_min_dist():
+    a, b = fit_attraction_curve(min_dist=0.25)
+    ref_a, ref_b = curve_fit_reference(0.25)
+    assert (a.hex(), b.hex()) == (ref_a.hex(), ref_b.hex())
+    assert (a, b) != fit_attraction_curve(min_dist=0.1)
+
+
+def test_default_umap_does_not_import_scipy_optimize():
+    # a fresh interpreter: other tests may already have loaded the module
+    code = (
+        "import sys, numpy as np, cellgraph, cellgraph.cli\n"
+        "from cellgraph.dimred import umap\n"
+        "umap(np.random.default_rng(0).normal(size=(30, 3)), 2, n_neighbors=5, n_epochs=5)\n"
+        "sys.exit('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dimred.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_umap_three_cluster_purity(three_cluster_benchmark):

@@ -238,6 +238,42 @@ def test_missing_dataset_errors(tmp_path):
         run_experiment(config, str(tmp_path / "out"))
 
 
+_OK_METRICS = {"accuracy": 0.9, "precision": 1.0, "recall": 0.5, "f1": 0.6667, "roc_auc": None}
+
+
+@pytest.mark.parametrize("key, outcome, problem", [
+    ("expression|none|random_forest", {}, 'status must be "ok" or "failed"'),
+    ("expression|none|random_forest", {"status": "done"}, 'status must be "ok" or "failed"'),
+    ("expression|none|random_forest", [], 'status must be "ok" or "failed"'),
+    ("expression", {"status": "failed", "reason": "x"}, "key must be feature_type|reduction|model"),
+    ("a|b|c|d", {"status": "failed", "reason": "x"}, "key must be feature_type|reduction|model"),
+    ("expression|none|random_forest", {"status": "failed"}, "a failed cell must hold a reason"),
+    ("expression|none|random_forest", {"status": "ok"}, "an ok cell must hold metrics"),
+    ("expression|none|random_forest", {"status": "ok", "metrics": {**_OK_METRICS, "f1": None}},
+     "metric f1 must be a number, got None"),
+    ("expression|none|random_forest", {"status": "ok", "metrics": {**_OK_METRICS, "recall": True}},
+     "metric recall must be a number, got True"),
+    ("expression|none|random_forest", {"status": "ok", "metrics": {"accuracy": 1.0}},
+     "metric precision must be a number, got None"),
+])
+def test_load_report_rejects_a_malformed_cell_naming_path_and_key(tmp_path, key, outcome, problem):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"config": {}, "seed": 1, "cells": {key: outcome}}))
+    with pytest.raises(ExperimentError, match=re.escape(f"{path}: cell {key!r}: {problem}")):
+        load_report(str(path))
+
+
+def test_load_report_accepts_ok_and_failed_cells(tmp_path):
+    cells = {
+        "expression|none|random_forest": {"status": "ok", "metrics": {**_OK_METRICS, "tp": 3}},
+        "expression|pca|random_forest": {"status": "ok", "metrics": {**_OK_METRICS, "roc_auc": 0.75}},
+        "radiomics|none|gradient_boosting": {"status": "failed", "reason": "ValueError: x"},
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"config": {}, "seed": 1, "cells": cells}))
+    assert load_report(str(path)).cells == cells
+
+
 def test_tree_only_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
     # Both feature families, no reduction, both tree baselines: no BLAS call
     # is involved, so these bytes hold on any CPU. The report embeds
