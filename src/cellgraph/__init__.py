@@ -37,7 +37,7 @@ from .graphs import (
     normalize_adjacency,
     spatial_knn_graph,
 )
-from .dimred import Embedding, pca, tsne, umap
+from .dimred import Embedding, TsneConfig, UmapConfig, pca, tsne, umap
 from .grand import (
     GrandConfig,
     GrandModel,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,7 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str) -> dict:
-    return ds.read_json(path, "config", StageError)
+    raw = ds.read_json(path, "config", StageError)
+    if not isinstance(raw, dict):
+        raise StageError(f"{path}: expected a JSON object of config keys, got {type(raw).__name__}")
+    return raw
 
 
 def _resolve_out(args, default: str | None = None) -> str:
@@ -206,14 +210,7 @@ def _cmd_reduce(args) -> None:
     seed = args.seed if args.seed is not None else 0
     kwargs = _load_json(args.config) if args.config else {}
     emb = reduce_features(table.features, args.method, args.dim, seed=seed, **kwargs)
-    out_table = ds.CellTable(
-        cell_ids=table.cell_ids,
-        sample_ids=table.sample_ids,
-        centroids=table.centroids,
-        labels=table.labels,
-        features=emb.Y,
-        feature_names=[f"{args.method}_{i}" for i in range(emb.Y.shape[1])],
-    )
+    out_table = replace(table, features=emb.Y, feature_names=[f"{args.method}_{i}" for i in range(emb.Y.shape[1])])
     out = _resolve_out(args, default="embedding.csv")
     out_table.to_csv(out)
     print(f"wrote {emb.Y.shape[0]}x{emb.Y.shape[1]} embedding to {out}")
@@ -263,7 +260,7 @@ def _cmd_evaluate(args) -> None:
         for i in range(len(table)):
             lines.append(
                 f"{int(table.cell_ids[i])},{table.sample_ids[i]},"
-                f"{format(probs[i, 0], '.17g')},{format(probs[i, 1], '.17g')},"
+                f"{ds.format_float(probs[i, 0])},{ds.format_float(probs[i, 1])},"
                 f"{int(probs[i, 1] >= 0.5)}"
             )
         ds.write_lines(args.predictions, lines)

@@ -30,6 +30,8 @@ import math
 import numbers
 import os
 import struct
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +51,21 @@ class DatasetError(Exception):
     """Raised when a dataset file is missing, malformed, or inconsistent."""
 
 
-def check_field(key: str, value, kind: type, lo=-math.inf, hi=math.inf) -> None:
+class Open(float):
+    """A ``check_field`` bound that the value itself may not take."""
+
+
+def check_field(key: str, value, kind, lo=-math.inf, hi=math.inf) -> None:
     """Raise ValueError naming config ``key`` unless ``value`` is a ``kind`` in [lo, hi].
 
     ``kind`` is ``bool``, ``int`` (integers only) or ``float`` (any finite
-    real); a bool is only a ``bool``.
+    real), or one of them ``| None`` to take None too; a bool is only a
+    ``bool``. A bound given as ``Open(x)`` excludes x itself.
     """
+    if isinstance(kind, types.UnionType):
+        if value is None:
+            return
+        kind = typing.get_args(kind)[0]
     if kind is bool:
         ok, wanted = True, "true or false"
     elif kind is int:
@@ -63,17 +74,35 @@ def check_field(key: str, value, kind: type, lo=-math.inf, hi=math.inf) -> None:
         ok, wanted = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
     if isinstance(value, bool) != (kind is bool) or not ok:
         raise ValueError(f"{key} must be {wanted}, got {value!r}")
+    if isinstance(lo, Open) and value == lo:
+        raise ValueError(f"{key} must be > {lo}, got {value!r}")
+    if isinstance(hi, Open) and value == hi:
+        raise ValueError(f"{key} must be < {hi}, got {value!r}")
     if not lo <= value <= hi:
-        raise ValueError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
+        left, right = "(" if isinstance(lo, Open) else "[", ")" if isinstance(hi, Open) else "]"
+        raise ValueError(f"{key} must lie in {left}{lo}, {hi}{right}, got {value!r}")
+
+
+def check_fields(config, rules: dict) -> None:
+    """Check each field of ``config`` that ``rules`` names: ``rules`` maps a
+    field to the ``(kind[, lo[, hi]])`` that ``check_field`` takes."""
+    for key, rule in rules.items():
+        check_field(key, getattr(config, key), *rule)
 
 
 def config_from_dict(cls, raw: dict, error: type = ValueError):
-    """``cls(**raw)`` for a config dataclass; a key that is not a field raises ``error``."""
+    """``cls(**raw)`` for a config dataclass. A ``raw`` that is not a dict, a
+    key that is not a field and a value the config refuses raise ``error``."""
+    name = cls.__name__.removesuffix("Config").lower()
+    if not isinstance(raw, dict):
+        raise error(f"expected a dict of {name} arguments, got {raw!r}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        name = cls.__name__.removesuffix("Config").lower()
         raise error(f"unknown {name} config keys: {sorted(unknown)}")
-    return cls(**raw)
+    try:
+        return cls(**raw)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -495,8 +524,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> str:
 # feature table CSV (shared by the expression and radiomics extractors)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: exact float64 round trip.
+def format_float(x: float) -> str:
+    """``x`` as text with 17 significant digits: an exact float64 round trip."""
     return format(float(x), ".17g")
 
 
@@ -508,10 +537,10 @@ def write_feature_csv(path: str, table: CellTable) -> None:
         row = [
             str(int(table.cell_ids[i])),
             table.sample_ids[i],
-            _fmt(table.centroids[i, 0]),
-            _fmt(table.centroids[i, 1]),
+            format_float(table.centroids[i, 0]),
+            format_float(table.centroids[i, 1]),
             str(int(table.labels[i])),
-        ] + [_fmt(v) for v in table.features[i]]
+        ] + [format_float(v) for v in table.features[i]]
         lines.append(",".join(row))
     write_lines(path, lines)
 

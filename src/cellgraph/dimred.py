@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import check_field
+from .dataset import Open, check_fields, config_from_dict
 from .graphs import knn, sq_distances
 
 
@@ -23,42 +23,42 @@ class DimRedError(Exception):
     pass
 
 
-# keyword arguments of tsne and umap: key -> (type, lowest value, whether
-# the lowest value itself is allowed); t-SNE's learning_rate may be None
-_ARG_RULES = {
-    "tsne": {
-        "perplexity": (float, 1.0, True),
-        "n_iters": (int, 1, True),
-        "learning_rate": (float, 0.0, False),
-        "early_exaggeration": (float, 0.0, False),
-    },
-    "umap": {
-        "n_neighbors": (int, 1, True),
-        "min_dist": (float, 0.0, True),
-        "n_epochs": (int, 1, True),
-        "learning_rate": (float, 0.0, False),
-        "negative_sample_rate": (int, 0, True),
-    },
-}
+@dataclass
+class TsneConfig:
+    """The keyword arguments of ``tsne`` beside ``X``, ``d`` and ``seed``."""
+
+    perplexity: float = 30.0
+    n_iters: int = 500
+    learning_rate: float | None = None  # None: max(n / early_exaggeration, 50)
+    early_exaggeration: float = 12.0
+
+    def __post_init__(self):
+        check_fields(self, {
+            "perplexity": (float, 1.0),
+            "n_iters": (int, 1),
+            "learning_rate": (float | None, Open(0.0)),
+            "early_exaggeration": (float, Open(0.0)),
+        })
 
 
-def check_args(method: str, args: dict) -> None:
-    """Raise DimRedError naming the key unless every key of ``args`` is a
-    keyword argument of ``method`` ("tsne" or "umap") other than ``X``,
-    ``d`` and ``seed``, with a value of the type and range it takes."""
-    unknown = set(args) - set(_ARG_RULES[method])
-    if unknown:
-        raise DimRedError(f"unknown {method} config keys: {sorted(unknown)}")
-    for key, value in args.items():
-        if method == "tsne" and key == "learning_rate" and value is None:
-            continue
-        kind, lo, closed = _ARG_RULES[method][key]
-        try:
-            check_field(key, value, kind, lo=lo)
-        except ValueError as exc:
-            raise DimRedError(str(exc)) from None
-        if not closed and value == lo:
-            raise DimRedError(f"{key} must be > {lo}, got {value!r}")
+@dataclass
+class UmapConfig:
+    """The keyword arguments of ``umap`` beside ``X``, ``d`` and ``seed``."""
+
+    n_neighbors: int = 15
+    min_dist: float = 0.1
+    n_epochs: int = 200
+    learning_rate: float = 1.0
+    negative_sample_rate: int = 5
+
+    def __post_init__(self):
+        check_fields(self, {
+            "n_neighbors": (int, 1),
+            "min_dist": (float, 0.0),
+            "n_epochs": (int, 1),
+            "learning_rate": (float, Open(0.0)),
+            "negative_sample_rate": (int, 0),
+        })
 
 
 @dataclass
@@ -222,39 +222,32 @@ def _joint_probabilities(X: np.ndarray, perplexity: float):
     return P, realized
 
 
-def tsne(
-    X,
-    d: int = 2,
-    perplexity: float = 30.0,
-    n_iters: int = 500,
-    seed: int = 0,
-    learning_rate: float | None = None,
-    early_exaggeration: float = 12.0,
-) -> Embedding:
+def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     """Exact t-SNE: gradient descent on KL(P || Q) with a Student-t kernel.
 
-    The joint P is the symmetrized, normalized conditional matrix; the first
-    250 iterations run with the early-exaggeration factor applied; the
-    embedding starts from PCA scaled to std 1e-4. Gradient descent uses the
-    standard momentum schedule (0.5 then 0.8) with per-parameter gains; the
-    default step size is the max(n / exaggeration, 50) heuristic.
+    ``params`` are ``TsneConfig`` fields. The joint P is the symmetrized,
+    normalized conditional matrix; the first 250 iterations run with the
+    early-exaggeration factor applied; the embedding starts from PCA scaled
+    to std 1e-4. Gradient descent uses the standard momentum schedule (0.5
+    then 0.8) with per-parameter gains; the default step size is the
+    max(n / exaggeration, 50) heuristic.
     """
-    check_args("tsne", {"perplexity": perplexity, "n_iters": n_iters, "learning_rate": learning_rate,
-                        "early_exaggeration": early_exaggeration})
+    config = config_from_dict(TsneConfig, params, DimRedError)
     X = _as_matrix(X)
     n = X.shape[0]
     if n < 4:
         raise DimRedError("t-SNE needs at least 4 points")
-    if not 1.0 <= perplexity < n / 3:
-        raise DimRedError(f"perplexity must lie in [1, n/3); got {perplexity} for n={n}")
+    if not 1.0 <= config.perplexity < n / 3:
+        raise DimRedError(f"perplexity must lie in [1, n/3); got {config.perplexity} for n={n}")
+    learning_rate = config.learning_rate
     if learning_rate is None:
-        learning_rate = max(n / early_exaggeration, 50.0)
-    P, realized = _joint_probabilities(X, perplexity)
+        learning_rate = max(n / config.early_exaggeration, 50.0)
+    P, realized = _joint_probabilities(X, config.perplexity)
     support = P[P > 0]
     p_log_p = np.sum(support * np.log(support))
     p_total = support.sum()
     del support
-    exaggerated = early_exaggeration * P
+    exaggerated = config.early_exaggeration * P
 
     # n x n work buffers, allocated once per call and reused every iteration
     num = np.empty((n, n))
@@ -283,7 +276,7 @@ def tsne(
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_curve = []
-    for it in range(n_iters):
+    for it in range(config.n_iters):
         momentum = 0.5 if it < 250 else 0.8
 
         total, kl = student_t(Y)
@@ -308,7 +301,7 @@ def tsne(
         diagnostics={
             "kl_curve": np.array(kl_curve),
             "realized_perplexity": realized,
-            "perplexity_error": float(np.abs(realized - perplexity).max()),
+            "perplexity_error": float(np.abs(realized - config.perplexity).max()),
             "P": P,
         },
     )
@@ -415,46 +408,37 @@ def fit_attraction_curve(min_dist: float, spread: float = 1.0):
     return float(a), float(b)
 
 
-def umap(
-    X,
-    d: int = 2,
-    n_neighbors: int = 15,
-    min_dist: float = 0.1,
-    n_epochs: int = 200,
-    seed: int = 0,
-    learning_rate: float = 1.0,
-    negative_sample_rate: int = 5,
-) -> Embedding:
+def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     """UMAP embedding by negative-sampling SGD on the fuzzy cross-entropy.
 
-    Edges of the symmetrized membership graph are sampled in proportion to
-    their weight; each sampled edge attracts its endpoints along the fitted
-    1/(1 + a d^{2b}) curve and pushes the head away from
-    ``negative_sample_rate`` uniformly drawn points. Gradient components
-    are clipped to [-4, 4] and the step size decays linearly to 0.
+    ``params`` are ``UmapConfig`` fields. Edges of the symmetrized
+    membership graph are sampled in proportion to their weight; each sampled
+    edge attracts its endpoints along the fitted 1/(1 + a d^{2b}) curve and
+    pushes the head away from ``negative_sample_rate`` uniformly drawn
+    points. Gradient components are clipped to [-4, 4] and the step size
+    decays linearly to 0.
     """
-    check_args("umap", {"n_neighbors": n_neighbors, "min_dist": min_dist, "n_epochs": n_epochs,
-                        "learning_rate": learning_rate, "negative_sample_rate": negative_sample_rate})
+    config = config_from_dict(UmapConfig, params, DimRedError)
     X = _as_matrix(X)
     n = X.shape[0]
-    W, _, _ = fuzzy_memberships(X, n_neighbors)
+    W, _, _ = fuzzy_memberships(X, config.n_neighbors)
     S = symmetrize_memberships(W).tocoo()
-    a, b = fit_attraction_curve(min_dist)
+    a, b = fit_attraction_curve(config.min_dist)
 
     head = S.row.astype(np.int64)
     tail = S.col.astype(np.int64)
     weights = S.data.astype(np.float64)
-    keep = weights >= weights.max() / n_epochs
+    keep = weights >= weights.max() / config.n_epochs
     head, tail, weights = head[keep], tail[keep], weights[keep]
-    epochs_per_sample = n_epochs / (weights / weights.max())
+    epochs_per_sample = config.n_epochs / (weights / weights.max())
 
     Y = _pca_init(X, d, scale=1.0, seed=seed)
     Y *= 10.0 / max(np.abs(Y).max(), 1e-12)
     rng = np.random.default_rng(seed)
     epoch_of_next_sample = epochs_per_sample.copy()
 
-    for epoch in range(1, n_epochs + 1):
-        alpha = learning_rate * (1.0 - (epoch - 1) / n_epochs)
+    for epoch in range(1, config.n_epochs + 1):
+        alpha = config.learning_rate * (1.0 - (epoch - 1) / config.n_epochs)
         due = epoch_of_next_sample <= epoch
         if due.any():
             h, t = head[due], tail[due]
@@ -467,7 +451,7 @@ def umap(
             np.add.at(Y, h, alpha * grad)
             np.add.at(Y, t, -alpha * grad)
 
-            for _ in range(negative_sample_rate):
+            for _ in range(config.negative_sample_rate):
                 neg = rng.integers(0, n, size=len(h))
                 valid = neg != h
                 diff_n = Y[h] - Y[neg]

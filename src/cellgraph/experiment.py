@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import dataset as ds
-from .dimred import DimRedError, check_args, reduce_features
+from .dimred import TsneConfig, UmapConfig, reduce_features
 from .expression import expression_profile
 from .grand import GrandConfig, predict_grand, train_grand
 from .graphs import build_cell_graph, edge_homophily, normalize_adjacency
@@ -65,42 +65,37 @@ class ExperimentConfig:
     radiomics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.feature_types = tuple(self.feature_types)
-        self.reductions = tuple(self.reductions)
-        self.models = tuple(self.models)
-        for ft in self.feature_types:
-            if ft not in FEATURE_TYPES:
-                raise ExperimentError(f"unknown feature type {ft!r}")
-        for red in self.reductions:
-            if red not in REDUCTIONS:
-                raise ExperimentError(f"unknown reduction {red!r}")
-        for model in self.models:
-            if model not in MODELS:
-                raise ExperimentError(f"unknown model {model!r}")
+        if not isinstance(self.data_dir, str):
+            raise ExperimentError(f"data_dir must be a path string, got {self.data_dir!r}")
+        for key, noun, allowed in (("feature_types", "feature type", FEATURE_TYPES),
+                                   ("reductions", "reduction", REDUCTIONS), ("models", "model", MODELS)):
+            names = getattr(self, key)
+            if not isinstance(names, (list, tuple)) or not names:
+                raise ExperimentError(f"{key} must be a non-empty list of names from {allowed}, got {names!r}")
+            for name in names:
+                if name not in allowed:
+                    raise ExperimentError(f"unknown {noun} {name!r}")
+                if names.count(name) > 1:
+                    raise ExperimentError(f"{key} lists {name!r} more than once")
+            setattr(self, key, tuple(names))
         if self.split_by not in ("cell", "case"):
             raise ExperimentError("split_by must be 'cell' or 'case'")
         try:
-            for key in ("k", "reduce_dim", "threads"):
-                ds.check_field(key, getattr(self, key), int, lo=1)
-            ds.check_field("seed", self.seed, int, lo=0)
-            ds.check_field("threshold", self.threshold, float, lo=0.0, hi=1.0)
+            ds.check_fields(self, {
+                "k": (int, 1),
+                "reduce_dim": (int, 1),
+                "threads": (int, 1),
+                "seed": (int, 0),
+                "threshold": (float, 0.0, 1.0),
+            })
         except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
         # read the stage configs now, so a typo fails the run before any cell
-        for key, stage in (("grand", GrandConfig), ("forest", ForestConfig), ("boost", BoostConfig),
-                           ("radiomics", RadiomicsConfig)):
+        for key, stage in {"grand": GrandConfig, "forest": ForestConfig, "boost": BoostConfig,
+                           "tsne": TsneConfig, "umap": UmapConfig, "radiomics": RadiomicsConfig}.items():
             try:
                 ds.config_from_dict(stage, getattr(self, key))
             except (ValueError, TypeError) as exc:
-                raise ExperimentError(f"{key}: {exc}") from exc
-        # the reductions take their dict as keyword arguments beside X, d and seed
-        for key in ("tsne", "umap"):
-            params = getattr(self, key)
-            if not isinstance(params, dict):
-                raise ExperimentError(f"{key}: expected a dict of {key} arguments, got {params!r}")
-            try:
-                check_args(key, params)
-            except DimRedError as exc:
                 raise ExperimentError(f"{key}: {exc}") from exc
 
     from_dict = classmethod(partial(ds.config_from_dict, error=ExperimentError))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import check_field, config_from_dict, read_model_file, write_lines, write_model_file
+from .dataset import Open, check_fields, config_from_dict, format_float, read_model_file, write_lines, write_model_file
 
 # Augmentations propagated together hold at most this many features (128 KB
 # of float64) side by side. Measured on a 2-core Xeon: a wider block made the
@@ -56,19 +56,19 @@ class GrandConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("prop_order", "max_epochs", "patience", "seed"):
-            check_field(key, getattr(self, key), int, lo=0)
-        for key in ("n_augmentations", "hidden_dim"):
-            check_field(key, getattr(self, key), int, lo=1)
-        for key in ("drop_rate", "temperature", "input_dropout", "learning_rate"):
-            check_field(key, getattr(self, key), float)
-        check_field("consistency_weight", self.consistency_weight, float, lo=0.0)
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError("drop_rate must lie in [0, 1)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        if not 0.0 <= self.input_dropout < 1.0:
-            raise ValueError("input_dropout must lie in [0, 1)")
+        check_fields(self, {
+            "drop_rate": (float, 0.0, Open(1.0)),
+            "prop_order": (int, 0),
+            "n_augmentations": (int, 1),
+            "temperature": (float, Open(0.0)),
+            "consistency_weight": (float, 0.0),
+            "hidden_dim": (int, 1),
+            "input_dropout": (float, 0.0, Open(1.0)),
+            "learning_rate": (float,),
+            "max_epochs": (int, 0),
+            "patience": (int, 0),
+            "seed": (int, 0),
+        })
 
     from_dict = classmethod(config_from_dict)
 
@@ -460,7 +460,7 @@ def save_history_csv(path: str, model: GrandModel) -> None:
     lines = ["epoch,total,supervised,consistency,val_f1"]
     for row in model.history:
         lines.append(
-            f"{row['epoch']},{format(row['total'], '.17g')},{format(row['supervised'], '.17g')},"
-            f"{format(row['consistency'], '.17g')},{format(row['val_f1'], '.17g')}"
+            f"{row['epoch']},{format_float(row['total'])},{format_float(row['supervised'])},"
+            f"{format_float(row['consistency'])},{format_float(row['val_f1'])}"
         )
     write_lines(path, lines)

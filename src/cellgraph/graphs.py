@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import CellTable, read_lines, write_lines
+from .dataset import CellTable, format_float, read_lines, write_lines
 
 _CHUNK_ROWS = 1024
 # rows of a distance chunk finished or partitioned at once: the (rows, n)
@@ -234,7 +234,7 @@ def build_cell_graph(kind: str, X: np.ndarray, table: CellTable, k: int, metric:
 def write_edge_list(path: str, g: CellGraph) -> None:
     lines = [f"# nodes {g.n_nodes}"]
     for (src, dst), w in zip(g.edges.tolist(), g.weights.tolist()):
-        lines.append(f"{src} {dst} {format(w, '.17g')}")
+        lines.append(f"{src} {dst} {format_float(w)}")
     write_lines(path, lines)
 
 

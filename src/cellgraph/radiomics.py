@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import CellTable, ChannelImage, LabelMask, Sample, cell_pixels
-from .dataset import check_field, config_from_dict
+from .dataset import check_field, check_fields, config_from_dict
 
 DEFAULT_LEVELS = 16
 DEFAULT_OFFSETS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -128,9 +128,7 @@ class RadiomicsConfig:
     shape: bool = True
 
     def __post_init__(self):
-        check_field("levels", self.levels, int, lo=2)
-        check_field("symmetric", self.symmetric, bool)
-        check_field("shape", self.shape, bool)
+        check_fields(self, {"levels": (int, 2), "symmetric": (bool,), "shape": (bool,)})
         if self.channels is not None and not (
             isinstance(self.channels, list) and all(isinstance(c, str) for c in self.channels)
         ):

@@ -25,7 +25,7 @@ from .dataset import (
     LabelMask,
     Sample,
     StainStack,
-    check_field,
+    check_fields,
     config_from_dict,
     pool_tables,
     save_dataset,
@@ -43,22 +43,6 @@ class SynthesisError(Exception):
     """Raised when the requested cell density cannot be realized."""
 
 
-# (key, kind[, lo[, hi]]) for check_field
-_FIELD_CHECKS = (
-    ("n_samples", int, 1),
-    ("n_melanoma", int, 0),
-    ("image_size", int, 32),
-    ("n_channels", int, 2),
-    ("cells_per_sample", int, 1),
-    ("tumor_fraction", float, 0.0, 1.0),
-    ("marker_channel_fraction", float, 0.0, 1.0),
-    ("intensity_separation", float),
-    ("texture_contrast_separation", float),
-    ("pixel_spacing_um", float),
-    ("seed", int),
-)
-
-
 @dataclass
 class SynthConfig:
     n_samples: int = 6
@@ -74,8 +58,19 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for key, *spec in _FIELD_CHECKS:
-            check_field(key, getattr(self, key), *spec)
+        check_fields(self, {
+            "n_samples": (int, 1),
+            "n_melanoma": (int, 0),
+            "image_size": (int, 32),
+            "n_channels": (int, 2),
+            "cells_per_sample": (int, 1),
+            "tumor_fraction": (float, 0.0, 1.0),
+            "marker_channel_fraction": (float, 0.0, 1.0),
+            "intensity_separation": (float,),
+            "texture_contrast_separation": (float,),
+            "pixel_spacing_um": (float,),
+            "seed": (int,),
+        })
         if self.n_melanoma > self.n_samples:
             raise ValueError("n_melanoma must not exceed n_samples")
 

@@ -15,19 +15,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import check_field, config_from_dict, read_model_file, write_model_file
+from .dataset import Open, check_fields, config_from_dict, read_model_file, write_model_file
 from .rng import derive_seed
 
 
 class TreeError(Exception):
     pass
-
-
-def _check_counts(config, size_key: str) -> None:
-    """Ensemble size, depth and leaf size are integers >= 1; seed is >= 0."""
-    for key in (size_key, "max_depth", "min_leaf"):
-        check_field(key, getattr(config, key), int, lo=1)
-    check_field("seed", config.seed, int, lo=0)
 
 
 @dataclass
@@ -40,10 +33,14 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "n_trees")
-        if self.features_per_split is not None:
-            check_field("features_per_split", self.features_per_split, int, lo=1)
-        check_field("bootstrap", self.bootstrap, bool)
+        check_fields(self, {
+            "n_trees": (int, 1),
+            "max_depth": (int, 1),
+            "min_leaf": (int, 1),
+            "features_per_split": (int | None, 1),
+            "bootstrap": (bool,),
+            "seed": (int, 0),
+        })
 
     from_dict = classmethod(config_from_dict)
 
@@ -60,10 +57,13 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, "n_rounds")
-        check_field("learning_rate", self.learning_rate, float, hi=1.0)
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must lie in (0, 1], got {self.learning_rate!r}")
+        check_fields(self, {
+            "n_rounds": (int, 1),
+            "max_depth": (int, 1),
+            "learning_rate": (float, Open(0.0), 1.0),
+            "min_leaf": (int, 1),
+            "seed": (int, 0),
+        })
 
     from_dict = classmethod(config_from_dict)
 

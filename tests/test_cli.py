@@ -206,6 +206,28 @@ def test_experiment_threads_flag_is_checked(tiny_dataset_dir, tmp_path, capsys, 
         assert capsys.readouterr().err.startswith("error: experiment: threads")
 
 
+@pytest.mark.parametrize("stage", [
+    ["reduce", "--method", "umap", "--in", "{features}"],
+    ["baseline", "--model", "random_forest", "--features", "{features}", "--labels", "{features}"],
+    ["train", "--graph", "{features}", "--features", "{features}", "--labels", "{features}"],
+    ["synth"],
+    ["experiment", "--data", "{features}"],
+])
+@pytest.mark.parametrize("content", ["[1]", "null", '"perplexity"'])
+def test_config_file_that_is_not_an_object_exits_1_naming_path(tmp_path, capsys, stage, content):
+    # A list once failed `reduce` with "argument after ** must be a mapping"
+    # and `--seed 3 ... baseline` with "list indices must be integers".
+    features, config, out = tmp_path / "features.csv", tmp_path / "c.json", tmp_path / "out"
+    rows = ["cell_id,sample_id,cx,cy,label,f1"] + [f"{i},s01,{i}.0,0.0,{i % 2},{i}.0" for i in range(1, 11)]
+    features.write_text("\n".join(rows) + "\n")
+    config.write_text(content)
+    argv = ["--seed", "3", "--config", str(config)] + [a.format(features=features) for a in stage] + ["--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage[0]}: {config}: expected a JSON object of config keys, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["none", "pca"])
 def test_reduce_config_for_method_without_arguments_exits_1(tiny_dataset_dir, tmp_path, capsys, method):
     # Only t-SNE and UMAP take arguments, so a config file given to the

@@ -10,7 +10,9 @@ from cellgraph.cli import StageError, _load_json
 from cellgraph.dataset import (
     ChannelImage,
     DatasetError,
+    Open,
     cell_pixels,
+    check_field,
     load_dataset,
     load_manifest,
     pool_tables,
@@ -626,3 +628,26 @@ def test_unreadable_input_raises_typed_error_naming_path(tmp_path, kind, defect)
              "too many digits": f"^{where}: invalid JSON: Exceeds the limit"}.get(defect, f"^{where}: {defect}")
     with pytest.raises(error, match=match):
         reader(str(path))
+
+
+@pytest.mark.parametrize("value, kind, bounds, message", [
+    (0, float, (Open(0.0),), "x must be > 0.0, got 0"),
+    (-1.0, float, (Open(0.0),), "x must lie in (0.0, inf], got -1.0"),
+    (1.0, float, (0.0, Open(1.0)), "x must be < 1.0, got 1.0"),
+    (1.5, float, (0.0, Open(1.0)), "x must lie in [0.0, 1.0), got 1.5"),
+    (0, int, (1,), "x must lie in [1, inf], got 0"),
+    (None, int, (1,), "x must be an integer, got None"),
+    (True, int | None, (1,), "x must be an integer, got True"),
+    (0.0, float | None, (Open(0.0),), "x must be > 0.0, got 0.0"),
+])
+def test_check_field_names_key_and_bound(value, kind, bounds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_field("x", value, kind, *bounds)
+
+
+@pytest.mark.parametrize("value, kind, bounds", [
+    (None, int | None, (1,)), (None, float | None, (Open(0.0),)), (5e-324, float, (Open(0.0),)),
+    (0.0, float, (0.0, Open(1.0))), (1, float, (Open(0.0), 1.0)),
+])
+def test_check_field_accepts_values_inside_open_bounds(value, kind, bounds):
+    check_field("x", value, kind, *bounds)

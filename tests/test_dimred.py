@@ -1,8 +1,8 @@
 import hashlib
-import inspect
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from cellgraph import dimred
 from cellgraph.dimred import (
     DimRedError,
+    TsneConfig,
+    UmapConfig,
     fit_attraction_curve,
     fuzzy_memberships,
     pca,
@@ -152,10 +154,13 @@ def test_reduction_rejects_bad_argument_by_key_name(method, kwargs, message):
     X = np.random.default_rng(0).normal(size=(20, 3))
     with pytest.raises(DimRedError, match=message):
         method(X, 2, **kwargs)
-    # the experiment checks its tsne/umap dicts by the same rules: one per
-    # keyword argument it may pass
-    params = set(inspect.signature(method).parameters) - {"X", "d", "seed"}
-    assert set(dimred._ARG_RULES[method.__name__]) == params
+
+
+def test_reduction_configs_default_to_the_former_keyword_defaults():
+    assert asdict(TsneConfig()) == {"perplexity": 30.0, "n_iters": 500, "learning_rate": None,
+                                    "early_exaggeration": 12.0}
+    assert asdict(UmapConfig()) == {"n_neighbors": 15, "min_dist": 0.1, "n_epochs": 200, "learning_rate": 1.0,
+                                    "negative_sample_rate": 5}
 
 
 def test_tsne_infeasible_perplexity_on_identical_points():

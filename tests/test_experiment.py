@@ -209,8 +209,8 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"boost": {"rounds": 5}}, "boost: unknown boost config keys: ['rounds']"),
         ({"grand": {"hidden_dim": 0}}, "grand: hidden_dim must lie in"),
         ({"radiomics": {"levels": 2.5}}, "radiomics: levels must be an integer"),
-        ({"forest": [1]}, "forest: "),
-        ({"boost": None}, "boost: "),
+        ({"forest": [1]}, "forest: expected a dict of forest arguments, got [1]"),
+        ({"boost": None}, "boost: expected a dict of boost arguments, got None"),
         ({"tsne": {"perplexty": 5}}, "tsne: unknown tsne config keys: ['perplexty']"),
         ({"umap": {"n_neighbors": 8, "seed": 1, "d": 2}}, "umap: unknown umap config keys: ['d', 'seed']"),
         ({"tsne": [1]}, "tsne: expected a dict of tsne arguments, got [1]"),
@@ -221,6 +221,9 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"umap": {"min_dist": -0.1}}, "umap: min_dist must lie in [0.0, inf], got -0.1"),
         ({"radiomics": {"channels": [], "shape": False}}, "radiomics: channels is empty and shape is false"),
         ({"radiomics": {"offsets": []}}, "radiomics: offsets must hold at least one"),
+        ({"grand": [1]}, "grand: expected a dict of grand arguments, got [1]"),
+        ({"umap": 5}, "umap: expected a dict of umap arguments, got 5"),
+        ({"radiomics": "levels"}, "radiomics: expected a dict of radiomics arguments, got 'levels'"),
     ],
 )
 def test_nested_config_fails_at_construction(nested, message):
@@ -230,6 +233,23 @@ def test_nested_config_fails_at_construction(nested, message):
         ExperimentConfig.from_dict({"data_dir": "x", **nested})
     with pytest.raises(ExperimentError, match=re.escape(message)):
         ExperimentConfig(**nested)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"feature_types": []}, "feature_types must be a non-empty list of names from ('expression', 'radiomics'), got []"),
+    ({"reductions": "none"}, "reductions must be a non-empty list of names from"),
+    ({"feature_types": "expression"}, "feature_types must be a non-empty list of names from"),
+    ({"models": ["random_forest", "random_forest"]}, "models lists 'random_forest' more than once"),
+    ({"reductions": ["pca", "none", "pca"]}, "reductions lists 'pca' more than once"),
+    ({"models": []}, "models must be a non-empty list"),
+    ({"data_dir": 5}, "data_dir must be a path string, got 5"),
+    ({"data_dir": None}, "data_dir must be a path string, got None"),
+])
+def test_config_rejects_bad_lists_and_data_dir(raw, message):
+    # An empty list wrote a report with no cells, a model listed twice
+    # trained twice into one cell, and a string was read letter by letter.
+    with pytest.raises(ExperimentError, match=re.escape(message)):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_missing_dataset_errors(tmp_path):
