@@ -468,6 +468,23 @@ def cell_means(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values.astype(np.float64), bounds[:-1], axis=0) / np.diff(bounds)[:, None]
 
 
+def class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` (np.add or np.maximum) over the class axis, the last, kept
+    as a length-1 axis, with the bits of ``ufunc.reduce(x, axis=-1)``.
+
+    Below 8 classes numpy's own row reduction combines the columns in
+    order, so doing that one column at a time gives its bits in a few
+    whole-array calls instead of one short inner loop per row.
+    """
+    C = x.shape[-1]
+    if not 2 <= C < 8:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    out = ufunc(x[..., :1], x[..., 1:2])
+    for c in range(2, C):
+        ufunc(out, x[..., c : c + 1], out=out)
+    return out
+
+
 def pool_tables(tables: list) -> CellTable:
     """Concatenate cell tables with rows sorted by (sample_id, cell_id)."""
     if not tables:

@@ -38,7 +38,6 @@ FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
 MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
-_GRAPH_KINDS = {"grand_feature_graph": "feature", "grand_spatial_graph": "spatial"}
 
 
 class ExperimentError(Exception):
@@ -145,23 +144,37 @@ def _make_split(table: ds.CellTable, config: ExperimentConfig) -> SplitMasks:
     return stratified_split(table.labels, seed=seed)
 
 
+def _graph(kind: str, X: np.ndarray, table: ds.CellTable, masks: SplitMasks, k: int):
+    """(log lines, normalized adjacency) of the ``kind`` cell graph over ``table``."""
+    graph = build_cell_graph(kind, X, table, k)
+    n_edges, homophily = edge_homophily(graph, table.labels, masks.train)
+    return [f"graph_edges: {n_edges}", f"graph_train_homophily: {homophily}"], normalize_adjacency(graph)
+
+
 def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitMasks,
-               config: ExperimentConfig, seed: int):
-    """(test metrics, the model's log lines) for one cell."""
+               config: ExperimentConfig, seed: int, spatial):
+    """(test metrics, the model's log lines) for one cell.
+
+    ``spatial`` is the table's ``_graph("spatial", ...)`` result, or the
+    exception its build raised, which then fails the spatial GRAND cell.
+    """
     y = table.labels
     notes = []
-    if model in _GRAPH_KINDS:
-        graph = build_cell_graph(_GRAPH_KINDS[model], X_red, table, config.k)
-        n_edges, homophily = edge_homophily(graph, y, masks.train)
-        adj = normalize_adjacency(graph)
+    if model in ("grand_feature_graph", "grand_spatial_graph"):
+        if model == "grand_feature_graph":
+            graph_notes, adj = _graph("feature", X_red, table, masks, config.k)
+        elif isinstance(spatial, Exception):
+            raise spatial
+        else:
+            graph_notes, adj = spatial
         gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
         trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
         probs, _ = predict_grand(trained, adj, X_red)
         epochs = len(trained.history)
-        # training ends early once `patience` epochs pass without a better validation score
-        stop = "patience" if epochs - trained.best_epoch >= gconf.patience else "max_epochs"
-        notes = [f"graph_edges: {n_edges}", f"graph_train_homophily: {homophily}", f"grand_epochs: {epochs}",
-                 f"grand_best_epoch: {trained.best_epoch}", f"grand_stop: {stop}"]
+        # training ends early once `patience` epochs (at least one) pass without a better validation score
+        stop = "patience" if epochs - trained.best_epoch >= max(gconf.patience, 1) else "max_epochs"
+        notes = graph_notes + [f"grand_epochs: {epochs}", f"grand_best_epoch: {trained.best_epoch}",
+                               f"grand_stop: {stop}"]
     elif model == "random_forest":
         fconf = ForestConfig.from_dict({**config.forest, "seed": seed})
         forest = train_random_forest(X_red[masks.train], y[masks.train], fconf)
@@ -187,12 +200,12 @@ def _reduction_notes(diagnostics: dict) -> list:
 
 
 def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable, masks: SplitMasks,
-                         config: ExperimentConfig, cells: dict, timings: dict, runs_dir: str) -> None:
+                         config: ExperimentConfig, spatial, cells: dict, timings: dict, runs_dir: str) -> None:
     """Run all model cells sharing one (feature type, reduction) representation.
 
     Each cell's outcome goes into ``cells``, its time into ``timings`` and its
     log under ``runs_dir`` as the cell finishes. A log holds the reduction's
-    lines, then the model's.
+    lines, then the model's. ``spatial`` is passed on to ``_run_model``.
     """
     try:
         Z, _, _ = standardize_features(table.features, masks.train)
@@ -216,7 +229,8 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
         model_notes = []
         t0 = time.perf_counter()
         try:
-            metrics, model_notes = _run_model(model, table, X_red, masks, config, derive_seed(config.seed, key))
+            metrics, model_notes = _run_model(model, table, X_red, masks, config, derive_seed(config.seed, key),
+                                              spatial)
             cells[key] = {"status": "ok", "metrics": metrics}
         except Exception as exc:  # noqa: BLE001
             cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
@@ -253,8 +267,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             continue
         finally:
             timings[f"extract|{ft}"] = time.perf_counter() - t0
+        # the spatial graph reads only the centroids, the sample ids, k and
+        # the train mask, so every reduction of this table shares one build
+        spatial = None
+        if "grand_spatial_graph" in config.models:
+            t0 = time.perf_counter()
+            try:
+                spatial = _graph("spatial", table.centroids, table, masks, config.k)
+            except Exception as exc:  # noqa: BLE001 - recorded by each spatial cell
+                spatial = exc
+            timings[f"{ft}|spatial_graph"] = time.perf_counter() - t0
         for red in config.reductions:
-            _run_reduction_group(ft, red, table, masks, config, cells, timings, runs_dir)
+            _run_reduction_group(ft, red, table, masks, config, spatial, cells, timings, runs_dir)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
     ds.write_json(os.path.join(out_dir, "report.json"), asdict(report))

@@ -11,9 +11,11 @@ prediction. Gradients are computed manually for the fixed architecture
 against finite differences.
 
 An epoch runs the S augmentations together: the DropNode views sit side by
-side in (n, b*p) blocks of up to 128 KB, each propagated by one chain of
-sparse products, and the MLP, the loss and the backward pass work on
-(S, n, .) stacks. Every output keeps the bits of running the augmentations
+side in (n, b*p) blocks of at most 64 columns (b = max(1, min(S, 64 // p))
+views of p features), each propagated by one chain of sparse products, and
+the MLP, the loss and the backward pass work on (S, n, .) stacks. The
+consensus, the picked label probabilities and P - q are computed once and
+serve both the loss and the backward pass. Every output keeps the bits of running the augmentations
 one at a time: a sparse product and the per-slice matrix products compute
 each augmentation on its own, class sums add their columns in numpy's
 order, and the weight gradients are summed over the augmentations in order.
@@ -27,14 +29,21 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Open, check_fields, config_from_dict, format_float, read_model_file, write_lines, write_model_file
+from .dataset import (
+    Open, check_fields, class_reduce, config_from_dict, format_float, read_model_file, write_lines, write_model_file,
+)
 
-# Augmentations propagated together hold at most this many features (128 KB
-# of float64) side by side. Measured on a 2-core Xeon: a wider block made the
-# sparse product slower per column once it outgrew the core's cache (n=1,800,
-# p=223), and temporaries past glibc's 128 KB mmap threshold were unmapped
-# and faulted back in every epoch (n=100, p=115).
-_BLOCK_ELEMENTS = 16384
+# DropNode views propagated together hold at most this many feature columns
+# side by side: b = max(1, min(S, 64 // p)) views of width p share one chain
+# of sparse products. Measured inside 10-epoch train_grand fits (S = 4, k = 5
+# feature graph) on a 2-core Xeon: against the former 128 KB cap, which gave
+# one view per chain from n * p > 4,096, the rule was 14-18% faster at
+# n = 1,200 with p = 12 or 16 and 12% faster at 1,800 x 16 (8 products an
+# epoch instead of 32). All four views in one chain were 39% slower at
+# 100 x 115 (4,850 minor faults a fit against 85: temporaries past glibc's
+# 128 KB mmap threshold were unmapped and faulted back every epoch), 32%
+# slower at 1,800 x 223 and 9% slower at 1,200 x 48.
+_BLOCK_COLUMNS = 64
 
 
 class GrandError(Exception):
@@ -64,8 +73,8 @@ class GrandConfig:
             "consistency_weight": (float, 0.0),
             "hidden_dim": (int, 1),
             "input_dropout": (float, 0.0, Open(1.0)),
-            "learning_rate": (float,),
-            "max_epochs": (int, 0),
+            "learning_rate": (float, Open(0.0)),
+            "max_epochs": (int, 1),
             "patience": (int, 0),
             "seed": (int, 0),
         })
@@ -115,39 +124,25 @@ def _hop_average(adj: sp.csr_matrix, acc: np.ndarray, K: int) -> np.ndarray:
     return acc
 
 
-def _class_reduce(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` (np.add or np.maximum) over the class axis, the last, kept
-    as a length-1 axis.
-
-    Below 8 classes numpy's own row reduction combines the columns in
-    order, so doing that one column at a time gives its bits in a few
-    whole-array calls instead of one short inner loop per row.
-    """
-    C = x.shape[-1]
-    if not 2 <= C < 8:
-        return ufunc.reduce(x, axis=-1, keepdims=True)
-    out = ufunc(x[..., :1], x[..., 1:2])
-    for c in range(2, C):
-        ufunc(out, x[..., c : c + 1], out=out)
-    return out
-
-
 def mlp_forward(model: GrandModel, X_bar: np.ndarray) -> np.ndarray:
     """ReLU hidden layer followed by softmax; rows sum to 1."""
-    _, _, probs = _mlp_forward_parts(model.params(), X_bar)
+    _, probs = _mlp_forward_parts(model.params(), X_bar)
     return probs
 
 
 def _mlp_forward_parts(params: dict, H: np.ndarray):
-    """(Z1, A1, probabilities) for the rows of ``H``, or of each (n, p)
-    slice of an (S, n, p) stack; every slice gets the bits of its own pass."""
-    Z1 = H @ params["W1"] + params["b1"]
-    A1 = np.maximum(Z1, 0.0)
-    Z2 = A1 @ params["W2"] + params["b2"]
-    Z2 -= _class_reduce(np.maximum, Z2)
+    """(hidden activations, probabilities) for the rows of ``H``, or of each
+    (n, p) slice of an (S, n, p) stack; every slice gets the bits of its own
+    pass. Biases and the ReLU are applied in place on each product."""
+    A1 = H @ params["W1"]
+    A1 += params["b1"]
+    np.maximum(A1, 0.0, out=A1)
+    Z2 = A1 @ params["W2"]
+    Z2 += params["b2"]
+    Z2 -= class_reduce(np.maximum, Z2)
     probs = np.exp(Z2, out=Z2)
-    probs /= _class_reduce(np.add, probs)
-    return Z1, A1, probs
+    probs /= class_reduce(np.add, probs)
+    return A1, probs
 
 
 def sharpen(p: np.ndarray, T: float) -> np.ndarray:
@@ -158,7 +153,7 @@ def sharpen(p: np.ndarray, T: float) -> np.ndarray:
     u = p ** (1.0 / T)
     if u.ndim == 1:
         return u / u.sum()
-    return u / _class_reduce(np.add, u)
+    return u / class_reduce(np.add, u)
 
 
 def _consensus(P: np.ndarray, T: float):
@@ -183,20 +178,30 @@ def grand_loss(outputs, labels: np.ndarray, train_mask: np.ndarray, lam: float, 
     P = np.asarray(outputs, dtype=np.float64)
     if P.ndim != 3 or len(P) < 1:
         raise GrandError("need at least one augmentation output")
-    S, n = P.shape[:2]
     train_idx = np.flatnonzero(train_mask)
     if len(train_idx) == 0:
         raise GrandError("empty train mask")
-    # row-major, so that each row's mean sums in the order of a 1-D mean;
-    # the fancy index alone may lay the (S, m) block out column-major
-    picked = np.ascontiguousarray(P[:, train_idx, labels[train_idx]])
+    _, q = _consensus(P, T)
+    return _loss_terms(_picked(P, train_idx, labels), P - q, lam)
+
+
+def _picked(P: np.ndarray, train_idx: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The (S, m) probabilities of the train nodes' labels, row-major, so
+    that each row's mean sums in the order of a 1-D mean; the fancy index
+    alone may lay the block out column-major."""
+    return np.ascontiguousarray(P[:, train_idx, labels[train_idx]])
+
+
+def _loss_terms(picked: np.ndarray, diff: np.ndarray, lam: float):
+    """``grand_loss`` from the picked label probabilities and the (S, n, C)
+    distances ``diff`` = P - q to the sharpened mean."""
+    S, n = diff.shape[:2]
     sup = 0.0
     for value in np.mean(-np.log(picked), axis=1).tolist():
         sup += value
     sup /= S
-    _, q = _consensus(P, T)
     con = 0.0
-    for value in ((q - P) ** 2).reshape(S, -1).sum(axis=1).tolist():
+    for value in (diff**2).reshape(S, -1).sum(axis=1).tolist():
         con += value
     con /= S * n
     return sup + lam * con, sup, con
@@ -233,43 +238,50 @@ def training_loss_and_grads(
     # DropNode views side by side, (n, b, p) for b augmentations at a time:
     # one sparse product propagates every column on its own
     H = input_masks / (1.0 - config.input_dropout)
-    b = max(1, min(S, _BLOCK_ELEMENTS // max(1, n * p)))
+    b = max(1, min(S, _BLOCK_COLUMNS // max(1, p)))
     for start in range(0, S, b):
         X_tilde = apply_drop_node(X[:, None, :], config.drop_rate, node_masks[start : start + b].T)
         width = X_tilde.shape[1] * p
         X_bar = _hop_average(adj, X_tilde.reshape(n, width), config.prop_order).reshape(X_tilde.shape)
         H[start : start + b] *= X_bar.transpose(1, 0, 2)
-    Z1, A1, P = _mlp_forward_parts(params, H)
+    A1, P = _mlp_forward_parts(params, H)
 
-    total, sup, con = grand_loss(P, labels, train_mask, lam, T)
+    # the consensus, the picked probabilities and P - q feed both the loss
+    # and the backward pass
+    p_bar, q = _consensus(P, T)
+    picked = _picked(P, train_idx, labels)
+    diff = P - q
+    total, sup, con = _loss_terms(picked, diff, lam)
     if not np.isfinite(total):
         raise GrandError("non-finite loss")
 
-    p_bar, q = _consensus(P, T)
     # dL/dq from the consistency term, then pulled back through sharpening
     G = (2.0 * lam / n) * (q - p_bar)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_prime = p_bar ** (1.0 / T - 1.0)
     u_prime[~np.isfinite(u_prime)] = 0.0
-    Z_row = _class_reduce(np.add, p_bar ** (1.0 / T))
+    Z_row = class_reduce(np.add, p_bar ** (1.0 / T))
     # pull back through q = u / sum(u), u = p_bar^(1/T):
     # dL/dp_bar_d = (1/T) p_bar_d^(1/T-1) / Z * (G_d - sum_c G_c q_c)
-    gq = (G - _class_reduce(np.add, G * q)) * u_prime / (T * Z_row)
+    gq = (G - class_reduce(np.add, G * q)) * u_prime / (T * Z_row)
 
-    picked = (slice(None), train_idx, labels[train_idx])
     dP = np.zeros_like(P)
-    dP[picked] = -1.0 / (S * len(train_idx) * P[picked])
-    dP += (2.0 * lam / (n * S)) * (P - q)
+    dP[:, train_idx, labels[train_idx]] = -1.0 / (S * len(train_idx) * picked)
+    diff *= 2.0 * lam / (n * S)
+    dP += diff
     dP += gq / S
-    dZ2 = P * (dP - _class_reduce(np.add, dP * P))
-    dZ1 = dZ2 @ params["W2"].T
-    dZ1 *= Z1 > 0
+    dZ2 = P * (dP - class_reduce(np.add, dP * P))
 
     # weight gradients summed over the augmentations in order
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     for s in range(S):
         grads["W2"] += A1[s].T @ dZ2[s]
         grads["b2"] += dZ2[s].sum(axis=0)
+    dZ1 = dZ2 @ params["W2"].T
+    # the ReLU passes a gradient where its input was > 0, which is where
+    # its output is: A1 becomes that 0/1 mask in place
+    dZ1 *= np.greater(A1, 0.0, out=A1)
+    for s in range(S):
         grads["W1"] += H[s].T @ dZ1[s]
         grads["b1"] += dZ1[s].sum(axis=0)
 
@@ -390,7 +402,7 @@ def train_grand(
         v_hat = adam_v / (1 - beta2**epoch)
         theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-        _, _, probs = _mlp_forward_parts(params, X_bar_eval)
+        _, probs = _mlp_forward_parts(params, X_bar_eval)
         preds = np.argmax(probs, axis=1)
         val_f1 = _binary_f1(labels[val_mask], preds[val_mask]) if has_val else float("nan")
         history.append(

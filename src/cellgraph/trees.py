@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .dataset import Open, check_fields, config_from_dict, read_model_file, write_model_file
+from .dataset import Open, check_fields, class_reduce, config_from_dict, read_model_file, write_model_file
 from .rng import derive_seed
 
 
@@ -95,7 +95,10 @@ def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
     right_n = n - left_n
     left = prefix[:-1]
     cost = cost_fn(left, prefix[-1] - left, left_n, right_n, n)
-    cost[(vs[:-1] == vs[1:]) | (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    cost[vs[:-1] == vs[1:]] = math.inf
+    # cut j leaves j + 1 rows left and n - j - 1 right: both need min_leaf
+    cost[: min_leaf - 1] = math.inf
+    cost[max(0, n - min_leaf) :] = math.inf
     col, j = divmod(int(np.argmin(cost.T)), n - 1)
     if cost[j, col] == math.inf:
         return (math.inf, -1, 0.0)
@@ -104,12 +107,12 @@ def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
 
 def _node_order(X, idx, features):
     """Rows ``idx`` (ascending) sorted stably by each of ``features``: an (n, k) index block."""
-    return idx[np.argsort(X[np.ix_(idx, features)], axis=0, kind="stable")]
+    return idx[np.argsort(X[idx[:, None], features], axis=0, kind="stable")]
 
 
 def _gini_cost(left, right, left_n, right_n, n):
-    gl = 1.0 - np.sum((left / left_n[..., None]) ** 2, axis=-1)
-    gr = 1.0 - np.sum((right / right_n[..., None]) ** 2, axis=-1)
+    gl = 1.0 - class_reduce(np.add, (left / left_n[..., None]) ** 2)[..., 0]
+    gr = 1.0 - class_reduce(np.add, (right / right_n[..., None]) ** 2)[..., 0]
     return (left_n * gl + right_n * gr) / n
 
 

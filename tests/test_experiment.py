@@ -2,13 +2,18 @@ import hashlib
 import json
 import os
 import re
+from unittest import mock
 
 import pytest
 
+from cellgraph import graphs
+from cellgraph.dataset import load_dataset
 from cellgraph.experiment import (
     ExperimentConfig,
     ExperimentError,
+    _make_split,
     cell_key,
+    extract_features,
     load_report,
     run_experiment,
 )
@@ -224,6 +229,9 @@ def test_config_rejects_bad_value_by_key_name(key, value):
         ({"grand": [1]}, "grand: expected a dict of grand arguments, got [1]"),
         ({"umap": 5}, "umap: expected a dict of umap arguments, got 5"),
         ({"radiomics": "levels"}, "radiomics: expected a dict of radiomics arguments, got 'levels'"),
+        ({"grand": {"learning_rate": -1.0}}, "grand: learning_rate must lie in (0.0, inf], got -1.0"),
+        ({"grand": {"learning_rate": 0.0}}, "grand: learning_rate must be > 0.0, got 0.0"),
+        ({"grand": {"max_epochs": 0}}, "grand: max_epochs must lie in [1, inf], got 0"),
     ],
 )
 def test_nested_config_fails_at_construction(nested, message):
@@ -376,6 +384,8 @@ def test_reduction_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
 @pytest.mark.parametrize("grand, stop", [
     ({"max_epochs": 40, "patience": 3}, "patience"),
     ({"max_epochs": 4, "patience": 30}, "max_epochs"),
+    # patience 0 breaks at the first epoch without a better score, and a first epoch always scores better
+    ({"max_epochs": 1, "patience": 0}, "max_epochs"),
 ])
 def test_grand_cell_logs_carry_training_and_graph_diagnostics(small_data, tmp_path, grand, stop):
     config = ExperimentConfig(
@@ -402,3 +412,46 @@ def test_grand_cell_logs_carry_training_and_graph_diagnostics(small_data, tmp_pa
         assert 0.0 <= float(log["graph_train_homophily"]) <= 1.0
     assert "grand_epochs" not in log_fields("expression|none|random_forest")
     assert "grand_epochs" not in (tmp_path / "out" / "report.json").read_text()
+
+
+def test_spatial_graph_is_built_once_per_feature_table(small_data, tmp_path):
+    # The spatial graph reads only the centroids, the sample ids, k and the
+    # train mask, so every reduction of a feature table shares one build.
+    config = ExperimentConfig(
+        data_dir=small_data, reductions=("none", "pca"), models=("grand_spatial_graph", "grand_feature_graph"),
+        grand={"max_epochs": 2, "patience": 2}, seed=9,
+    )
+    with mock.patch.object(graphs, "spatial_knn_graph", wraps=graphs.spatial_knn_graph) as build:
+        report = run_experiment(config, str(tmp_path / "out"))
+    assert build.call_count == 2
+    assert all(c["status"] == "ok" for c in report.cells.values())
+    timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+    assert {"expression|spatial_graph", "radiomics|spatial_graph"} <= set(timings)
+
+    # each spatial cell logs the lines of a graph built for that cell alone
+    data = load_dataset(os.path.join(small_data, "manifest.json"))
+    for ft in ("expression", "radiomics"):
+        table = extract_features(data, ft, {})
+        masks = _make_split(table, config)
+        graph = graphs.build_cell_graph("spatial", table.features, table, config.k)
+        n_edges, homophily = graphs.edge_homophily(graph, table.labels, masks.train)
+        for red in config.reductions:
+            log = (tmp_path / "out" / "runs" / f"{ft}__{red}__grand_spatial_graph" / "log.txt").read_text()
+            assert f"graph_edges: {n_edges}\ngraph_train_homophily: {homophily}\n" in log
+
+
+def test_spatial_graph_failure_fails_every_spatial_cell(small_data, tmp_path):
+    # A failed build fails each spatial cell with its own reason, as a build
+    # per cell did; a reduction that fails first keeps its reason, and the
+    # other models still run.
+    config = ExperimentConfig(
+        data_dir=small_data, feature_types=("expression",), reductions=("none", "pca", "tsne"),
+        models=("grand_spatial_graph", "random_forest"), forest={"n_trees": 3}, tsne={"perplexity": 200}, seed=10,
+    )
+    with mock.patch.object(graphs, "spatial_knn_graph", side_effect=graphs.GraphError("no centroids")):
+        report = run_experiment(config, str(tmp_path / "out"))
+    for red in ("none", "pca"):
+        assert report.cells[f"expression|{red}|grand_spatial_graph"] == {
+            "status": "failed", "reason": "GraphError: no centroids"}
+        assert report.cells[f"expression|{red}|random_forest"]["status"] == "ok"
+    assert "perplexity" in report.cells["expression|tsne|grand_spatial_graph"]["reason"]

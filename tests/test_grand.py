@@ -11,7 +11,6 @@ from cellgraph.grand import (
     GrandError,
     GrandModel,
     _binary_f1,
-    _class_reduce,
     _init_params,
     apply_drop_node,
     grand_loss,
@@ -24,7 +23,7 @@ from cellgraph.grand import (
     train_grand,
     training_loss_and_grads,
 )
-from cellgraph.dataset import MODEL_MAGIC
+from cellgraph.dataset import MODEL_MAGIC, class_reduce
 from cellgraph.graphs import CellGraph, knn_feature_graph, normalize_adjacency
 
 
@@ -295,6 +294,10 @@ def test_analytic_gradients_match_finite_differences():
         ("seed", 1.5),
         ("seed", -1),
         ("learning_rate", float("inf")),
+        # a rate <= 0 climbs the loss or never moves; 0 epochs returns the untrained weights
+        ("learning_rate", 0.0),
+        ("learning_rate", -1.0),
+        ("max_epochs", 0),
     ],
 )
 def test_config_rejects_bad_value_by_key_name(key, value):
@@ -672,9 +675,9 @@ NON_DYADIC_DROPS = [0.1, 0.3, 0.6, 0.7]
 @given(
     n=st.integers(2, 24), p=st.integers(1, 5), S=st.integers(1, 5), K=st.integers(0, 4),
     C=st.sampled_from([2, 3]), delta=st.sampled_from(NON_DYADIC_DROPS), input_dropout=st.sampled_from([0.0, 0.4]),
-    as_list=st.booleans(), block=st.sampled_from([1, 20, 16384]), seed=st.integers(0, 2**16),
+    as_list=st.booleans(), views=st.sampled_from(["all", "one", "split"]), seed=st.integers(0, 2**16),
 )
-def test_stacked_loss_and_grads_match_per_augmentation_bits(n, p, S, K, C, delta, input_dropout, as_list, block, seed):
+def test_stacked_loss_and_grads_match_per_augmentation_bits(n, p, S, K, C, delta, input_dropout, as_list, views, seed):
     rng = np.random.default_rng(seed)
     adj = random_weighted_graph(rng, n)
     X = rng.normal(size=(n, p))
@@ -690,8 +693,10 @@ def test_stacked_loss_and_grads_match_per_augmentation_bits(n, p, S, K, C, delta
     input_masks = (rng.random((S, n, p)) < 1.0 - input_dropout).astype(np.float64)
 
     expected = _ref_loss_and_grads(params, adj, X, list(node_masks), list(input_masks), labels, train_mask, config)
-    # block < n * p propagates one augmentation at a time, 20 some at a time
-    with mock.patch.object(grand, "_BLOCK_ELEMENTS", block):
+    # the column budget puts all S views in one product, one view in each,
+    # or ceil(S / 2) views in each of two products
+    block = {"all": S * p, "one": p, "split": (S + 1) // 2 * p}[views]
+    with mock.patch.object(grand, "_BLOCK_COLUMNS", block):
         got = training_loss_and_grads(
             params, adj, X, as_given(node_masks, as_list), as_given(input_masks, as_list), labels, train_mask, config
         )
@@ -755,6 +760,6 @@ def test_train_grand_matches_per_augmentation_bits_at_defaults():
 def test_class_reduce_matches_numpy_row_reduction(shape, ufunc, seed):
     rng = np.random.default_rng(seed)
     x = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    assert _class_reduce(ufunc, x).tobytes() == ufunc.reduce(x, axis=-1, keepdims=True).tobytes()
+    assert class_reduce(ufunc, x).tobytes() == ufunc.reduce(x, axis=-1, keepdims=True).tobytes()
     for s in range(shape[0]):
-        assert _class_reduce(ufunc, x[s]).tobytes() == ufunc.reduce(x[s], axis=1, keepdims=True).tobytes()
+        assert class_reduce(ufunc, x[s]).tobytes() == ufunc.reduce(x[s], axis=1, keepdims=True).tobytes()

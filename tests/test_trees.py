@@ -207,6 +207,80 @@ def test_boosting_model_bytes_on_tied_matrix_are_pinned(tmp_path):
     assert digest == "0cc53fb9c8878632ade89f0aa5716123e76d3e7847ca6f28275af4251c757fb8"
 
 
+def frozen_best_split(X, target_stats, order, features, min_leaf, cost_fn):
+    """``trees._best_split`` before the node made fewer numpy calls (one
+    boolean mask for ties and both ``min_leaf`` bounds); kept as the reference
+    its trees must equal."""
+    n = len(order)
+    vs = X[order, features]
+    prefix = np.cumsum(target_stats[order], axis=0)
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    left = prefix[:-1]
+    cost = cost_fn(left, prefix[-1] - left, left_n, right_n, n)
+    cost[(vs[:-1] == vs[1:]) | (left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    col, j = divmod(int(np.argmin(cost.T)), n - 1)
+    if cost[j, col] == math.inf:
+        return (math.inf, -1, 0.0)
+    return (float(cost[j, col]), int(features[col]), float((vs[j, col] + vs[j + 1, col]) / 2.0))
+
+
+def frozen_node_order(X, idx, features):
+    return idx[np.argsort(X[np.ix_(idx, features)], axis=0, kind="stable")]
+
+
+def frozen_gini_cost(left, right, left_n, right_n, n):
+    gl = 1.0 - np.sum((left / left_n[..., None]) ** 2, axis=-1)
+    gr = 1.0 - np.sum((right / right_n[..., None]) ** 2, axis=-1)
+    return (left_n * gl + right_n * gr) / n
+
+
+@st.composite
+def forest_problems(draw):
+    """Rows of halves in [-2, 2] (ties in every column) or of arbitrary
+    floats, labels from C in {2, 3, 9} classes holding the highest class,
+    and forest and boosting sizes with min_leaf in {1, 2, 5}."""
+    n_rows = draw(st.integers(4, 60))
+    p = draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0), st.floats(-3.0, 3.0))
+    X = np.array(draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=n_rows, max_size=n_rows)))
+    C = draw(st.sampled_from([2, 3, 9]))
+    y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n_rows, max_size=n_rows)))
+    y[:3] = (0, C - 1, 1)
+    features_per_split = draw(st.one_of(st.none(), st.integers(1, p)))
+    config = dict(max_depth=draw(st.integers(1, 6)), min_leaf=draw(st.sampled_from([1, 2, 5])))
+    return X, y, features_per_split, config, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_problems())
+def test_forest_and_boosting_trees_equal_frozen_split_search(problem):
+    # The node's split search makes fewer numpy calls (no np.ix_, two row
+    # slices for min_leaf, the Gini class sum a column at a time); every
+    # tree and every split must keep the frozen code's bits.
+    X, y, features_per_split, config, bootstrap = problem
+    min_leaf = config["min_leaf"]
+    idx, features = np.arange(len(y)), np.arange(X.shape[1])
+    r = X[:, 0] - y
+    for target, cost, frozen_cost in ((np.eye(y.max() + 1)[y], trees._gini_cost, frozen_gini_cost),
+                                      (np.stack([r, r * r], axis=1), trees._variance_cost, trees._variance_cost)):
+        got = trees._best_split(X, target, trees._node_order(X, idx, features), features, min_leaf, cost)
+        expected = frozen_best_split(X, target, frozen_node_order(X, idx, features), features, min_leaf, frozen_cost)
+        assert repr(got) == repr(expected)
+
+    forest_config = ForestConfig(n_trees=3, features_per_split=features_per_split, bootstrap=bootstrap, seed=4,
+                                 **config)
+    boost_config = BoostConfig(n_rounds=3, **config)
+    forest = train_random_forest(X, y, forest_config)
+    boost = train_gradient_boosting(X, y % 2, boost_config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees, "_best_split", frozen_best_split)
+        mp.setattr(trees, "_node_order", frozen_node_order)
+        mp.setattr(trees, "_gini_cost", frozen_gini_cost)
+        assert repr(train_random_forest(X, y, forest_config).trees) == repr(forest.trees)
+        assert repr(train_gradient_boosting(X, y % 2, boost_config).trees) == repr(boost.trees)
+
+
 # ---------------------------------------------------------------------------
 # random forest
 
