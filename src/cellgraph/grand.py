@@ -15,10 +15,11 @@ side in (n, b*p) blocks of at most 64 columns (b = max(1, min(S, 64 // p))
 views of p features), each propagated by one chain of sparse products, and
 the MLP, the loss and the backward pass work on (S, n, .) stacks. The
 consensus, the picked label probabilities and P - q are computed once and
-serve both the loss and the backward pass. Every output keeps the bits of running the augmentations
-one at a time: a sparse product and the per-slice matrix products compute
-each augmentation on its own, class sums add their columns in numpy's
-order, and the weight gradients are summed over the augmentations in order.
+serve both the loss and the backward pass. Every output keeps the bits of
+running the augmentations one at a time: a sparse product and the
+per-slice matrix products compute each augmentation on its own, class sums
+add their columns in numpy's order, and the weight gradients are summed
+over the augmentations in order.
 Adam steps one flat buffer whose views are the parameters.
 """
 
