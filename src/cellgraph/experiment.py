@@ -199,16 +199,17 @@ def _reduction_notes(diagnostics: dict) -> list:
     return notes
 
 
-def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable, masks: SplitMasks,
-                         config: ExperimentConfig, spatial, cells: dict, timings: dict, runs_dir: str) -> None:
+def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable, Z: np.ndarray,
+                         masks: SplitMasks, config: ExperimentConfig, spatial, cells: dict, timings: dict,
+                         runs_dir: str) -> None:
     """Run all model cells sharing one (feature type, reduction) representation.
 
+    ``Z`` is the table's standardized features, shared by every reduction.
     Each cell's outcome goes into ``cells``, its time into ``timings`` and its
     log under ``runs_dir`` as the cell finishes. A log holds the reduction's
     lines, then the model's. ``spatial`` is passed on to ``_run_model``.
     """
     try:
-        Z, _, _ = standardize_features(table.features, masks.train)
         kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
         dim = min(config.reduce_dim, Z.shape[1], Z.shape[0] - 1)
         t0 = time.perf_counter()
@@ -261,6 +262,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         try:
             table = extract_features(data, ft, config.radiomics)
             masks = _make_split(table, config)
+            Z, _, _ = standardize_features(table.features, masks.train)
         except Exception as exc:  # noqa: BLE001
             keys = [cell_key(ft, red, model) for red in config.reductions for model in config.models]
             _fail_cells(keys, exc, cells, runs_dir)
@@ -278,7 +280,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
                 spatial = exc
             timings[f"{ft}|spatial_graph"] = time.perf_counter() - t0
         for red in config.reductions:
-            _run_reduction_group(ft, red, table, masks, config, spatial, cells, timings, runs_dir)
+            _run_reduction_group(ft, red, table, Z, masks, config, spatial, cells, timings, runs_dir)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
     ds.write_json(os.path.join(out_dir, "report.json"), asdict(report))

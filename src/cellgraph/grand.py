@@ -40,10 +40,13 @@ from .dataset import (
 # feature graph) on a 2-core Xeon: against the former 128 KB cap, which gave
 # one view per chain from n * p > 4,096, the rule was 14-18% faster at
 # n = 1,200 with p = 12 or 16 and 12% faster at 1,800 x 16 (8 products an
-# epoch instead of 32). All four views in one chain were 39% slower at
-# 100 x 115 (4,850 minor faults a fit against 85: temporaries past glibc's
-# 128 KB mmap threshold were unmapped and faulted back every epoch), 32%
-# slower at 1,800 x 223 and 9% slower at 1,200 x 48.
+# epoch instead of 32). All four views in one chain were 32% slower at
+# 1,800 x 223 and 9% slower at 1,200 x 48. At 100 x 115 they were 30-40%
+# slower only in a fresh process, through page faults (4,300-5,000 a fit:
+# temporaries past glibc's 128 KB mmap threshold were freed and faulted back
+# every epoch); after a large free lifts that threshold, as the kNN chunk
+# does (graphs._CHUNK_ROWS), they tie (within 7% either way in three
+# processes, no faults).
 _BLOCK_COLUMNS = 64
 
 

@@ -27,6 +27,28 @@ class SplitMasks:
             raise HarnessError("split masks overlap")
 
 
+def _shuffle_and_cut(strata: np.ndarray, ratios, seed: int) -> np.ndarray:
+    """Bucket of each item: 0 train, 1 val, 2 test, -1 none (stratum < 0).
+
+    Strata are taken in increasing order. Each one's members are shuffled by
+    one ``rng.permutation`` and cut by the floor rule: floor(r_train * m)
+    train, floor(r_val * m) validation, the remainder test.
+    """
+    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
+        raise HarnessError("split ratios must sum to 1")
+    rng = np.random.default_rng(seed)
+    bucket = np.full(len(strata), -1)
+    for s in np.unique(strata[strata >= 0]):
+        members = np.flatnonzero(strata == s)
+        members = members[rng.permutation(len(members))]
+        n_train = int(math.floor(ratios[0] * len(members)))
+        n_val = int(math.floor(ratios[1] * len(members)))
+        bucket[members[:n_train]] = 0
+        bucket[members[n_train : n_train + n_val]] = 1
+        bucket[members[n_train + n_val :]] = 2
+    return bucket
+
+
 def stratified_split(labels: np.ndarray, ratios=(0.7, 0.1, 0.2), seed: int = 0) -> SplitMasks:
     """Per-class shuffle-and-cut split over the labeled nodes.
 
@@ -35,64 +57,26 @@ def stratified_split(labels: np.ndarray, ratios=(0.7, 0.1, 0.2), seed: int = 0) 
     stay outside all three masks.
     """
     labels = np.asarray(labels)
-    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
-        raise HarnessError("split ratios must sum to 1")
-    n = len(labels)
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
-    classes = sorted(int(c) for c in np.unique(labels[labels >= 0]))
-    if not classes:
+    bucket = _shuffle_and_cut(np.where(labels >= 0, labels, -1), ratios, seed)
+    if not np.any(labels >= 0):
         raise HarnessError("no labeled nodes to split")
-    rng = np.random.default_rng(seed)
-    for c in classes:
-        idx = np.flatnonzero(labels == c)
-        if len(idx) == 0:
-            raise HarnessError(f"class {c} is empty")
-        idx = idx[rng.permutation(len(idx))]
-        n_train = int(math.floor(ratios[0] * len(idx)))
-        n_val = int(math.floor(ratios[1] * len(idx)))
-        train[idx[:n_train]] = True
-        val[idx[n_train : n_train + n_val]] = True
-        test[idx[n_train + n_val :]] = True
-    return SplitMasks(train=train, val=val, test=test)
+    return SplitMasks(train=bucket == 0, val=bucket == 1, test=bucket == 2)
 
 
 def case_stratified_split(labels, sample_ids, ratios=(0.7, 0.1, 0.2), seed: int = 0) -> SplitMasks:
     """Split whole samples (cases) instead of cells.
 
-    Samples are bucketed with the same floor rule, stratified by whether the
-    sample contains any tumor cell; every labeled cell inherits its sample's
-    bucket.
+    Samples, in sorted order, are bucketed with the same floor rule,
+    stratified by whether the sample contains any tumor cell; every labeled
+    cell inherits its sample's bucket.
     """
     labels = np.asarray(labels)
-    sample_arr = np.array(sample_ids)
-    samples = sorted(set(sample_ids))
-    has_tumor = {
-        s: bool(np.any(labels[sample_arr == s] == 1)) for s in samples
-    }
-    rng = np.random.default_rng(seed)
-    buckets = {}
-    for group in (False, True):
-        members = [s for s in samples if has_tumor[s] == group]
-        if not members:
-            continue
-        members = [members[i] for i in rng.permutation(len(members))]
-        n_train = int(math.floor(ratios[0] * len(members)))
-        n_val = int(math.floor(ratios[1] * len(members)))
-        for s in members[:n_train]:
-            buckets[s] = "train"
-        for s in members[n_train : n_train + n_val]:
-            buckets[s] = "val"
-        for s in members[n_train + n_val :]:
-            buckets[s] = "test"
-    n = len(labels)
-    masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
-    labeled = labels >= 0
-    for i in range(n):
-        if labeled[i]:
-            masks[buckets[sample_arr[i]]][i] = True
-    return SplitMasks(**masks)
+    samples, cell_sample = np.unique(np.array(sample_ids), return_inverse=True)
+    has_tumor = np.zeros(len(samples), dtype=np.int64)
+    has_tumor[cell_sample[labels == 1]] = 1
+    bucket = _shuffle_and_cut(has_tumor, ratios, seed)[cell_sample]
+    bucket[labels < 0] = -1
+    return SplitMasks(train=bucket == 0, val=bucket == 1, test=bucket == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,13 @@ def _large_points():
     return np.random.default_rng(102).normal(size=(1100, 8))
 
 
+def _grid_points():
+    """The grid bench's t-SNE shape: 100 cells, 16 columns, d = 16. At this
+    n, numpy's symmetric ``Y @ Y.T`` and a general product such as
+    ``(2Y) @ Y.T`` give different bits."""
+    return np.random.default_rng(103).normal(size=(100, 16))
+
+
 # Digests of the per-row implementations, recorded with numpy 2.4.6 and
 # scipy-openblas 0.3.31 on x86-64 (AVX-512). Distances go through BLAS, so
 # another BLAS or CPU may give other bits; the reference tests above do not
@@ -528,6 +535,11 @@ TSNE_PINS = {
         "6ab4b4f77392b6af25257d23bc594a379267fd71014b37ddb937de63869e872e",
         "172ff1af4773808ee0bc5713316552702f641c344f8ec18220ba66be4217617c",
         "cc99e4182726cc19ed45d586522009051fb7a20e793e54b6fc905185eda9cea7",
+    ),
+    "grid": (
+        "c59d183818c8c1bc9e1af6b16b24e6b02172df6f061aea8b72a480616824cbf4",
+        "86db12c95aef7451e986a8fa458220a21a582553c5c273c667c2c8dba7b08472",
+        "b6637399da30e5807755eec6011f90fd5f24db118940b7dac62467fafc71e73b",
     ),
 }
 UMAP_PINS = {
@@ -547,6 +559,8 @@ def test_outlier_rows_have_underflowed_probabilities():
 def test_tsne_bits_are_pinned(name):
     if name == "outliers":
         emb = tsne(_outlier_points(), 2, perplexity=8.0, n_iters=260, seed=3)
+    elif name == "grid":  # past iteration 250, where the exaggeration ends
+        emb = tsne(_grid_points(), 16, perplexity=30.0, n_iters=260, seed=7)
     else:
         emb = tsne(_large_points(), 3, perplexity=30.0, n_iters=4, seed=4)
     got = (_sha(emb.Y), _sha(emb.diagnostics["P"]), _sha(emb.diagnostics["realized_perplexity"]))

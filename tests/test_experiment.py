@@ -4,9 +4,10 @@ import os
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from cellgraph import graphs
+from cellgraph import experiment, graphs
 from cellgraph.dataset import load_dataset
 from cellgraph.experiment import (
     ExperimentConfig,
@@ -17,6 +18,7 @@ from cellgraph.experiment import (
     load_report,
     run_experiment,
 )
+from cellgraph.harness import HarnessError
 from cellgraph.synth import SynthConfig, generate_synthetic_dataset
 
 
@@ -455,3 +457,46 @@ def test_spatial_graph_failure_fails_every_spatial_cell(small_data, tmp_path):
             "status": "failed", "reason": "GraphError: no centroids"}
         assert report.cells[f"expression|{red}|random_forest"]["status"] == "ok"
     assert "perplexity" in report.cells["expression|tsne|grand_spatial_graph"]["reason"]
+
+
+def test_features_are_standardized_once_per_table(small_data, tmp_path):
+    # every reduction of a feature table reads one Z, and no reduction or
+    # model writes to it
+    real = experiment.standardize_features
+    shared = []
+
+    def standardize(X, train_mask):
+        out = real(X, train_mask)
+        shared.append((out[0], out[0].copy()))
+        return out
+
+    config = ExperimentConfig(data_dir=small_data, seed=11, forest={"n_trees": 3}, boost={"n_rounds": 3},
+                              **{**FAST, "grand": {"max_epochs": 3, "patience": 3}})
+    with mock.patch.object(experiment, "standardize_features", side_effect=standardize) as calls:
+        report = run_experiment(config, str(tmp_path / "out"))
+    assert calls.call_count == len(config.feature_types)
+    assert all(c["status"] == "ok" for c in report.cells.values())
+    for Z, before in shared:
+        np.testing.assert_array_equal(Z, before)
+
+
+def test_standardization_failure_fails_every_cell_of_its_table(small_data, tmp_path):
+    config = ExperimentConfig(data_dir=small_data, reductions=("none", "pca"),
+                              models=("grand_spatial_graph", "random_forest"), forest={"n_trees": 3},
+                              grand={"max_epochs": 2, "patience": 2}, seed=12)
+    real = experiment.standardize_features
+    calls = []
+
+    def standardize(X, train_mask):  # the second table, radiomics, fails
+        calls.append(X)
+        if len(calls) == 2:
+            raise HarnessError("empty train mask for standardization")
+        return real(X, train_mask)
+
+    with mock.patch.object(experiment, "standardize_features", side_effect=standardize):
+        report = run_experiment(config, str(tmp_path / "out"))
+    for key, outcome in report.cells.items():
+        if key.startswith("radiomics|"):
+            assert outcome == {"status": "failed", "reason": "HarnessError: empty train mask for standardization"}
+        else:
+            assert outcome["status"] == "ok"

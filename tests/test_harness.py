@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellgraph.harness import (
+    HarnessError,
     case_stratified_split,
     compute_metrics,
     standardize_features,
@@ -78,6 +79,101 @@ def test_case_split_keeps_samples_together():
             if np.any(mask & rows)
         }
         assert len(buckets) <= 1
+
+
+def test_case_split_rejects_ratios_not_summing_to_one():
+    with pytest.raises(HarnessError, match="sum to 1"):
+        case_stratified_split(np.array([0, 1, 0, 1]), ["a", "a", "b", "b"], ratios=(0.7, 0.2, 0.2))
+
+
+# The splits as they were before they shared one shuffle-and-cut helper,
+# frozen here so the masks can be checked bit for bit against them.
+
+
+def _reference_stratified_split(labels, ratios, seed):
+    labels = np.asarray(labels)
+    if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
+        raise HarnessError("split ratios must sum to 1")
+    n = len(labels)
+    train = np.zeros(n, dtype=bool)
+    val = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    classes = sorted(int(c) for c in np.unique(labels[labels >= 0]))
+    if not classes:
+        raise HarnessError("no labeled nodes to split")
+    rng = np.random.default_rng(seed)
+    for c in classes:
+        idx = np.flatnonzero(labels == c)
+        idx = idx[rng.permutation(len(idx))]
+        n_train = int(math.floor(ratios[0] * len(idx)))
+        n_val = int(math.floor(ratios[1] * len(idx)))
+        train[idx[:n_train]] = True
+        val[idx[n_train : n_train + n_val]] = True
+        test[idx[n_train + n_val :]] = True
+    return train, val, test
+
+
+def _reference_case_split(labels, sample_ids, ratios, seed):
+    labels = np.asarray(labels)
+    sample_arr = np.array(sample_ids)
+    samples = sorted(set(sample_ids))
+    has_tumor = {s: bool(np.any(labels[sample_arr == s] == 1)) for s in samples}
+    rng = np.random.default_rng(seed)
+    buckets = {}
+    for group in (False, True):
+        members = [s for s in samples if has_tumor[s] == group]
+        if not members:
+            continue
+        members = [members[i] for i in rng.permutation(len(members))]
+        n_train = int(math.floor(ratios[0] * len(members)))
+        n_val = int(math.floor(ratios[1] * len(members)))
+        for s in members[:n_train]:
+            buckets[s] = "train"
+        for s in members[n_train : n_train + n_val]:
+            buckets[s] = "val"
+        for s in members[n_train + n_val :]:
+            buckets[s] = "test"
+    n = len(labels)
+    masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
+    for i in range(n):
+        if labels[i] >= 0:
+            masks[buckets[sample_arr[i]]][i] = True
+    return masks["train"], masks["val"], masks["test"]
+
+
+@st.composite
+def _split_inputs(draw):
+    """Labels in {-1 (unlabeled), 0, 1, 2}, over up to 40 sample ids, with
+    every sample holding one class in about half the draws."""
+    n = draw(st.integers(1, 120))
+    ids = draw(st.lists(st.text("abxyz_019", min_size=1, max_size=3), min_size=1, max_size=40, unique=True))
+    sample_ids = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        sample_class = {s: draw(st.integers(-1, 2)) for s in ids}
+        labels = np.array([sample_class[s] for s in sample_ids])
+    else:
+        labels = np.array(draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)))
+    n_train = draw(st.integers(0, 100))
+    n_val = draw(st.integers(0, 100 - n_train))
+    ratios = (n_train / 100, n_val / 100, (100 - n_train - n_val) / 100)
+    return labels, sample_ids, ratios, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_inputs())
+def test_splits_equal_their_frozen_references(inputs):
+    labels, sample_ids, ratios, seed = inputs
+    masks = case_stratified_split(labels, sample_ids, ratios=ratios, seed=seed)
+    for got, want in zip((masks.train, masks.val, masks.test),
+                         _reference_case_split(labels, sample_ids, ratios, seed)):
+        np.testing.assert_array_equal(got, want)
+    if not np.any(labels >= 0):
+        with pytest.raises(HarnessError, match="no labeled nodes"):
+            stratified_split(labels, ratios=ratios, seed=seed)
+        return
+    masks = stratified_split(labels, ratios=ratios, seed=seed)
+    for got, want in zip((masks.train, masks.val, masks.test), _reference_stratified_split(labels, ratios, seed)):
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
