@@ -18,7 +18,6 @@ import numpy as np
 from . import dataset as ds
 from .dimred import reduce_features
 from .experiment import (
-    METRIC_NAMES,
     ExperimentConfig,
     extract_features,
     load_report,
@@ -34,7 +33,7 @@ from .grand import (
     train_grand,
 )
 from .graphs import build_cell_graph, normalize_adjacency, read_edge_list, write_edge_list
-from .harness import compute_metrics, standardize_features, stratified_split
+from .harness import METRIC_NAMES, compute_metrics, standardize_features, stratified_split
 from .plots import bar_chart_svg
 from .synth import SynthConfig, generate_synthetic_dataset
 from .trees import (

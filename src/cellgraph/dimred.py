@@ -69,10 +69,13 @@ class Embedding:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_matrix(X) -> np.ndarray:
+def _as_matrix(X, d: int = 1) -> np.ndarray:
+    """``X`` as a finite float64 matrix, for an embedding of ``d`` >= 1 dimensions."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimRedError("expected a 2-D matrix")
+    if d < 1:
+        raise DimRedError(f"d={d} out of range for {X.shape[0]}x{X.shape[1]} input")
     if not np.all(np.isfinite(X)):
         raise DimRedError("input contains non-finite values")
     return X
@@ -233,7 +236,7 @@ def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     max(n / exaggeration, 50) heuristic.
     """
     config = config_from_dict(TsneConfig, params, DimRedError)
-    X = _as_matrix(X)
+    X = _as_matrix(X, d)
     n = X.shape[0]
     if n < 4:
         raise DimRedError("t-SNE needs at least 4 points")
@@ -419,7 +422,7 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     decays linearly to 0.
     """
     config = config_from_dict(UmapConfig, params, DimRedError)
-    X = _as_matrix(X)
+    X = _as_matrix(X, d)
     n = X.shape[0]
     W, _, _ = fuzzy_memberships(X, config.n_neighbors)
     S = symmetrize_memberships(W).tocoo()
@@ -467,11 +470,14 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
 
 
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
-    """Dispatch helper used by the experiment and the CLI; 'none' passes through."""
+    """Dispatch helper used by the experiment and the CLI: 'none' passes ``X``
+    through, every other method embeds an n x p ``X`` in min(d, p, n - 1) dimensions."""
     if method in ("none", "pca") and kwargs:
         raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":
         return Embedding(Y=np.asarray(X, dtype=np.float64).copy())
+    X = _as_matrix(X)
+    d = min(d, X.shape[1], X.shape[0] - 1)
     if method == "pca":
         emb, _, _ = pca(X, d)
         return emb

@@ -24,6 +24,7 @@ from .expression import expression_profile
 from .grand import GrandConfig, predict_grand, train_grand
 from .graphs import build_cell_graph, edge_homophily, normalize_adjacency
 from .harness import (
+    METRIC_NAMES,
     SplitMasks,
     case_stratified_split,
     compute_metrics,
@@ -37,7 +38,6 @@ from .trees import BoostConfig, ForestConfig, predict_tabular, train_gradient_bo
 FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
 MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
 
 class ExperimentError(Exception):
@@ -170,11 +170,8 @@ def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitM
         gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
         trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
         probs, _ = predict_grand(trained, adj, X_red)
-        epochs = len(trained.history)
-        # training ends early once `patience` epochs (at least one) pass without a better validation score
-        stop = "patience" if epochs - trained.best_epoch >= max(gconf.patience, 1) else "max_epochs"
-        notes = graph_notes + [f"grand_epochs: {epochs}", f"grand_best_epoch: {trained.best_epoch}",
-                               f"grand_stop: {stop}"]
+        notes = graph_notes + [f"grand_epochs: {len(trained.history)}", f"grand_best_epoch: {trained.best_epoch}",
+                               f"grand_stop: {trained.stop_reason}"]
     elif model == "random_forest":
         fconf = ForestConfig.from_dict({**config.forest, "seed": seed})
         forest = train_random_forest(X_red[masks.train], y[masks.train], fconf)
@@ -211,10 +208,9 @@ def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable,
     """
     try:
         kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
-        dim = min(config.reduce_dim, Z.shape[1], Z.shape[0] - 1)
         t0 = time.perf_counter()
         emb = reduce_features(
-            Z, reduction, dim,
+            Z, reduction, config.reduce_dim,
             seed=derive_seed(config.seed, f"reduce|{feature_type}|{reduction}"), **kwargs
         )
         timings[f"{feature_type}|{reduction}|reduce"] = time.perf_counter() - t0
@@ -310,19 +306,14 @@ def _write_cell_log(runs_dir: str, key: str, outcome: dict, notes: list) -> None
 
 
 def write_table_csv(path: str, report: ExperimentReport) -> None:
-    lines = ["feature_type,reduction,model,accuracy,precision,recall,f1,roc_auc,status"]
+    """One row per cell in key order: its METRIC_NAMES to 4 decimals, blank
+    for a failed cell or an undefined ROC-AUC, then its status."""
+    lines = [",".join(("feature_type", "reduction", "model") + METRIC_NAMES + ("status",))]
     for key in sorted(report.cells):
-        ft, red, model = key.split("|")
         outcome = report.cells[key]
-        if outcome["status"] == "ok":
-            m = outcome["metrics"]
-            auc = "" if m["roc_auc"] is None else f"{m['roc_auc']:.4f}"
-            lines.append(
-                f"{ft},{red},{model},{m['accuracy']:.4f},{m['precision']:.4f},"
-                f"{m['recall']:.4f},{m['f1']:.4f},{auc},ok"
-            )
-        else:
-            lines.append(f"{ft},{red},{model},,,,,,failed")
+        metrics = outcome.get("metrics", {})
+        values = ["" if metrics.get(name) is None else f"{metrics[name]:.4f}" for name in METRIC_NAMES]
+        lines.append(",".join(key.split("|") + values + [outcome["status"]]))
     ds.write_lines(path, lines)
 
 

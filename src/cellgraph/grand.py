@@ -95,6 +95,7 @@ class GrandModel:
     config: GrandConfig
     history: list = field(default_factory=list)
     best_epoch: int = 0
+    stop_reason: str | None = None  # "patience" or "max_epochs"; None for a loaded checkpoint
 
     def params(self) -> dict:
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
@@ -349,7 +350,8 @@ def train_grand(
     disjoint. Each epoch draws S DropNode masks and input-dropout masks,
     takes one adaptive-moment step on the full loss, and scores validation
     F1 with a deterministic no-dropout forward pass. Training stops after
-    ``patience`` epochs without improvement. Deterministic given the seed.
+    ``patience`` epochs (at least one) without improvement or at ``max_epochs``,
+    as ``stop_reason`` records. Deterministic given the seed.
     """
     config = config or GrandConfig()
     X = _check_graph_inputs(adj, X)
@@ -385,6 +387,7 @@ def train_grand(
     best_epoch = 0
     since_best = 0
     history = []
+    stop_reason = "max_epochs"
     S = config.n_augmentations
 
     for epoch in range(1, config.max_epochs + 1):
@@ -422,10 +425,12 @@ def train_grand(
         else:
             since_best += 1
             if since_best >= config.patience:
+                stop_reason = "patience"
                 break
 
     return GrandModel(
-        **_param_views(best_theta, shapes), config=config, history=history, best_epoch=best_epoch
+        **_param_views(best_theta, shapes), config=config, history=history, best_epoch=best_epoch,
+        stop_reason=stop_reason,
     )
 
 

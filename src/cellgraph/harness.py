@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,6 +83,10 @@ def case_stratified_split(labels, sample_ids, ratios=(0.7, 0.1, 0.2), seed: int 
 # metrics
 
 
+# the metric fields a report cell holds and table1.csv shows, in column order
+METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
+
+
 @dataclass
 class Metrics:
     accuracy: float
@@ -96,18 +100,8 @@ class Metrics:
     tn: int
 
     def to_dict(self) -> dict:
-        out = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": None if math.isnan(self.roc_auc) else self.roc_auc,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-        }
-        return out
+        """The fields by name; an undefined (NaN) ROC-AUC becomes None."""
+        return {**asdict(self), "roc_auc": None if math.isnan(self.roc_auc) else self.roc_auc}
 
 
 def compute_metrics(y_true, probabilities, threshold: float = 0.5) -> Metrics:

@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cellgraph import cli
 from cellgraph.cli import build_parser, main
-from cellgraph.dataset import MODEL_MAGIC
+from cellgraph.dataset import MODEL_MAGIC, read_feature_csv
+from cellgraph.dimred import reduce_features
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +309,39 @@ def test_reduce_idempotent(workdir):
         assert main(["--seed", "5", "reduce", "--method", "pca", "--dim", "2",
                      "--in", features, "--out", out]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def _twelve_column_table(path, n):
+    rng = np.random.default_rng(n)
+    rows = ["cell_id,sample_id,cx,cy,label," + ",".join(f"f{j}" for j in range(12))]
+    rows += [f"{i},s01,{i}.0,0.0,{i % 2}," + ",".join(map(repr, rng.normal(size=12).tolist()))
+             for i in range(1, n + 1)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("method", ["pca", "umap"])
+@pytest.mark.parametrize("n", [10, 30])
+def test_reduce_at_the_default_dim_caps_the_width_as_the_experiment_does(tmp_path, method, n):
+    # --dim 16 on 12 columns once made pca exit 1 ("d=16 out of range for 30x12 input")
+    features, config, out = tmp_path / "features.csv", tmp_path / "umap.json", tmp_path / "red.csv"
+    _twelve_column_table(features, n)
+    kwargs = {"n_neighbors": 5, "n_epochs": 20} if method == "umap" else {}
+    config.write_text(json.dumps(kwargs))
+    flags = ["--config", str(config)] if kwargs else []
+    assert main(flags + ["reduce", "--method", method, "--in", str(features), "--out", str(out)]) == 0
+    reduced = read_feature_csv(str(out))
+    assert reduced.feature_names == [f"{method}_{i}" for i in range(min(16, 12, n - 1))]
+    want = reduce_features(read_feature_csv(str(features)).features, method, 16, seed=0, **kwargs).Y
+    assert reduced.features.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["pca", "tsne", "umap"])
+def test_reduce_below_one_dimension_exits_1_naming_d(tmp_path, capsys, method):
+    features, out = tmp_path / "features.csv", tmp_path / "red.csv"
+    _twelve_column_table(features, 30)
+    assert main(["reduce", "--method", method, "--dim", "0", "--in", str(features), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: reduce: d=0 out of range for 30x12 input\n"
+    assert not out.exists()
 
 
 def test_experiment_rerun_byte_identical(workdir):

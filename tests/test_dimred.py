@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cellgraph.dimred import (
     fit_attraction_curve,
     fuzzy_memberships,
     pca,
+    reduce_features,
     smooth_knn_calibration,
     symmetrize_memberships,
     tsne,
@@ -64,6 +66,37 @@ def test_pca_components_orthonormal():
 def test_pca_d_out_of_range():
     with pytest.raises(DimRedError):
         pca(np.zeros((4, 2)), 3)
+
+
+@pytest.mark.parametrize("method", [pca, tsne, umap])
+@pytest.mark.parametrize("d", [0, -2])
+def test_every_method_refuses_d_below_1_before_pairwise_work(method, d):
+    # t-SNE once returned an (n, 0) embedding and UMAP failed with numpy's
+    # bare "zero-size array" ValueError
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    pairwise = AssertionError("pairwise work before the d check")
+    with mock.patch.object(dimred, "sq_distances", side_effect=pairwise), \
+            mock.patch.object(dimred, "knn", side_effect=pairwise), \
+            pytest.raises(DimRedError, match=f"^d={d} out of range for 20x3 input$"):
+        method(X, d)
+
+
+@pytest.mark.parametrize("n, width", [(10, 9), (40, 12)])
+@pytest.mark.parametrize("method, kwargs", [
+    ("pca", {}),
+    ("tsne", {"perplexity": 3.0, "n_iters": 30}),
+    ("umap", {"n_neighbors": 5, "n_epochs": 20}),
+])
+def test_reduce_features_caps_d_at_the_columns_and_n_minus_1(n, width, method, kwargs):
+    X = np.random.default_rng(n).normal(size=(n, 12))
+    got = reduce_features(X, method, 16, seed=3, **kwargs).Y
+    if method == "pca":
+        want = pca(X, width)[0].Y
+    else:
+        want = getattr(dimred, method)(X, width, seed=3, **kwargs).Y
+    assert got.shape == (n, width) and got.tobytes() == want.tobytes()
+    # no cap on the pass-through
+    assert reduce_features(X, "none", 4).Y.tobytes() == X.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,18 @@ import pytest
 from cellgraph import experiment, graphs
 from cellgraph.dataset import load_dataset
 from cellgraph.experiment import (
+    METRIC_NAMES,
     ExperimentConfig,
     ExperimentError,
+    ExperimentReport,
     _make_split,
     cell_key,
     extract_features,
     load_report,
     run_experiment,
+    write_table_csv,
 )
-from cellgraph.harness import HarnessError
+from cellgraph.harness import HarnessError, Metrics
 from cellgraph.synth import SynthConfig, generate_synthetic_dataset
 
 
@@ -125,6 +128,30 @@ def test_report_files_written(small_data, tmp_path):
     assert len(table) == 3
     report = load_report(str(out / "report.json"))
     assert report.seed == 4
+
+
+def test_table_csv_bytes_are_pinned(tmp_path):
+    # an ok cell, an ok cell with an undefined ROC-AUC, a failed cell, out of key order
+    ok = Metrics(accuracy=0.875, precision=2 / 3, recall=0.5, f1=4 / 7, roc_auc=0.8125, tp=2, fp=1, fn=2, tn=11)
+    no_auc = Metrics(**{**ok.to_dict(), "precision": 0.0, "roc_auc": float("nan")})
+    report = ExperimentReport(config={}, seed=0, cells={
+        "radiomics|umap|random_forest": {"status": "ok", "metrics": ok.to_dict()},
+        "expression|none|grand_feature_graph": {"status": "ok", "metrics": no_auc.to_dict()},
+        "expression|tsne|gradient_boosting": {"status": "failed", "reason": "DimRedError: nope"},
+    })
+    assert no_auc.to_dict()["roc_auc"] is None
+    assert list(ok.to_dict())[:len(METRIC_NAMES)] == list(METRIC_NAMES)
+    path = tmp_path / "table1.csv"
+    write_table_csv(str(path), report)
+    assert path.read_text() == (
+        "feature_type,reduction,model,accuracy,precision,recall,f1,roc_auc,status\n"
+        "expression,none,grand_feature_graph,0.8750,0.0000,0.5000,0.5714,,ok\n"
+        "expression,tsne,gradient_boosting,,,,,,failed\n"
+        "radiomics,umap,random_forest,0.8750,0.6667,0.5000,0.5714,0.8125,ok\n"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "591fa19c2eadefa3e3a11f333b8ef5743316a5b67259660803b467b2e1b0f9ad"
+    )
 
 
 def test_rerun_is_byte_identical(small_data, tmp_path):

@@ -483,6 +483,28 @@ def test_predict_deterministic_and_normalized():
     np.testing.assert_allclose(p1.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("max_epochs, patience, with_val, stop", [
+    (40, 3, True, "patience"),
+    (4, 30, True, "max_epochs"),
+    # patience 0 stops at the first epoch without a better score, and a first epoch always scores better
+    (1, 0, True, "max_epochs"),
+    (40, 0, True, "patience"),
+    # without validation nodes the score is the negated training loss
+    (6, 30, False, "max_epochs"),
+    (40, 1, False, "patience"),
+])
+def test_train_grand_records_why_training_stopped(max_epochs, patience, with_val, stop):
+    adj, X, y, train, val = two_cluster_problem(seed=5)
+    val = val if with_val else np.zeros_like(val)
+    model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=max_epochs, patience=patience, seed=1))
+    epochs = len(model.history)
+    assert model.stop_reason == stop
+    if stop == "patience":
+        assert epochs - model.best_epoch == max(patience, 1) and epochs <= max_epochs
+    else:
+        assert epochs == max_epochs
+
+
 def test_predict_dimension_mismatch():
     adj, X, y, train, val = two_cluster_problem()
     model = train_grand(adj, X, y, (train, val), GrandConfig(max_epochs=5, patience=2))
@@ -499,6 +521,8 @@ def test_checkpoint_round_trip(tmp_path):
     for k in ("W1", "b1", "W2", "b2"):
         assert back.params()[k].tobytes() == model.params()[k].tobytes()
     assert back.config == model.config
+    # the file holds the weights and the config, not how training went
+    assert model.stop_reason is not None and back.stop_reason is None
     assert open(path, "rb").read()[:5] == MODEL_MAGIC
 
 
@@ -737,6 +761,7 @@ def test_train_grand_matches_per_augmentation_bits(
         assert model.params()[key].tobytes() == best[key].tobytes(), key
     assert repr(model.history) == repr(history)
     assert model.best_epoch == best_epoch
+    assert model.stop_reason == ("patience" if len(history) - best_epoch >= patience else "max_epochs")
 
 
 def test_train_grand_matches_per_augmentation_bits_at_defaults():
