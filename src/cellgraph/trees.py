@@ -1,11 +1,12 @@
 """Tabular baselines: random forest and Newton-step gradient boosting.
 
 Both are built on one greedy CART routine with midpoint thresholds between
-sorted distinct feature values and deterministic tie-breaking (lowest
-feature index, then lowest threshold). The forest averages per-tree leaf
-class frequencies; boosting is an additive model on the log-odds with
-logistic loss, each round fitting a depth-limited regression tree to the
-negative gradient and setting leaf values by a Newton step.
+sorted distinct feature values (see ``_split_threshold``) and deterministic
+tie-breaking (lowest feature index, then lowest threshold). The forest
+averages per-tree leaf class frequencies; boosting is an additive model on
+the log-odds with logistic loss, each round fitting a depth-limited
+regression tree to the negative gradient and setting leaf values by a
+Newton step.
 """
 
 from __future__ import annotations
@@ -102,7 +103,15 @@ def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
     col, j = divmod(int(np.argmin(cost.T)), n - 1)
     if cost[j, col] == math.inf:
         return (math.inf, -1, 0.0)
-    return (float(cost[j, col]), int(features[col]), float((vs[j, col] + vs[j + 1, col]) / 2.0))
+    return (float(cost[j, col]), int(features[col]), _split_threshold(vs[j, col], vs[j + 1, col]))
+
+
+def _split_threshold(lo, hi):
+    """Midpoint of distinct values ``lo < hi``, or ``hi`` where the midpoint
+    rounds onto ``lo`` (adjacent floats, e.g. 0 and 5e-324) or overflows to
+    inf: either would send every row to one side of ``x < threshold``."""
+    mid = (lo + hi) / 2.0
+    return float(mid if lo < mid <= hi else hi)
 
 
 def _node_order(X, idx, features):

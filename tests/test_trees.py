@@ -222,7 +222,8 @@ def frozen_best_split(X, target_stats, order, features, min_leaf, cost_fn):
     col, j = divmod(int(np.argmin(cost.T)), n - 1)
     if cost[j, col] == math.inf:
         return (math.inf, -1, 0.0)
-    return (float(cost[j, col]), int(features[col]), float((vs[j, col] + vs[j + 1, col]) / 2.0))
+    # the threshold rule is not part of the call count and is shared
+    return (float(cost[j, col]), int(features[col]), trees._split_threshold(vs[j, col], vs[j + 1, col]))
 
 
 def frozen_node_order(X, idx, features):
@@ -279,6 +280,23 @@ def test_forest_and_boosting_trees_equal_frozen_split_search(problem):
         mp.setattr(trees, "_gini_cost", frozen_gini_cost)
         assert repr(train_random_forest(X, y, forest_config).trees) == repr(forest.trees)
         assert repr(train_gradient_boosting(X, y % 2, boost_config).trees) == repr(boost.trees)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308)])
+def test_split_between_adjacent_or_huge_values_separates_them(lo, hi):
+    # The midpoint of adjacent floats rounds onto lo and that of huge ones
+    # overflows to inf; either threshold sent every row to one child, and
+    # growing the empty child failed.
+    threshold = trees._split_threshold(lo, hi)
+    assert lo < threshold <= hi
+    X = np.array([[lo], [lo], [hi], [hi]])
+    y = np.array([0, 0, 1, 1])
+    cart = train_cart(X, y, max_depth=1, min_leaf=1)
+    assert cart["threshold"] == threshold and cart["left"]["value"] == [1.0, 0.0]
+    forest = train_random_forest(X, y, ForestConfig(n_trees=1, max_depth=1, min_leaf=1, bootstrap=False))
+    assert (predict_tabular(forest, X).argmax(axis=1) == y).all()
+    boost = train_gradient_boosting(X, y, BoostConfig(n_rounds=2, max_depth=1, min_leaf=1))
+    assert (predict_tabular(boost, X).argmax(axis=1) == y).all()
 
 
 # ---------------------------------------------------------------------------
