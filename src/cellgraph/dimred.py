@@ -258,15 +258,9 @@ def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     diagonal = num.reshape(-1)[:: n + 1]
 
     def student_t(Y):
-        """num = 1/(1 + |y_i - y_j|^2) with a zero diagonal, in
-        graphs.sq_distances' order of operations; returns (sum of num,
+        """num = 1/(1 + |y_i - y_j|^2) with a zero diagonal; returns (sum of num,
         KL(P || num / sum)), the KL as sum P log P - <P, log num> + log(sum) sum P."""
-        sq = (Y * Y).sum(axis=1)
-        np.add(sq[:, None], sq[None, :], out=num)
-        np.matmul(Y, Y.T, out=buf)
-        np.multiply(buf, 2.0, out=buf)
-        np.subtract(num, buf, out=num)
-        np.maximum(num, 0.0, out=num)
+        sq_distances(Y, Y, out=num)
         np.add(num, 1.0, out=num)
         np.divide(1.0, num, out=num)
         np.log(num, out=buf)  # finite: the diagonal is still about 1 here
@@ -303,6 +297,7 @@ def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
         Y=Y,
         diagnostics={
             "kl_curve": np.array(kl_curve),
+            "n_iters": config.n_iters,
             "realized_perplexity": realized,
             "perplexity_error": float(np.abs(realized - config.perplexity).max()),
             "P": P,
@@ -476,13 +471,16 @@ def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
         raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":
         return Embedding(Y=np.asarray(X, dtype=np.float64).copy())
+    if method not in ("pca", "tsne", "umap"):
+        raise DimRedError(f"unknown reduction method {method!r}")
     X = _as_matrix(X)
-    d = min(d, X.shape[1], X.shape[0] - 1)
+    n, p = X.shape
+    if min(p, n - 1) < 1:
+        raise DimRedError(f"{method} cannot embed a {n}x{p} table in d={d}: it needs at least 2 rows and 1 column")
+    d = min(d, p, n - 1)
     if method == "pca":
         emb, _, _ = pca(X, d)
         return emb
     if method == "tsne":
         return tsne(X, d=d, seed=seed, **kwargs)
-    if method == "umap":
-        return umap(X, d=d, seed=seed, **kwargs)
-    raise DimRedError(f"unknown reduction method {method!r}")
+    return umap(X, d=d, seed=seed, **kwargs)

@@ -59,17 +59,17 @@ class CellGraph:
         return len(self.edges)
 
 
-def sq_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+def sq_distances(Q: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of Q and of X, clipped at 0.
 
     Each entry is ``(|q|^2 + |x|^2) - 2 q.x`` with q.x from one product
-    ``Q @ X.T``; the rest is done in place on that product,
-    ``_PARTITION_ROWS`` rows at a time, so the result is the only (len(Q),
-    len(X)) array.
+    ``Q @ X.T`` (into ``out`` if given; norms taken once if ``X is Q``); the
+    rest is done in place on that product, ``_PARTITION_ROWS`` rows at a
+    time, so the result is the only (len(Q), len(X)) array.
     """
     sq_q = (Q * Q).sum(axis=1)
-    sq_x = (X * X).sum(axis=1)
-    D = Q @ X.T
+    sq_x = sq_q if X is Q else (X * X).sum(axis=1)
+    D = np.matmul(Q, X.T, out=out)
     norms = np.empty((min(len(Q), _PARTITION_ROWS), len(X)))
     for start in range(0, len(Q), _PARTITION_ROWS):
         B = D[start : start + _PARTITION_ROWS]
@@ -81,16 +81,6 @@ def sq_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     return D
 
 
-def _pairwise_cosine(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    qn = np.linalg.norm(Q, axis=1)
-    xn = np.linalg.norm(X, axis=1)
-    qn[qn == 0] = 1.0
-    xn = np.where(xn == 0, 1.0, xn)
-    # 1 - G in place on the product, so the result is the only chunk-sized array
-    G = (Q / qn[:, None]) @ (X / xn[:, None]).T
-    return np.subtract(1.0, G, out=G)
-
-
 def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
     """Exact k nearest neighbors of every row of X, itself excluded.
 
@@ -98,6 +88,9 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
     by distance, ties by lower index; Euclidean distances are squared.
     Distances are computed ``_CHUNK_ROWS`` query rows at a time and
     partitioned ``_PARTITION_ROWS`` rows at a time.
+    "cosine" ranks the rows scaled to unit length by half their squared
+    distance, 1 - cos up to rounding, so a near-tie may break otherwise than
+    in 1 - cos; a zero row stays zero and is nearest to other zero rows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -108,13 +101,16 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
         raise GraphError(f"unknown metric {metric!r}")
     if not np.all(np.isfinite(X)):
         raise GraphError("features contain non-finite values")
+    if metric == "cosine":
+        norms = np.linalg.norm(X, axis=1)
+        X = X / np.where(norms == 0, 1.0, norms)[:, None]
     n = X.shape[0]
     take = min(k, n - 1)
     indices = np.empty((n, take), dtype=np.int64)
     distances = np.empty((n, take))
     for start in range(0, n, _CHUNK_ROWS):
         Q = X[start : start + _CHUNK_ROWS]
-        D = sq_distances(Q, X) if metric == "euclidean" else _pairwise_cosine(Q, X)
+        D = sq_distances(Q, X)
         for sub in range(0, len(D), _PARTITION_ROWS):
             B = D[sub : sub + _PARTITION_ROWS]
             rows = np.arange(len(B))
@@ -136,6 +132,8 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
             indices[start + sub : start + sub + len(B)] = np.take_along_axis(cand, order, axis=1)
             distances[start + sub : start + sub + len(B)] = np.take_along_axis(dist, order, axis=1)
         del D, B  # free this chunk before the next one is computed
+    if metric == "cosine":
+        distances *= 0.5
     return indices, distances
 
 

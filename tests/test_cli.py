@@ -9,6 +9,7 @@ from cellgraph import cli
 from cellgraph.cli import build_parser, main
 from cellgraph.dataset import MODEL_MAGIC, read_feature_csv
 from cellgraph.dimred import reduce_features
+from cellgraph.graphs import knn_feature_graph, read_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +345,16 @@ def test_reduce_below_one_dimension_exits_1_naming_d(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["pca", "tsne", "umap"])
+def test_reduce_one_row_table_exits_1_naming_dim_and_shape(tmp_path, capsys, method):
+    features, out = tmp_path / "features.csv", tmp_path / "red.csv"
+    _twelve_column_table(features, 1)
+    assert main(["reduce", "--method", method, "--in", str(features), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: reduce: {method} cannot embed a 1x12 table in d=16: it needs at least 2 rows and 1 column\n"
+    assert not out.exists()
+
+
 def test_experiment_rerun_byte_identical(workdir):
     data = str(workdir / "data")
     a, b = str(workdir / "outA"), str(workdir / "outB")
@@ -478,6 +489,16 @@ def test_graph_rejects_non_finite_features(tmp_path, capsys):
     assert main(argv) == 1
     assert "features contain non-finite values" in capsys.readouterr().err
     assert not (tmp_path / "g.edges").exists()
+
+
+def test_graph_cosine_is_the_euclidean_graph_of_unit_rows(tiny_dataset_dir, tmp_path):
+    features, out = str(tmp_path / "expression.csv"), str(tmp_path / "cosine.edges")
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
+    argv = ["graph", "--features", features, "--kind", "feature", "--metric", "cosine", "--k", "5", "--out", out]
+    assert main(argv) == 0
+    X = cli._load_table_sorted(features).features
+    unit = X / np.linalg.norm(X, axis=1)[:, None]
+    np.testing.assert_array_equal(read_edge_list(out).edges, knn_feature_graph(unit, 5).edges)
 
 
 def test_graph_spatial_rejects_cosine_metric(tiny_dataset_dir, tmp_path, capsys):

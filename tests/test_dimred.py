@@ -99,6 +99,17 @@ def test_reduce_features_caps_d_at_the_columns_and_n_minus_1(n, width, method, k
     assert reduce_features(X, "none", 4).Y.tobytes() == X.tobytes()
 
 
+@pytest.mark.parametrize("method", ["pca", "tsne", "umap"])
+@pytest.mark.parametrize("shape", [(1, 12), (5, 0)])
+def test_reduce_features_refuses_a_table_with_no_width_to_embed(method, shape):
+    # min(d, p, n - 1) < 1: the method's own check once said "d=0 out of
+    # range for 1x12 input", naming neither the requested d nor the cause
+    n, p = shape
+    message = f"^{method} cannot embed a {n}x{p} table in d=16: it needs at least 2 rows and 1 column$"
+    with pytest.raises(DimRedError, match=message):
+        reduce_features(np.ones(shape), method, 16)
+
+
 # ---------------------------------------------------------------------------
 # t-SNE
 
@@ -134,6 +145,7 @@ def test_tsne_kl_decreases():
     emb = tsne(X, 2, perplexity=8, n_iters=400, seed=1)
     kl = emb.diagnostics["kl_curve"]
     assert len(kl) == 401  # logged every iteration plus the final state
+    assert emb.diagnostics["n_iters"] == len(kl) - 1 == 400
     assert kl[-1] < kl[0]
 
 

@@ -64,6 +64,19 @@ def test_knn_cosine_metric():
     assert (0, 1) in edges_as_set(g)
 
 
+def test_knn_cosine_zero_rows_are_nearest_to_each_other():
+    # a zero row stays zero on the unit sphere: distance 0 to another zero
+    # row, 1/2 (half of |u|^2) to every unit row
+    X = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0], [-1.0, 0.0]])
+    indices, distances = knn(X, 3, "cosine")
+    np.testing.assert_array_equal(indices[0], [2, 1, 3])
+    np.testing.assert_array_equal(distances[0], [0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(indices[2], [0, 1, 3])
+    # between unit rows: 1 - cos, up to rounding
+    np.testing.assert_array_equal(indices[1], [0, 2, 3])
+    np.testing.assert_allclose(distances[1], [0.5, 0.5, 1.6], rtol=1e-12)
+
+
 def test_knn_errors():
     with pytest.raises(GraphError):
         knn_feature_graph(np.zeros((1, 2)), 1)
@@ -423,9 +436,15 @@ def knn_points(draw):
 def test_knn_matches_dense_stable_argsort(X, k, metric, chunk, sub):
     # The oracle sorts each row of the distance matrix knn sees (the same
     # chunked products, so the same bits) with a stable argsort; small chunks
-    # and partition blocks exercise multi-block and one-row tails.
-    distance = graphs.sq_distances if metric == "euclidean" else graphs._pairwise_cosine
-    D = np.vstack([distance(X[s : s + chunk], X) for s in range(0, len(X), chunk)])
+    # and partition blocks exercise multi-block and one-row tails. Cosine is
+    # the Euclidean kernel on unit rows (zero rows stay zero), halved.
+    U = X
+    if metric == "cosine":
+        norms = np.linalg.norm(X, axis=1)
+        U = X / np.where(norms == 0, 1.0, norms)[:, None]
+    D = np.vstack([graphs.sq_distances(U[s : s + chunk], U) for s in range(0, len(X), chunk)])
+    if metric == "cosine":
+        D *= 0.5
     np.fill_diagonal(D, np.inf)
     if metric == "euclidean" and np.array_equal(X, np.round(X)):
         # integer coordinates: the kernel's squared distances are exact
@@ -476,6 +495,19 @@ def test_sq_distances_match_one_expression_bits(X, start, rows, block):
         got = graphs.sq_distances(Q, X)
     assert got.tobytes() == one_expression_sq_distances(Q, X).tobytes()
     assert graphs.sq_distances(X, X).tobytes() == one_expression_sq_distances(X, X).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 100, 129, 1100])
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("query", ["itself", "row slice"])
+def test_sq_distances_into_out_match_the_allocating_call(n, d, query):
+    # t-SNE writes each iterate's distances into one n x n buffer
+    X = np.random.default_rng(n + d).normal(size=(n, d))
+    Q = X if query == "itself" else X[n // 3 : n // 3 + n // 2]
+    buf = np.empty((len(Q), n))
+    got = graphs.sq_distances(Q, X, out=buf)
+    assert got is buf
+    assert got.tobytes() == graphs.sq_distances(Q, X).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
