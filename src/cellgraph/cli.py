@@ -18,33 +18,21 @@ import numpy as np
 from . import dataset as ds
 from .dimred import reduce_features
 from .experiment import (
+    MODEL_CONFIGS,
     ExperimentConfig,
     extract_features,
+    fit_model,
     load_report,
+    predict_model,
     run_experiment,
     write_table_csv,
 )
-from .grand import (
-    GrandConfig,
-    decode_checkpoint,
-    predict_grand,
-    save_checkpoint,
-    save_history_csv,
-    train_grand,
-)
+from .grand import GrandConfig, decode_checkpoint, save_checkpoint, save_history_csv
 from .graphs import build_cell_graph, normalize_adjacency, read_edge_list, write_edge_list
 from .harness import METRIC_NAMES, compute_metrics, standardize_features, stratified_split
 from .plots import bar_chart_svg
 from .synth import SynthConfig, generate_synthetic_dataset
-from .trees import (
-    BoostConfig,
-    ForestConfig,
-    decode_model,
-    predict_tabular,
-    save_model,
-    train_gradient_boosting,
-    train_random_forest,
-)
+from .trees import decode_model, save_model
 
 
 class StageError(Exception):
@@ -138,14 +126,15 @@ def _load_table_sorted(path: str) -> ds.CellTable:
     return ds.pool_tables([ds.read_feature_csv(path)])
 
 
-def _model_inputs(args, seed: int, standardize: bool):
-    """(table, y, masks, X) for train, baseline and evaluate.
+def _model_inputs(args, seed: int, grand: bool):
+    """(table, y, masks, X, adj) for train, baseline and evaluate.
 
     Labels come from the features table itself when ``--labels`` names the
     same file; otherwise only the key and label columns of ``--labels`` are
     read, and a cell it does not list is unlabeled. The split comes from the
-    model's seed, and GRAND inputs are standardised with the train rows of
-    that split, so evaluate replays what train saw.
+    model's seed. A GRAND model reads its features standardised with the
+    train rows of that split and the normalized adjacency of ``--graph``
+    (``adj`` is None otherwise), so evaluate replays what train saw.
     """
     table = _load_table_sorted(args.features)
     if os.path.realpath(args.labels) == os.path.realpath(args.features):
@@ -154,15 +143,13 @@ def _model_inputs(args, seed: int, standardize: bool):
         by_key = ds.read_feature_labels(args.labels)
         y = np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
     masks = stratified_split(y, seed=seed)
-    X = standardize_features(table.features, masks.train)[0] if standardize else table.features
-    return table, y, masks, X
-
-
-def _adjacency(graph_path: str, table: ds.CellTable):
-    graph = read_edge_list(graph_path)
+    if not grand:
+        return table, y, masks, table.features, None
+    Z = standardize_features(table.features, masks.train)[0]
+    graph = read_edge_list(args.graph)
     if graph.n_nodes != len(table):
         raise StageError(f"graph has {graph.n_nodes} nodes but feature table has {len(table)} rows")
-    return normalize_adjacency(graph)
+    return table, y, masks, Z, normalize_adjacency(graph)
 
 
 def _seeded_config(args, path: str | None) -> dict:
@@ -217,26 +204,20 @@ def _cmd_reduce(args) -> None:
 
 def _cmd_train(args) -> None:
     config = GrandConfig.from_dict(_seeded_config(args, args.config))
-    table, y, masks, Z = _model_inputs(args, config.seed, standardize=True)
-    adj = _adjacency(args.graph, table)
-    model = train_grand(adj, Z, y, (masks.train, masks.val), config, n_classes=2)
+    _, y, masks, Z, adj = _model_inputs(args, config.seed, grand=True)
+    model, probs = fit_model(config, Z, y, masks, adj)
     out = _resolve_out(args, default="grand.ckpt")
     save_checkpoint(out, model)
     if args.history:
         save_history_csv(args.history, model)
-    probs, _ = predict_grand(model, adj, Z)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     print(f"saved checkpoint to {out}; test f1 {metrics.f1:.4f}")
 
 
 def _cmd_baseline(args) -> None:
-    raw = _seeded_config(args, args.config)
-    forest = args.model == "random_forest"
-    config = ForestConfig.from_dict(raw) if forest else BoostConfig.from_dict(raw)
-    table, y, masks, X = _model_inputs(args, config.seed, standardize=False)
-    train = train_random_forest if forest else train_gradient_boosting
-    model = train(X[masks.train], y[masks.train], config)
-    probs = predict_tabular(model, X)
+    config = MODEL_CONFIGS[args.model][1].from_dict(_seeded_config(args, args.config))
+    _, y, masks, X, _ = _model_inputs(args, config.seed, grand=False)
+    model, probs = fit_model(config, X, y, masks)
     out = _resolve_out(args, default=f"{args.model}.bin")
     save_model(out, model)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
@@ -249,8 +230,8 @@ def _cmd_evaluate(args) -> None:
     if grand and not args.graph:
         raise StageError("graph models need --graph for evaluation")
     model = decode_checkpoint(payload, args.model) if grand else decode_model(payload, args.model)
-    table, y, masks, X = _model_inputs(args, model.config.seed, standardize=grand)
-    probs = predict_grand(model, _adjacency(args.graph, table), X)[0] if grand else predict_tabular(model, X)
+    table, y, masks, X, adj = _model_inputs(args, model.config.seed, grand)
+    probs = predict_model(model, X, adj)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     out = _resolve_out(args, default="metrics.json")
     ds.write_json(out, metrics.to_dict())

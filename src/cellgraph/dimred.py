@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Open, check_fields, config_from_dict
-from .graphs import knn, sq_distances
+from .dataset import Open, check_field, check_fields, config_from_dict
+from .graphs import check_distance_range, knn, sq_distances
 
 
 class DimRedError(Exception):
@@ -237,6 +237,7 @@ def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     """
     config = config_from_dict(TsneConfig, params, DimRedError)
     X = _as_matrix(X, d)
+    check_distance_range(X, DimRedError)
     n = X.shape[0]
     if n < 4:
         raise DimRedError("t-SNE needs at least 4 points")
@@ -467,6 +468,10 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     """Dispatch helper used by the experiment and the CLI: 'none' passes ``X``
     through, every other method embeds an n x p ``X`` in min(d, p, n - 1) dimensions."""
+    try:
+        check_field("seed", seed, int, 0)
+    except ValueError as exc:
+        raise DimRedError(str(exc)) from None
     if method in ("none", "pca") and kwargs:
         raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":

@@ -21,7 +21,7 @@ import numpy as np
 from . import dataset as ds
 from .dimred import TsneConfig, UmapConfig, reduce_features
 from .expression import expression_profile
-from .grand import GrandConfig, predict_grand, train_grand
+from .grand import GrandConfig, GrandModel, predict_grand, train_grand
 from .graphs import build_cell_graph, edge_homophily, normalize_adjacency
 from .harness import (
     METRIC_NAMES,
@@ -37,7 +37,10 @@ from .trees import BoostConfig, ForestConfig, predict_tabular, train_gradient_bo
 
 FEATURE_TYPES = ("expression", "radiomics")
 REDUCTIONS = ("none", "pca", "tsne", "umap")
-MODELS = ("grand_feature_graph", "grand_spatial_graph", "random_forest", "gradient_boosting")
+# each model's ExperimentConfig field and the stage config class it holds
+MODEL_CONFIGS = {"grand_feature_graph": ("grand", GrandConfig), "grand_spatial_graph": ("grand", GrandConfig),
+                 "random_forest": ("forest", ForestConfig), "gradient_boosting": ("boost", BoostConfig)}
+MODELS = tuple(MODEL_CONFIGS)
 
 
 class ExperimentError(Exception):
@@ -90,8 +93,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ExperimentError(str(exc)) from exc
         # read the stage configs now, so a typo fails the run before any cell
-        for key, stage in {"grand": GrandConfig, "forest": ForestConfig, "boost": BoostConfig,
-                           "tsne": TsneConfig, "umap": UmapConfig, "radiomics": RadiomicsConfig}.items():
+        stages = {**dict(MODEL_CONFIGS.values()), "tsne": TsneConfig, "umap": UmapConfig, "radiomics": RadiomicsConfig}
+        for key, stage in stages.items():
             try:
                 ds.config_from_dict(stage, getattr(self, key))
             except (ValueError, TypeError) as exc:
@@ -151,97 +154,97 @@ def _graph(kind: str, X: np.ndarray, table: ds.CellTable, masks: SplitMasks, k: 
     return [f"graph_edges: {n_edges}", f"graph_train_homophily: {homophily}"], normalize_adjacency(graph)
 
 
+def fit_model(config, X: np.ndarray, y: np.ndarray, masks: SplitMasks, adj=None):
+    """(model, class probabilities of every row of ``X``). The class of
+    ``config`` picks the estimator: GRAND on the normalized adjacency ``adj``,
+    stopping on the validation rows, for a ``GrandConfig``; the forest or the
+    boosted trees on the train rows for a ``ForestConfig`` or ``BoostConfig``."""
+    if isinstance(config, GrandConfig):
+        model = train_grand(adj, X, y, (masks.train, masks.val), config, n_classes=2)
+    elif isinstance(config, ForestConfig):
+        model = train_random_forest(X[masks.train], y[masks.train], config)
+    else:
+        model = train_gradient_boosting(X[masks.train], y[masks.train], config)
+    return model, predict_model(model, X, adj)
+
+
+def predict_model(model, X: np.ndarray, adj=None) -> np.ndarray:
+    """Class probabilities of every row of ``X`` under a fitted model
+    (GRAND reads the normalized adjacency ``adj``)."""
+    if isinstance(model, GrandModel):
+        return predict_grand(model, adj, X)[0]
+    return predict_tabular(model, X)
+
+
 def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitMasks,
                config: ExperimentConfig, seed: int, spatial):
-    """(test metrics, the model's log lines) for one cell.
-
-    ``spatial`` is the table's ``_graph("spatial", ...)`` result, or the
-    exception its build raised, which then fails the spatial GRAND cell.
-    """
-    y = table.labels
-    notes = []
-    if model in ("grand_feature_graph", "grand_spatial_graph"):
-        if model == "grand_feature_graph":
-            graph_notes, adj = _graph("feature", X_red, table, masks, config.k)
-        elif isinstance(spatial, Exception):
-            raise spatial
-        else:
-            graph_notes, adj = spatial
-        gconf = GrandConfig.from_dict({**config.grand, "seed": seed})
-        trained = train_grand(adj, X_red, y, (masks.train, masks.val), gconf, n_classes=2)
-        probs, _ = predict_grand(trained, adj, X_red)
-        notes = graph_notes + [f"grand_epochs: {len(trained.history)}", f"grand_best_epoch: {trained.best_epoch}",
-                               f"grand_stop: {trained.stop_reason}"]
-    elif model == "random_forest":
-        fconf = ForestConfig.from_dict({**config.forest, "seed": seed})
-        forest = train_random_forest(X_red[masks.train], y[masks.train], fconf)
-        probs = predict_tabular(forest, X_red)
-    else:
-        bconf = BoostConfig.from_dict({**config.boost, "seed": seed})
-        boost = train_gradient_boosting(X_red[masks.train], y[masks.train], bconf)
-        probs = predict_tabular(boost, X_red)
-    metrics = compute_metrics(y[masks.test], probs[masks.test], threshold=config.threshold)
+    """(test metrics, the model's log lines) for one cell; the spatial GRAND
+    cell reads ``spatial``, the table's ``_graph("spatial", ...)`` result."""
+    key, stage = MODEL_CONFIGS[model]
+    stage_config = stage.from_dict({**getattr(config, key), "seed": seed})
+    notes, adj = [], None
+    if model == "grand_feature_graph":
+        notes, adj = _graph("feature", X_red, table, masks, config.k)
+    elif model == "grand_spatial_graph":
+        notes, adj = spatial
+    fitted, probs = fit_model(stage_config, X_red, table.labels, masks, adj)
+    if adj is not None:
+        notes = notes + [f"grand_epochs: {len(fitted.history)}", f"grand_best_epoch: {fitted.best_epoch}",
+                         f"grand_stop: {fitted.stop_reason}"]
+    metrics = compute_metrics(table.labels[masks.test], probs[masks.test], threshold=config.threshold)
     return metrics.to_dict(), notes
 
 
-def _reduction_notes(diagnostics: dict) -> list:
-    """Log lines for the reduction's diagnostics (t-SNE, UMAP; none otherwise)."""
-    notes = []
-    if "kl_curve" in diagnostics:
-        notes.append(f"tsne_final_kl: {float(diagnostics['kl_curve'][-1])}")
-        notes.append(f"tsne_max_perplexity_error: {diagnostics['perplexity_error']}")
-    if "a" in diagnostics:
-        notes.append(f"umap_a: {diagnostics['a']}")
-        notes.append(f"umap_b: {diagnostics['b']}")
-    return notes
+def _prepare_table(data: ds.Dataset, feature_type: str, config: ExperimentConfig):
+    """(table, split masks, features standardized with the train rows) of one family."""
+    table = extract_features(data, feature_type, config.radiomics)
+    masks = _make_split(table, config)
+    return table, masks, standardize_features(table.features, masks.train)[0]
 
 
-def _run_reduction_group(feature_type: str, reduction: str, table: ds.CellTable, Z: np.ndarray,
-                         masks: SplitMasks, config: ExperimentConfig, spatial, cells: dict, timings: dict,
-                         runs_dir: str) -> None:
-    """Run all model cells sharing one (feature type, reduction) representation.
+def _reduce(Z: np.ndarray, feature_type: str, reduction: str, config: ExperimentConfig):
+    """(reduced features, log lines of the reduction's diagnostics).
 
-    ``Z`` is the table's standardized features, shared by every reduction.
-    Each cell's outcome goes into ``cells``, its time into ``timings`` and its
-    log under ``runs_dir`` as the cell finishes. A log holds the reduction's
-    lines, then the model's. ``spatial`` is passed on to ``_run_model``.
+    Only these leave the call, so t-SNE's n x n P is freed before any model
+    of the group runs.
     """
-    try:
-        kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
-        t0 = time.perf_counter()
-        emb = reduce_features(
-            Z, reduction, config.reduce_dim,
-            seed=derive_seed(config.seed, f"reduce|{feature_type}|{reduction}"), **kwargs
-        )
-        timings[f"{feature_type}|{reduction}|reduce"] = time.perf_counter() - t0
-        X_red = emb.Y
-        reduction_notes = _reduction_notes(emb.diagnostics)
-        del emb  # t-SNE's n x n P is not needed by the models
-    except Exception as exc:  # noqa: BLE001 - cell failures are recorded, not raised
-        _fail_cells([cell_key(feature_type, reduction, model) for model in config.models], exc, cells, runs_dir)
-        return
+    kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
+    seed = derive_seed(config.seed, f"reduce|{feature_type}|{reduction}")
+    emb = reduce_features(Z, reduction, config.reduce_dim, seed=seed, **kwargs)
+    notes = []
+    if "kl_curve" in emb.diagnostics:
+        notes.append(f"tsne_final_kl: {float(emb.diagnostics['kl_curve'][-1])}")
+        notes.append(f"tsne_max_perplexity_error: {emb.diagnostics['perplexity_error']}")
+    if "a" in emb.diagnostics:
+        notes.append(f"umap_a: {emb.diagnostics['a']}")
+        notes.append(f"umap_b: {emb.diagnostics['b']}")
+    return emb.Y, notes
 
-    for model in config.models:
-        key = cell_key(feature_type, reduction, model)
-        model_notes = []
-        t0 = time.perf_counter()
-        try:
-            metrics, model_notes = _run_model(model, table, X_red, masks, config, derive_seed(config.seed, key),
-                                              spatial)
-            cells[key] = {"status": "ok", "metrics": metrics}
-        except Exception as exc:  # noqa: BLE001
-            cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
+
+def _timed(timings: dict, key: str, fn, *args):
+    """``fn(*args)``, or the exception it raised as the string ``"<Type>: <message>"``;
+    its wall time goes to ``timings[key]``. No exception outlives the call, so
+    its traceback cannot keep the failed call's arrays alive."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - a failure is recorded by the cells that read it
+        return f"{type(exc).__name__}: {exc}"
+    finally:
         timings[key] = time.perf_counter() - t0
-        _write_cell_log(runs_dir, key, cells[key], reduction_notes + model_notes)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     """Execute the grid and write report.json, table1.csv, and timings.json.
 
     Groups run one at a time, feature type by feature type, in report order;
-    ``config.threads`` is checked but runs nothing in parallel. A failure in
-    any stage marks the affected cells as failed with the reason; remaining
-    cells still run. Deterministic for a fixed config and seed.
+    ``config.threads`` is checked but runs nothing in parallel. Each shared
+    input (a feature table with its split and standardization, its spatial
+    graph, each reduction) is computed once, as its value or the reason it
+    failed. A cell fails with the first failed input it reads, in the order
+    table, reduction, spatial graph (read by the spatial GRAND cell only),
+    or else with its model's exception; remaining cells still run.
+    Deterministic for a fixed config and seed.
     """
     manifest = os.path.join(config.data_dir, "manifest.json")
     if not os.path.isfile(manifest):  # ExperimentError, not the reader's DatasetError
@@ -254,42 +257,34 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     cells = {}
     timings = {}
     for ft in config.feature_types:
-        t0 = time.perf_counter()
-        try:
-            table = extract_features(data, ft, config.radiomics)
-            masks = _make_split(table, config)
-            Z, _, _ = standardize_features(table.features, masks.train)
-        except Exception as exc:  # noqa: BLE001
-            keys = [cell_key(ft, red, model) for red in config.reductions for model in config.models]
-            _fail_cells(keys, exc, cells, runs_dir)
-            continue
-        finally:
-            timings[f"extract|{ft}"] = time.perf_counter() - t0
+        prepared = _timed(timings, f"extract|{ft}", _prepare_table, data, ft, config)
+        table, masks, Z = (None, None, None) if isinstance(prepared, str) else prepared
         # the spatial graph reads only the centroids, the sample ids, k and
         # the train mask, so every reduction of this table shares one build
         spatial = None
-        if "grand_spatial_graph" in config.models:
-            t0 = time.perf_counter()
-            try:
-                spatial = _graph("spatial", table.centroids, table, masks, config.k)
-            except Exception as exc:  # noqa: BLE001 - recorded by each spatial cell
-                spatial = exc
-            timings[f"{ft}|spatial_graph"] = time.perf_counter() - t0
+        if table is not None and "grand_spatial_graph" in config.models:
+            spatial = _timed(timings, f"{ft}|spatial_graph", _graph, "spatial", table.centroids, table, masks,
+                             config.k)
         for red in config.reductions:
-            _run_reduction_group(ft, red, table, Z, masks, config, spatial, cells, timings, runs_dir)
+            reduced = prepared if table is None else _timed(timings, f"{ft}|{red}|reduce", _reduce, Z, ft, red,
+                                                            config)
+            for model in config.models:
+                key = cell_key(ft, red, model)
+                inputs = (reduced, spatial) if model == "grand_spatial_graph" else (reduced,)
+                failed = [value for value in inputs if isinstance(value, str)]
+                outcome = failed[0] if failed else _timed(
+                    timings, key, _run_model, model, table, reduced[0], masks, config, derive_seed(config.seed, key),
+                    spatial)
+                ok = not isinstance(outcome, str)
+                cells[key] = {"status": "ok", "metrics": outcome[0]} if ok else {"status": "failed", "reason": outcome}
+                notes = ([] if isinstance(reduced, str) else reduced[1]) + (outcome[1] if ok else [])
+                _write_cell_log(runs_dir, key, cells[key], notes)
 
     report = ExperimentReport(config=config.to_dict(), seed=config.seed, cells=cells)
     ds.write_json(os.path.join(out_dir, "report.json"), asdict(report))
     write_table_csv(os.path.join(out_dir, "table1.csv"), report)
     ds.write_json(os.path.join(out_dir, "timings.json"), {k: round(v, 6) for k, v in timings.items()})
     return report
-
-
-def _fail_cells(keys: list, exc: Exception, cells: dict, runs_dir: str) -> None:
-    """Record every cell in ``keys`` as failed by ``exc``, each with its log."""
-    for key in keys:
-        cells[key] = {"status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
-        _write_cell_log(runs_dir, key, cells[key], [])
 
 
 def _write_cell_log(runs_dir: str, key: str, outcome: dict, notes: list) -> None:

@@ -81,13 +81,24 @@ def sq_distances(Q: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) ->
     return D
 
 
+def check_distance_range(X: np.ndarray, error: type = GraphError) -> None:
+    """Raise ``error`` when a squared distance between two rows of ``X`` can
+    overflow float64, which ``sq_distances`` would return as inf or NaN: a
+    squared distance is at most four times the largest squared row norm."""
+    with np.errstate(over="ignore"):
+        largest = (X * X).sum(axis=1).max(initial=0.0)
+    if not np.isfinite(4.0 * largest):
+        raise error(f"squared distances overflow float64: the largest absolute entry is {np.abs(X).max():g}")
+
+
 def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
     """Exact k nearest neighbors of every row of X, itself excluded.
 
     Returns (indices, distances) of shape (n, min(k, n-1)), each row sorted
     by distance, ties by lower index; Euclidean distances are squared.
     Distances are computed ``_CHUNK_ROWS`` query rows at a time and
-    partitioned ``_PARTITION_ROWS`` rows at a time.
+    partitioned ``_PARTITION_ROWS`` rows at a time. A table whose distances
+    can overflow is refused (``check_distance_range``), under either metric.
     "cosine" ranks the rows scaled to unit length by half their squared
     distance, 1 - cos up to rounding, so a near-tie may break otherwise than
     in 1 - cos; a zero row stays zero and is nearest to other zero rows.
@@ -101,6 +112,7 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
         raise GraphError(f"unknown metric {metric!r}")
     if not np.all(np.isfinite(X)):
         raise GraphError("features contain non-finite values")
+    check_distance_range(X)
     if metric == "cosine":
         norms = np.linalg.norm(X, axis=1)
         X = X / np.where(norms == 0, 1.0, norms)[:, None]

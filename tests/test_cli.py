@@ -355,6 +355,17 @@ def test_reduce_one_row_table_exits_1_naming_dim_and_shape(tmp_path, capsys, met
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["none", "pca", "tsne", "umap"])
+def test_reduce_negative_seed_exits_1_naming_seed(tmp_path, capsys, method):
+    # umap exited 1 with numpy's "expected non-negative integer"; pca took the seed silently
+    features, out = tmp_path / "features.csv", tmp_path / "red.csv"
+    _twelve_column_table(features, 30)
+    assert main(["--seed", "-1", "reduce", "--method", method, "--dim", "2", "--in", str(features),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: reduce: seed must lie in [0, inf], got -1\n"
+    assert not out.exists()
+
+
 def test_experiment_rerun_byte_identical(workdir):
     data = str(workdir / "data")
     a, b = str(workdir / "outA"), str(workdir / "outB")
@@ -491,6 +502,20 @@ def test_graph_rejects_non_finite_features(tmp_path, capsys):
     assert not (tmp_path / "g.edges").exists()
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_graph_refuses_features_whose_distances_overflow(tmp_path, capsys, metric):
+    rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
+    rows += [f"{i},s01,{i}.0,0.0,{i % 2},{'1e200' if i == 1 else f'{i}.0'},1.0" for i in range(1, 6)]
+    features = tmp_path / "huge.csv"
+    features.write_text("\n".join(rows) + "\n")
+    argv = ["graph", "--features", str(features), "--kind", "feature", "--metric", metric, "--k", "2",
+            "--out", str(tmp_path / "g.edges")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: graph: squared distances overflow float64: the largest absolute entry is 1e+200\n")
+    assert not (tmp_path / "g.edges").exists()
+
+
 def test_graph_cosine_is_the_euclidean_graph_of_unit_rows(tiny_dataset_dir, tmp_path):
     features, out = str(tmp_path / "expression.csv"), str(tmp_path / "cosine.edges")
     assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
@@ -530,7 +555,7 @@ def replay_inputs(tmp_path_factory):
 @pytest.mark.parametrize("kind", ["grand", "random_forest", "gradient_boosting"])
 def test_evaluate_replays_train(replay_inputs, kind, monkeypatch, capsys):
     root, features, graph = replay_inputs
-    seen = {"predict": [], "metrics": []}
+    seen = {"fit": [], "predict": [], "metrics": []}
 
     def record(name, log):
         original = getattr(cli, name)
@@ -542,7 +567,8 @@ def test_evaluate_replays_train(replay_inputs, kind, monkeypatch, capsys):
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    record("predict_grand" if kind == "grand" else "predict_tabular", seen["predict"])
+    record("fit_model", seen["fit"])
+    record("predict_model", seen["predict"])
     record("compute_metrics", seen["metrics"])
     model = str(root / f"{kind}.model")
     inputs = ["--features", features, "--labels", features]
@@ -557,7 +583,10 @@ def test_evaluate_replays_train(replay_inputs, kind, monkeypatch, capsys):
     metrics, predictions = str(root / f"{kind}.json"), str(root / f"{kind}.csv")
     assert main(evaluate + ["--out", metrics, "--predictions", predictions]) == 0
 
-    train_probs = seen["predict"][0][0] if kind == "grand" else seen["predict"][0]
+    # train fits through fit_model alone, and evaluate predicts through predict_model alone
+    train_probs = seen["fit"][0][1]
+    assert len(seen["fit"]) == 1 and len(seen["predict"]) == 1
+    np.testing.assert_array_equal(seen["predict"][0], train_probs)
     rows = [line.split(",") for line in open(predictions).read().splitlines()[1:]]
     assert [row[2:4] for row in rows] == [[format(p, ".17g") for p in pair] for pair in train_probs]
     scored = json.loads(open(metrics).read())

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -24,7 +25,7 @@ from cellgraph.dimred import (
     tsne_conditional_probabilities,
     umap,
 )
-from cellgraph.graphs import sq_distances
+from cellgraph.graphs import GraphError, sq_distances
 from conftest import knn_purity
 
 
@@ -619,3 +620,25 @@ def test_umap_bits_are_pinned(name):
     else:
         emb = umap(_large_points(), 3, n_neighbors=15, n_epochs=20, seed=6)
     assert _sha(emb.Y) == UMAP_PINS[name]
+
+
+def test_embeddings_refuse_a_table_whose_distances_overflow():
+    # t-SNE said "perplexity 5.0 infeasible for point 0" and UMAP raised a
+    # bare "zero-size array" ValueError for a row of 1e200 entries
+    X = np.random.default_rng(0).normal(size=(20, 3))
+    X[0] = 1e200
+    message = re.escape("squared distances overflow float64: the largest absolute entry is 1e+200")
+    with pytest.raises(DimRedError, match=message):
+        tsne(X, 2, perplexity=5)
+    with pytest.raises(GraphError, match=message):
+        umap(X, 2, n_neighbors=5)
+
+
+@pytest.mark.parametrize("method", ["none", "pca", "tsne", "umap"])
+@pytest.mark.parametrize("seed, problem", [(-1, "must lie in [0, inf], got -1"), (1.5, "must be an integer, got 1.5"),
+                                           (True, "must be an integer, got True")])
+def test_reduce_features_checks_the_seed_for_every_method(method, seed, problem):
+    # UMAP failed with numpy's "expected non-negative integer", PCA took -1 silently
+    X = np.random.default_rng(1).normal(size=(20, 3))
+    with pytest.raises(DimRedError, match=re.escape(f"seed {problem}")):
+        reduce_features(X, method, 2, seed=seed)

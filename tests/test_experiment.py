@@ -21,8 +21,10 @@ from cellgraph.experiment import (
     run_experiment,
     write_table_csv,
 )
+from cellgraph.grand import GrandConfig, GrandModel
 from cellgraph.harness import HarnessError, Metrics
 from cellgraph.synth import SynthConfig, generate_synthetic_dataset
+from cellgraph.trees import BoostConfig, BoostModel, ForestConfig, ForestModel, TreeError
 
 
 @pytest.fixture(scope="module")
@@ -527,3 +529,37 @@ def test_standardization_failure_fails_every_cell_of_its_table(small_data, tmp_p
             assert outcome == {"status": "failed", "reason": "HarnessError: empty train mask for standardization"}
         else:
             assert outcome["status"] == "ok"
+
+
+def test_model_failure_fails_only_its_own_cells(small_data, tmp_path):
+    # a model that raises fails its cells with its reason and log; every
+    # other model of each group still runs, and each cell is timed
+    config = ExperimentConfig(data_dir=small_data, reductions=("none", "pca"), models=tuple(experiment.MODELS),
+                              forest={"n_trees": 3}, grand={"max_epochs": 2, "patience": 2}, seed=13)
+    with mock.patch.object(experiment, "train_gradient_boosting", side_effect=TreeError("no rounds left")):
+        report = run_experiment(config, str(tmp_path / "out"))
+    timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+    assert len(report.cells) == 16
+    for key, outcome in report.cells.items():
+        if key.endswith("|gradient_boosting"):
+            assert outcome == {"status": "failed", "reason": "TreeError: no rounds left"}
+            log = (tmp_path / "out" / "runs" / key.replace("|", "__") / "log.txt").read_text()
+            assert log == f"cell: {key}\nstatus: failed\nreason: TreeError: no rounds left\n"
+        else:
+            assert outcome["status"] == "ok"
+        assert key in timings
+
+
+def test_fit_and_predict_pick_the_estimator_by_config_class(small_data):
+    # the one path the experiment cells and the CLI's train, baseline and evaluate stages share
+    table = extract_features(load_dataset(os.path.join(small_data, "manifest.json")), "expression", {})
+    masks = _make_split(table, ExperimentConfig())
+    X, y = experiment.standardize_features(table.features, masks.train)[0], table.labels
+    adj = graphs.normalize_adjacency(graphs.build_cell_graph("feature", X, table, 5))
+    for config, model_type in ((GrandConfig(max_epochs=2, seed=1), GrandModel),
+                               (ForestConfig(n_trees=3, seed=1), ForestModel),
+                               (BoostConfig(n_rounds=3, seed=1), BoostModel)):
+        model, probs = experiment.fit_model(config, X, y, masks, adj)
+        assert type(model) is model_type and model.config == config
+        assert probs.shape == (len(X), 2)
+        np.testing.assert_array_equal(experiment.predict_model(model, X, adj), probs)

@@ -539,3 +539,23 @@ def test_knn_holds_one_distance_chunk(metric):
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * graphs._CHUNK_ROWS * 1200 * 8
+
+
+_OVERFLOW = np.array([[1e200, 1e200], [1.0, 1.0], [0.0, 0.0], [-1.0, 2.0]])
+_OVERFLOW_MESSAGE = "squared distances overflow float64: the largest absolute entry is 1e+200"
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_refuses_a_table_whose_distances_overflow(metric):
+    # Row 0's squared norm overflows: the Euclidean kNN returned it as its
+    # own neighbour (a self-loop to knn_feature_graph), and the cosine kNN
+    # scaled it to the zero row, nearest to row 2 instead of row 1.
+    with pytest.raises(GraphError, match=re.escape(_OVERFLOW_MESSAGE)):
+        knn(_OVERFLOW, 1, metric)
+    with pytest.raises(GraphError, match=re.escape(_OVERFLOW_MESSAGE)):
+        knn_feature_graph(_OVERFLOW, 1, metric)
+    # a quarter of the float64 maximum still fits: every distance is finite
+    X = np.array([[6e153, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    indices, distances = knn(X, 1, metric)
+    assert indices[0, 0] == 1
+    assert np.all(np.isfinite(distances))
