@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -289,9 +290,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - stage failures map to exit 1

@@ -202,7 +202,9 @@ def _loss_terms(picked: np.ndarray, diff: np.ndarray, lam: float):
     distances ``diff`` = P - q to the sharpened mean."""
     S, n = diff.shape[:2]
     sup = 0.0
-    for value in np.mean(-np.log(picked), axis=1).tolist():
+    with np.errstate(divide="ignore"):  # log(0) = -inf: the caller refuses the non-finite loss
+        per_view = np.mean(-np.log(picked), axis=1).tolist()
+    for value in per_view:
         sup += value
     sup /= S
     con = 0.0

@@ -1,12 +1,13 @@
 """Tabular baselines: random forest and Newton-step gradient boosting.
 
-Both are built on one greedy CART routine with midpoint thresholds between
-sorted distinct feature values (see ``_split_threshold``) and deterministic
-tie-breaking (lowest feature index, then lowest threshold). The forest
-averages per-tree leaf class frequencies; boosting is an additive model on
-the log-odds with logistic loss, each round fitting a depth-limited
-regression tree to the negative gradient and setting leaf values by a
-Newton step.
+Both grow greedy CART trees with midpoint thresholds between sorted distinct
+feature values (see ``_split_threshold``) and deterministic tie-breaking
+(lowest feature index, then lowest threshold). The forest grows Gini trees
+in lockstep, a node of every tree per step (``_grow_gini_trees``), and
+averages per-tree leaf class frequencies. Boosting is an additive model on
+the log-odds with logistic loss: each round grows a depth-limited regression
+tree on the negative gradient from one presort per fit (``_grow_tree``) and
+sets leaf values by a Newton step.
 """
 
 from __future__ import annotations
@@ -74,28 +75,197 @@ class BoostConfig:
 #
 # Nodes are plain dicts: internal {"feature", "threshold", "left", "right"},
 # leaves {"value": [...]}. Traversal goes left when x[feature] < threshold.
+# A node splits at the candidate of lowest cost, the first in (feature,
+# threshold) order among equal costs; cuts between equal values are no
+# candidates, and each side must keep ``min_leaf`` rows.
 
 
-def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
-    """Scan candidate features for the lowest weighted impurity.
+def _split_threshold(lo, hi):
+    """Midpoint of distinct values ``lo < hi``, or ``hi`` where the midpoint
+    rounds onto ``lo`` (adjacent floats, e.g. 0 and 5e-324) or overflows to
+    inf: either would send every row to one side of ``x < threshold``.
+    Python floats give numpy's bits, and an overflowing sum gives inf
+    without numpy's warning."""
+    lo, hi = float(lo), float(hi)
+    mid = (lo + hi) / 2.0
+    return mid if lo < mid <= hi else hi
 
-    ``target_stats`` supplies per-sample statistics whose prefix sums define
-    the impurity: class one-hots for Gini, (r, r^2) columns for variance.
-    ``order`` is the node's (n, k) block of row indices, column c holding
-    the node's rows sorted stably by ``X[:, features[c]]`` (see
-    ``_node_order``). Returns (cost, feature, threshold) with cost = inf
-    when no valid split exists. All candidate features are scored in one
-    pass over the block. argmin over the transposed cost returns the first
-    minimum in (feature, threshold) order, which implements the
-    lowest-feature / lowest-threshold tie rule.
+
+def _gini_impurity(shares):
+    """1 - the sum of squared class shares, from (C, V) shares it overwrites.
+    Each class sum has ``class_reduce``'s bits over a contiguous row, as for
+    a node's (n - 1, k, C) block of cuts; below 8 classes it adds the rows
+    in order, which needs no contiguous (V, C) copy."""
+    np.square(shares, out=shares)
+    sums = class_reduce(np.add, shares.T if len(shares) < 8 else np.ascontiguousarray(shares.T))[:, 0]
+    return np.subtract(1.0, sums, out=sums)
+
+
+def _dense_ranks(X):
+    """Each entry's index among its column's sorted distinct values (-0.0
+    and 0.0 are one value): an (n, p) int32 array, a column at a time so
+    that no (n, p) temporary is held."""
+    ranks = np.empty(X.shape, dtype=np.int32)
+    for f in range(X.shape[1]):
+        ranks[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    return ranks
+
+
+def _gini_splits(X, ranks, y, rows, copies, sizes, counts, features, min_leaf):
+    """Best Gini split of each of m nodes, searched together.
+
+    Node i holds the next ``sizes[i]`` distinct rows of ``rows``, row
+    ``rows[j]`` standing for ``copies[j]`` copies. ``counts`` holds the
+    nodes' (m, C) class counts over copies and ``features`` their (m, K)
+    ascending candidate features. One argsort of (node, feature, rank) keys
+    puts each node's rows in value order on each of its features. A cut
+    inside a run of equal keys is no candidate, so the order within a run
+    does not matter. Prefix sums are exact int32 counts, so a cut's cost
+    has the bits that sorting the node's copies one by one gives; the Gini
+    cost keeps the float operations of that per-node search.
+
+    Returns one item per node: None where no cut leaves ``min_leaf`` copies
+    on each side, else (feature, threshold, left class counts, n_left,
+    entries), where ``entries`` indexes the node's rows in ``rows`` in value
+    order on ``feature`` and its first ``n_left`` go left.
+    """
+    m, K = features.shape
+    C = counts.shape[1]
+    radix = len(X)
+    sizes = np.asarray(sizes)
+    node = np.repeat(np.arange(m), sizes)
+    key = ((node[:, None] * K + np.arange(K)) * radix + ranks[rows[:, None], features[node]]).ravel()
+    entry = np.argsort(key)
+    key = key[entry]
+    tied = key[1:] == key[:-1]  # a cut inside a run of equal values
+    del key
+    entry //= K
+    # rows :C hold class counts and row C copies, cumulated within each
+    # feature's run of the node's rows: each run but the first starts by
+    # taking off the run before it, whose total is its node's counts
+    counts = np.asarray(counts, dtype=np.int32)
+    totals = np.column_stack([counts, counts.sum(axis=1)]).T
+    slot_sizes = np.repeat(sizes, K)
+    slot_end = np.cumsum(slot_sizes)
+    left = np.zeros((C + 1, len(entry)), dtype=np.int32)
+    left[C] = copies[entry]
+    left[y[rows[entry]], np.arange(len(entry))] = left[C]
+    left[:, slot_end[:-1]] -= np.repeat(totals, K, axis=1)[:, :-1]
+    np.cumsum(left, axis=1, out=left)
+    node_sizes = K * sizes
+    left_n = left[C]
+    right_n = np.repeat(totals[C], node_sizes)
+    right_n -= left_n
+    # weighted Gini impurity (left_n * gl + right_n * gr) / n, in place
+    right = np.repeat(counts.T, node_sizes, axis=1)
+    right -= left[:C]
+    with np.errstate(invalid="ignore"):  # 0 / 0 right of each run's last row, which is no cut
+        gr = _gini_impurity(right / right_n)
+    del right
+    gr *= right_n
+    cost = _gini_impurity(left[:C] / left_n)
+    cost *= left_n
+    cost += gr
+    cost /= left_n + right_n
+    cost[:-1][tied] = math.inf
+    cost[slot_end - 1] = math.inf
+    cost[(left_n < min_leaf) | (right_n < min_leaf)] = math.inf
+    # each node's first lowest cost: the lowest feature, then the lowest threshold
+    start = np.cumsum(node_sizes) - node_sizes
+    low = np.minimum.reduceat(cost, start)
+    hit = np.flatnonzero(cost == np.repeat(low, node_sizes))
+    best = hit[np.searchsorted(hit, start)]
+    col = (best - start) // sizes
+    feature = features[np.arange(m), col]
+    first = start + col * sizes  # the chosen feature's first entry
+    lo, hi = X[rows[entry[best]], feature], X[rows[entry[best + 1]], feature]
+    out = []
+    for ok, f, a, b, lc, e, s, e0 in zip(
+            (low < math.inf).tolist(), feature.tolist(), lo.tolist(), hi.tolist(), left[:C, best].T.tolist(),
+            best.tolist(), sizes.tolist(), first.tolist()):
+        out.append((f, _split_threshold(a, b), lc, e - e0 + 1, entry[e0 : e0 + s]) if ok else None)
+    return out
+
+
+def _grow_gini_trees(X, ranks, y, n_classes, samples, rngs, max_depth, min_leaf, features_per_split):
+    """Gini trees, one per (rows, copies) sample of distinct rows, grown in lockstep.
+
+    Each step takes the next pending node of every tree in the pre-order of
+    a recursion (left child first) and searches the step's nodes together
+    (``_gini_splits``). A node that may split draws
+    ``np.sort(rng.choice(p, k))`` from its tree's generator, in that order,
+    unless ``k >= p``; the trees are those of growing each one alone. A
+    tree's rows live in one slice of a shared buffer; a split leaves the
+    node's slice in value order on its feature, the left child's rows first.
+    A node carries its class counts, so leaves and children need no pass
+    over their rows.
+    """
+    p = X.shape[1]
+    rows = np.concatenate([r for r, _ in samples])
+    copies = np.concatenate([c for _, c in samples])
+    roots = [[None] for _ in samples]
+    stacks, end = [], 0
+    for (r, c), root in zip(samples, roots):
+        counts = np.bincount(y[r], weights=c, minlength=n_classes).astype(np.int64).tolist()
+        stacks.append([(end, end + len(r), 0, counts, root, 0)])
+        end += len(r)
+
+    def leaf(counts):
+        n = sum(counts)
+        return {"value": [c / n for c in counts]}
+
+    while live := [t for t, stack in enumerate(stacks) if stack]:
+        grow = []
+        for t in live:
+            node = stacks[t].pop()
+            _, _, depth, counts, parent, key = node
+            if depth >= max_depth or sum(counts) < 2 * min_leaf or counts.count(0) == n_classes - 1:
+                parent[key] = leaf(counts)
+            else:
+                grow.append((t, node))
+        if not grow:
+            continue
+        if features_per_split < p:
+            features = np.array([np.sort(rngs[t].choice(p, size=features_per_split, replace=False))
+                                 for t, _ in grow])
+        else:
+            features = np.tile(np.arange(p), (len(grow), 1))
+        spans = [(lo, hi) for _, (lo, hi, *_) in grow]
+        r = np.concatenate([rows[lo:hi] for lo, hi in spans])
+        c = np.concatenate([copies[lo:hi] for lo, hi in spans])
+        splits = _gini_splits(X, ranks, y, r, c, [hi - lo for lo, hi in spans],
+                              np.array([node[3] for _, node in grow]), features, min_leaf)
+        for (t, (lo, hi, depth, counts, parent, key)), split in zip(grow, splits):
+            if split is None:
+                parent[key] = leaf(counts)
+                continue
+            feature, threshold, left, n_left, entries = split
+            rows[lo:hi], copies[lo:hi] = r[entries], c[entries]
+            child = {"feature": feature, "threshold": threshold, "left": None, "right": None}
+            parent[key] = child
+            right = [a - b for a, b in zip(counts, left)]
+            mid = lo + n_left
+            stacks[t] += [(mid, hi, depth + 1, right, child, "right"), (lo, mid, depth + 1, left, child, "left")]
+    return [root[0] for root in roots]
+
+
+def _best_split(X, stats, order, min_leaf):
+    """Scan every feature for the lowest within-node sum of squared deviations.
+
+    ``stats`` holds per-row (r, r^2) columns whose prefix sums define the
+    cost. ``order`` is the node's (n, p) block of row indices, column f
+    holding the node's rows sorted stably by ``X[:, f]``. Returns (cost,
+    feature, threshold) with cost = inf when no valid split exists. argmin
+    over the transposed cost returns the first minimum in (feature,
+    threshold) order.
     """
     n = len(order)
-    vs = X[order, features]
-    prefix = np.cumsum(target_stats[order], axis=0)
+    vs = X[order, np.arange(X.shape[1])]
+    prefix = np.cumsum(stats[order], axis=0)
     left_n = np.arange(1, n)[:, None]
     right_n = n - left_n
     left = prefix[:-1]
-    cost = cost_fn(left, prefix[-1] - left, left_n, right_n, n)
+    cost = _variance_cost(left, prefix[-1] - left, left_n, right_n, n)
     cost[vs[:-1] == vs[1:]] = math.inf
     # cut j leaves j + 1 rows left and n - j - 1 right: both need min_leaf
     cost[: min_leaf - 1] = math.inf
@@ -103,26 +273,7 @@ def _best_split(X, target_stats, order, features, min_leaf, cost_fn):
     col, j = divmod(int(np.argmin(cost.T)), n - 1)
     if cost[j, col] == math.inf:
         return (math.inf, -1, 0.0)
-    return (float(cost[j, col]), int(features[col]), _split_threshold(vs[j, col], vs[j + 1, col]))
-
-
-def _split_threshold(lo, hi):
-    """Midpoint of distinct values ``lo < hi``, or ``hi`` where the midpoint
-    rounds onto ``lo`` (adjacent floats, e.g. 0 and 5e-324) or overflows to
-    inf: either would send every row to one side of ``x < threshold``."""
-    mid = (lo + hi) / 2.0
-    return float(mid if lo < mid <= hi else hi)
-
-
-def _node_order(X, idx, features):
-    """Rows ``idx`` (ascending) sorted stably by each of ``features``: an (n, k) index block."""
-    return idx[np.argsort(X[idx[:, None], features], axis=0, kind="stable")]
-
-
-def _gini_cost(left, right, left_n, right_n, n):
-    gl = 1.0 - class_reduce(np.add, (left / left_n[..., None]) ** 2)[..., 0]
-    gr = 1.0 - class_reduce(np.add, (right / right_n[..., None]) ** 2)[..., 0]
-    return (left_n * gl + right_n * gr) / n
+    return (float(cost[j, col]), col, _split_threshold(vs[j, col], vs[j + 1, col]))
 
 
 def _variance_cost(left, right, left_n, right_n, n):
@@ -132,47 +283,34 @@ def _variance_cost(left, right, left_n, right_n, n):
     return (sse_l + sse_r) / n
 
 
-def _grow_tree(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn):
-    """Recursive greedy growth shared by classification and regression.
+def _grow_tree(X, stats, idx, order, depth, cfg, leaf_value):
+    """Recursive greedy regression tree on presorted rows.
 
-    ``idx`` holds the node's rows in ascending order. ``order`` is None, and
-    the node sorts the features it draws, or the node's ``_node_order`` on
-    every column when every column is a candidate; a child's order is then
-    the parent's filtered to the child's rows, which keeps it stable.
+    ``idx`` holds the node's rows in ascending order and ``order`` their
+    stable sort on every column (``np.argsort(X, axis=0, kind="stable")``
+    at the root); a child's order is the parent's filtered to the child's
+    rows, which keeps it stable.
     """
     n = len(idx)
-    pure = bool(np.all(target_stats[idx] == target_stats[idx[0]]))
+    pure = bool(np.all(stats[idx] == stats[idx[0]]))
     if depth >= cfg["max_depth"] or n < 2 * cfg["min_leaf"] or pure:
         return {"value": leaf_value(idx)}
-    p = X.shape[1]
-    if order is None:
-        features = np.sort(rng.choice(p, size=cfg["features_per_split"], replace=False))
-        node_order = _node_order(X, idx, features)
-    else:
-        features = np.arange(p)
-        node_order = order
-    cost, feature, threshold = _best_split(X, target_stats, node_order, features, cfg["min_leaf"], cost_fn)
+    cost, feature, threshold = _best_split(X, stats, order, cfg["min_leaf"])
     if not math.isfinite(cost):
         return {"value": leaf_value(idx)}
     mask = X[idx, feature] < threshold
-    left_order = right_order = None
-    if order is not None:
-        member = np.zeros(len(X), dtype=bool)
-        member[idx[mask]] = True
-        in_left = member[order.T]
-        left_order = order.T[in_left].reshape(p, -1).T
-        right_order = order.T[~in_left].reshape(p, -1).T
+    member = np.zeros(len(X), dtype=bool)
+    member[idx[mask]] = True
+    in_left = member[order.T]
+    p = X.shape[1]
+    left_order = order.T[in_left].reshape(p, -1).T
+    right_order = order.T[~in_left].reshape(p, -1).T
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(X, target_stats, idx[mask], left_order, depth + 1, cfg, rng, leaf_value, cost_fn),
-        "right": _grow_tree(X, target_stats, idx[~mask], right_order, depth + 1, cfg, rng, leaf_value, cost_fn),
+        "left": _grow_tree(X, stats, idx[mask], left_order, depth + 1, cfg, leaf_value),
+        "right": _grow_tree(X, stats, idx[~mask], right_order, depth + 1, cfg, leaf_value),
     }
-
-
-def _presort(X):
-    """``_node_order`` of all rows on every column, once per fit."""
-    return _node_order(X, np.arange(len(X)), np.arange(X.shape[1]))
 
 
 def _tree_apply(node, X, idx, out):
@@ -185,25 +323,15 @@ def _tree_apply(node, X, idx, out):
 
 
 def train_cart(X, y, max_depth=8, min_leaf=2, features_per_split=None, rng=None, n_classes=None):
-    """Plain greedy CART with Gini impurity; the forest's building block."""
+    """Plain greedy CART with Gini impurity: one tree of the forest's grower on every row."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     C = int(n_classes if n_classes is not None else y.max() + 1)
-    onehot = np.zeros((len(y), C))
-    onehot[np.arange(len(y)), y] = 1.0
-    cfg = {
-        "max_depth": max_depth,
-        "min_leaf": min_leaf,
-        "features_per_split": features_per_split if features_per_split is not None else X.shape[1],
-    }
+    k = features_per_split if features_per_split is not None else X.shape[1]
+    rows = np.arange(len(y))
+    sample = (rows, np.ones(len(y), dtype=np.int64))
     rng = rng or np.random.default_rng(0)
-
-    def leaf_value(idx):
-        counts = onehot[idx].sum(axis=0)
-        return (counts / counts.sum()).tolist()
-
-    order = _presort(X) if cfg["features_per_split"] >= X.shape[1] else None
-    return _grow_tree(X, onehot, np.arange(len(y)), order, 0, cfg, rng, leaf_value, _gini_cost)
+    return _grow_gini_trees(X, _dense_ranks(X), y, C, [sample], [rng], max_depth, min_leaf, k)[0]
 
 
 def _feature_matrix(X) -> np.ndarray:
@@ -242,25 +370,37 @@ class ForestModel:
     config: ForestConfig
 
 
+# A lockstep group takes as many trees as keep training rows x candidate
+# features within this many entries (at least one tree). A tree's distinct
+# rows are at most the training rows, so this bounds each step's sort keys
+# and its (classes + 1) x entries prefix block.
+_LOCKSTEP_ENTRIES = 1 << 16
+
+
 def train_random_forest(X, y, config: ForestConfig | None = None) -> ForestModel:
-    """Bootstrap-aggregated CART trees with a random feature subset per split."""
+    """Bootstrap-aggregated CART trees with a random feature subset per split.
+
+    Tree t draws its bootstrap, then its nodes' features, from the generator
+    seeded by ``derive_seed(seed, f"tree-{t}")``. A tree keeps its distinct
+    bootstrap rows, each with its number of copies.
+    """
     config = config or ForestConfig()
     X, y = _training_arrays(X, y)
     C = int(y.max() + 1)
-    p = X.shape[1]
+    n, p = X.shape
     k = config.features_per_split or math.ceil(math.sqrt(p))
+    ranks = _dense_ranks(X)
+    group = max(1, _LOCKSTEP_ENTRIES // (n * min(k, p)))
     trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng(derive_seed(config.seed, f"tree-{t}"))
-        if config.bootstrap:
-            idx = rng.integers(0, len(X), size=len(X))
-        else:
-            idx = np.arange(len(X))
-        tree = train_cart(
-            X[idx], y[idx], max_depth=config.max_depth, min_leaf=config.min_leaf,
-            features_per_split=k, rng=rng, n_classes=C,
-        )
-        trees.append(tree)
+    for first in range(0, config.n_trees, group):
+        rngs = [np.random.default_rng(derive_seed(config.seed, f"tree-{t}"))
+                for t in range(first, min(first + group, config.n_trees))]
+        samples = []
+        for rng in rngs:
+            copies = np.bincount(rng.integers(0, n, size=n), minlength=n) if config.bootstrap else np.ones(n, np.int64)
+            rows = np.flatnonzero(copies)
+            samples.append((rows, copies[rows]))
+        trees += _grow_gini_trees(X, ranks, y, C, samples, rngs, config.max_depth, config.min_leaf, k)
     return ForestModel(trees=trees, n_features=p, n_classes=C, config=config)
 
 
@@ -291,7 +431,7 @@ def train_gradient_boosting(X, y, config: BoostConfig | None = None) -> BoostMod
     base = float(F[0])
     losses = [_log_loss(y, _sigmoid(F))]
     cfg = {"max_depth": config.max_depth, "min_leaf": config.min_leaf}
-    order = _presort(X)
+    order = np.argsort(X, axis=0, kind="stable")
     trees = []
     for _ in range(config.n_rounds):
         prob = _sigmoid(F)
@@ -303,7 +443,7 @@ def train_gradient_boosting(X, y, config: BoostConfig | None = None) -> BoostMod
             h = hessian[idx].sum()
             return float(residual[idx].sum() / h) if h > 0 else 0.0
 
-        tree = _grow_tree(X, stats, np.arange(len(y)), order, 0, cfg, None, leaf_value, _variance_cost)
+        tree = _grow_tree(X, stats, np.arange(len(y)), order, 0, cfg, leaf_value)
         step = np.zeros(len(y))
         _tree_apply(tree, X, np.arange(len(y)), step)
         F = F + config.learning_rate * step

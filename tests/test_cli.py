@@ -60,6 +60,26 @@ def test_help_exits_0(capsys):
     assert "synth" in capsys.readouterr().out
 
 
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    # main builds its parser once per process; a usage error in one call
+    # leaves the next call's parse as it would be in a fresh process.
+    parser = cli._parser()
+    for argv in (["synth", "--bogus", "1"], ["train", "--graph", "g.edges"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (0 if argv == ["--help"] else 2)
+    capsys.readouterr()
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"n_samples": 1, "n_melanoma": 0, "cells_per_sample": 4, "image_size": 32,
+                                  "n_channels": 2}))
+    for out in ("a", "b"):
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
+    assert main(["--seed", "-1", "reduce", "--method", "pca", "--in", "missing.csv", "--out", "x.csv"]) == 1
+    assert "error: reduce:" in capsys.readouterr().err
+    assert cli._parser() is parser
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("cells_per_sample", 0), ("image_size", 96.0), ("n_samples", 0), ("marker_channel_fraction", 2.0)],

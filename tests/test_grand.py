@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -471,6 +472,16 @@ def test_train_overflow_diverges_at_first_epoch():
     config = GrandConfig(learning_rate=1e3, max_epochs=5)
     with np.errstate(all="ignore"), pytest.raises(GrandError, match="^training diverged at epoch 1: "):
         train_grand(adj, X * 1e3, y, (train, val), config)
+
+
+def test_diverging_fit_raises_without_numpy_warning():
+    # Unscaled features saturate the softmax, so a train label's probability
+    # is 0 and its log -inf: the loss check reports it, numpy does not.
+    adj, X, y, train, val = two_cluster_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GrandError, match="^training diverged at epoch 1: non-finite loss$"):
+            train_grand(adj, X * 1e4, y, (train, val), GrandConfig(learning_rate=0.01, max_epochs=2))
 
 
 def test_predict_deterministic_and_normalized():

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellgraph import trees
+from cellgraph.rng import derive_seed
 from cellgraph.trees import (
     BoostConfig,
     ForestConfig,
@@ -132,12 +134,34 @@ def split_problems(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(split_problems())
-def test_best_split_matches_per_feature_reference(problem):
+@given(split_problems(), st.data())
+def test_best_split_matches_per_feature_reference(problem, data):
     X, stats, idx, features, min_leaf, variance = problem
-    cost_fn = trees._variance_cost if variance else trees._gini_cost
-    got = trees._best_split(X, stats, trees._node_order(X, idx, features), features, min_leaf, cost_fn)
-    assert got == reference_best_split(X, stats, idx, features, min_leaf, variance)
+    if variance:
+        # boosting's search scores every column of its matrix
+        order = frozen_node_order(X[:, features], idx, np.arange(len(features)))
+        cost, col, threshold = trees._best_split(X[:, features], stats, order, min_leaf)
+        got = (cost, int(features[col]) if col >= 0 else -1, threshold)
+        assert got == reference_best_split(X, stats, idx, features, min_leaf, variance)
+        return
+    # the forest's search: distinct rows standing for 1-3 copies each
+    y = stats.argmax(axis=1)
+    copies = np.array(data.draw(st.lists(st.integers(1, 3), min_size=len(idx), max_size=len(idx))))
+    expanded = np.repeat(idx, copies)
+    C = stats.shape[1]
+    counts = np.bincount(y[idx], weights=copies, minlength=C)
+    [split] = trees._gini_splits(X, trees._dense_ranks(X), y, idx, copies, [len(idx)], counts[None], features[None],
+                                 min_leaf)
+    _, feature, threshold = reference_best_split(X, stats, expanded, features, min_leaf, variance)
+    if feature < 0:
+        assert split is None
+        return
+    got_feature, got_threshold, left, n_left, entries = split
+    assert (got_feature, got_threshold) == (feature, threshold)
+    goes_left = X[idx, feature] < threshold
+    assert left == np.bincount(y[idx][goes_left], weights=copies[goes_left], minlength=C).tolist()
+    assert sorted(entries[:n_left].tolist()) == np.flatnonzero(goes_left).tolist()
+    assert sorted(entries.tolist()) == list(range(len(idx)))
 
 
 def reference_grow(X, target_stats, idx, depth, max_depth, min_leaf, leaf_value, variance):
@@ -172,18 +196,17 @@ def tied_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(tied_problems())
 def test_presorted_trees_equal_per_node_sort_reference(problem):
-    # Boosting sorts its matrix once per fit, and CART with every feature a
-    # candidate once per tree; children filter the parent's order. Each root
-    # call of _grow_tree must give the tree that sorting every node gives.
+    # Boosting sorts its matrix once per fit; children filter the parent's
+    # order. Each root call of _grow_tree must give the tree that sorting
+    # every node gives. CART with every feature a candidate must give it too.
     X, y, max_depth, min_leaf, n_rounds = problem
     roots = []
     grow = trees._grow_tree
 
-    def checked_grow(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn):
-        tree = grow(X, target_stats, idx, order, depth, cfg, rng, leaf_value, cost_fn)
+    def checked_grow(X, target_stats, idx, order, depth, cfg, leaf_value):
+        tree = grow(X, target_stats, idx, order, depth, cfg, leaf_value)
         if depth == 0:  # boosting's leaf_value reads its round's residuals: compare now
-            variance = cost_fn is trees._variance_cost
-            assert tree == reference_grow(X, target_stats, idx, 0, max_depth, min_leaf, leaf_value, variance)
+            assert tree == reference_grow(X, target_stats, idx, 0, max_depth, min_leaf, leaf_value, True)
             roots.append(tree)
         return tree
 
@@ -191,8 +214,15 @@ def test_presorted_trees_equal_per_node_sort_reference(problem):
         mp.setattr(trees, "_grow_tree", checked_grow)
         boost = train_gradient_boosting(X, y, BoostConfig(n_rounds=n_rounds, max_depth=max_depth,
                                                           min_leaf=min_leaf))
-        cart = train_cart(X, y, max_depth=max_depth, min_leaf=min_leaf)
-    assert roots == boost.trees + [cart]
+    assert roots == boost.trees
+    onehot = np.eye(2)[y]
+
+    def leaf_value(idx):
+        counts = onehot[idx].sum(axis=0)
+        return (counts / counts.sum()).tolist()
+
+    cart = train_cart(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    assert cart == reference_grow(X, onehot, np.arange(len(y)), 0, max_depth, min_leaf, leaf_value, False)
 
 
 def test_boosting_model_bytes_on_tied_matrix_are_pinned(tmp_path):
@@ -256,37 +286,145 @@ def forest_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(forest_problems())
 def test_forest_and_boosting_trees_equal_frozen_split_search(problem):
-    # The node's split search makes fewer numpy calls (no np.ix_, two row
-    # slices for min_leaf, the Gini class sum a column at a time); every
-    # tree and every split must keep the frozen code's bits.
+    # Every split and every tree keeps the frozen search's bits: boosting's
+    # node makes fewer numpy calls, and the forest searches a step's nodes
+    # together on distinct rows (the Gini class sum at C = 9 is numpy's own).
     X, y, features_per_split, config, bootstrap = problem
     min_leaf = config["min_leaf"]
     idx, features = np.arange(len(y)), np.arange(X.shape[1])
     r = X[:, 0] - y
-    for target, cost, frozen_cost in ((np.eye(y.max() + 1)[y], trees._gini_cost, frozen_gini_cost),
-                                      (np.stack([r, r * r], axis=1), trees._variance_cost, trees._variance_cost)):
-        got = trees._best_split(X, target, trees._node_order(X, idx, features), features, min_leaf, cost)
-        expected = frozen_best_split(X, target, frozen_node_order(X, idx, features), features, min_leaf, frozen_cost)
-        assert repr(got) == repr(expected)
+    stats = np.stack([r, r * r], axis=1)
+    got = trees._best_split(X, stats, frozen_node_order(X, idx, features), min_leaf)
+    expected = frozen_best_split(X, stats, frozen_node_order(X, idx, features), features, min_leaf,
+                                 trees._variance_cost)
+    assert repr(got) == repr(expected)
+    C = int(y.max() + 1)
+    [split] = trees._gini_splits(X, trees._dense_ranks(X), y, idx, np.ones(len(y), dtype=np.int64), [len(y)],
+                                 np.bincount(y, minlength=C)[None].astype(float), features[None], min_leaf)
+    _, feature, threshold = frozen_best_split(X, np.eye(C)[y], frozen_node_order(X, idx, features), features,
+                                              min_leaf, frozen_gini_cost)
+    assert repr(split[:2] if split else (-1, 0.0)) == repr((feature, threshold))
 
     forest_config = ForestConfig(n_trees=3, features_per_split=features_per_split, bootstrap=bootstrap, seed=4,
                                  **config)
+    assert repr(train_random_forest(X, y, forest_config).trees) == repr(reference_forest(X, y, forest_config))
     boost_config = BoostConfig(n_rounds=3, **config)
-    forest = train_random_forest(X, y, forest_config)
     boost = train_gradient_boosting(X, y % 2, boost_config)
+
+    def frozen_variance_split(X, stats, order, min_leaf):
+        return frozen_best_split(X, stats, order, np.arange(X.shape[1]), min_leaf, trees._variance_cost)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trees, "_best_split", frozen_best_split)
-        mp.setattr(trees, "_node_order", frozen_node_order)
-        mp.setattr(trees, "_gini_cost", frozen_gini_cost)
-        assert repr(train_random_forest(X, y, forest_config).trees) == repr(forest.trees)
+        mp.setattr(trees, "_best_split", frozen_variance_split)
         assert repr(train_gradient_boosting(X, y % 2, boost_config).trees) == repr(boost.trees)
+
+
+def reference_cart(X, y, max_depth, min_leaf, features_per_split, rng, n_classes):
+    """The forest's tree before trees grew in lockstep: a recursion that
+    draws ``np.sort(rng.choice(p, k))`` at each node it may split (no draw
+    when ``k >= p``), sorts the node's rows stably on those features and
+    keeps the first minimum of the frozen split search."""
+    onehot = np.eye(n_classes)[y]
+    p = X.shape[1]
+
+    def leaf(idx):
+        counts = onehot[idx].sum(axis=0)
+        return {"value": (counts / counts.sum()).tolist()}
+
+    def grow(idx, depth):
+        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(onehot[idx] == onehot[idx[0]]):
+            return leaf(idx)
+        if features_per_split < p:
+            features = np.sort(rng.choice(p, size=features_per_split, replace=False))
+        else:
+            features = np.arange(p)
+        cost, feature, threshold = frozen_best_split(
+            X, onehot, frozen_node_order(X, idx, features), features, min_leaf, frozen_gini_cost)
+        if not math.isfinite(cost):
+            return leaf(idx)
+        mask = X[idx, feature] < threshold
+        return {"feature": feature, "threshold": threshold,
+                "left": grow(idx[mask], depth + 1), "right": grow(idx[~mask], depth + 1)}
+
+    return grow(np.arange(len(y)), 0)
+
+
+def reference_forest(X, y, config):
+    """Per-tree bootstrap (the tree's first draw), then ``reference_cart`` on
+    the bootstrap rows with the same generator."""
+    C, p = int(y.max() + 1), X.shape[1]
+    k = config.features_per_split or math.ceil(math.sqrt(p))
+    out = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng(derive_seed(config.seed, f"tree-{t}"))
+        idx = rng.integers(0, len(X), size=len(X)) if config.bootstrap else np.arange(len(X))
+        out.append(reference_cart(X[idx], y[idx], config.max_depth, config.min_leaf, k, rng, C))
+    return out
+
+
+@st.composite
+def lockstep_problems(draw):
+    """Halves in [-2, 2] with signed zeros (ties in every column) or
+    arbitrary floats, C in {2, 3, 9} classes holding the highest class,
+    min_leaf 1-5, bootstrap on or off and features_per_split below, equal
+    to or above p."""
+    n_rows = draw(st.integers(4, 60))
+    p = draw(st.integers(1, 6))
+    value = st.one_of(st.integers(-4, 4).map(lambda v: v / 2.0), st.sampled_from([0.0, -0.0]),
+                      st.floats(-3.0, 3.0))
+    X = np.array(draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=n_rows, max_size=n_rows)))
+    C = draw(st.sampled_from([2, 3, 9]))
+    y = np.array(draw(st.lists(st.integers(0, C - 1), min_size=n_rows, max_size=n_rows)))
+    y[:3] = (0, C - 1, 1)
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 4)), max_depth=draw(st.integers(1, 6)), min_leaf=draw(st.integers(1, 5)),
+        features_per_split=draw(st.one_of(st.none(), st.integers(1, p + 1))), bootstrap=draw(st.booleans()),
+        seed=draw(st.integers(0, 3)),
+    )
+    return X, y, config, draw(st.sampled_from([1, trees._LOCKSTEP_ENTRIES]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_problems())
+def test_forest_and_cart_equal_frozen_recursion(problem):
+    # The forest grows a group of trees in lockstep on distinct bootstrap
+    # rows; a group of one tree each (entries 1) must give the same trees.
+    X, y, config, group_entries = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trees, "_LOCKSTEP_ENTRIES", group_entries)
+        assert repr(train_random_forest(X, y, config).trees) == repr(reference_forest(X, y, config))
+    k = config.features_per_split or X.shape[1]
+    C = int(y.max() + 1)
+    cart = train_cart(X, y, config.max_depth, config.min_leaf, k, np.random.default_rng(config.seed), C)
+    assert repr(cart) == repr(reference_cart(X, y, config.max_depth, config.min_leaf, k,
+                                             np.random.default_rng(config.seed), C))
+
+
+def test_forest_model_bytes_on_tied_matrix_are_pinned(tmp_path):
+    # Three classes, half-step values with signed zeros, bootstrap and two of
+    # six features per split: the digest of the recursive grower's model file.
+    rng = np.random.default_rng(31)
+    X = rng.integers(-2, 3, size=(90, 6)).astype(np.float64) / 2.0
+    X[rng.random(X.shape) < 0.1] = -0.0
+    y = ((X[:, 0] + X[:, 2] > 0).astype(int) + (X[:, 1] + rng.integers(0, 2, size=90) > 0.5)).astype(int)
+    model = train_random_forest(X, y, ForestConfig(n_trees=6, max_depth=5, min_leaf=2, features_per_split=2,
+                                                   seed=3))
+    save_model(str(tmp_path / "f.bin"), model)
+    digest = hashlib.sha256((tmp_path / "f.bin").read_bytes()).hexdigest()
+    assert digest == "4295892cc20438614cf470442fd8bcd810e1a5941ba249e48e1c45604f80d931"
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308)])
 def test_split_between_adjacent_or_huge_values_separates_them(lo, hi):
     # The midpoint of adjacent floats rounds onto lo and that of huge ones
     # overflows to inf; either threshold sent every row to one child, and
-    # growing the empty child failed.
+    # growing the empty child failed. The overflow warns no more.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_split_between(lo, hi)
+
+
+def _check_split_between(lo, hi):
     threshold = trees._split_threshold(lo, hi)
     assert lo < threshold <= hi
     X = np.array([[lo], [lo], [hi], [hi]])
