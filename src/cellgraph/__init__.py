@@ -20,17 +20,7 @@ from .dataset import (
 )
 from .synth import SynthConfig, generate_synthetic_dataset
 from .expression import expression_profile
-from .radiomics import (
-    RadiomicsConfig,
-    first_order_features,
-    glcm,
-    glcm_features,
-    glrlm,
-    glrlm_features,
-    quantize,
-    radiomic_feature_table,
-    shape_features,
-)
+from .radiomics import RadiomicsConfig, radiomic_feature_table
 from .graphs import (
     CellGraph,
     knn_feature_graph,

@@ -135,7 +135,8 @@ def _model_inputs(args, seed: int, grand: bool):
     read, and a cell it does not list is unlabeled. The split comes from the
     model's seed. A GRAND model reads its features standardised with the
     train rows of that split and the normalized adjacency of ``--graph``
-    (``adj`` is None otherwise), so evaluate replays what train saw.
+    (``adj`` is None otherwise), so evaluate replays what train saw. The
+    graph must record the keys digest of the table's rows, in order.
     """
     table = _load_table_sorted(args.features)
     if os.path.realpath(args.labels) == os.path.realpath(args.features):
@@ -150,6 +151,10 @@ def _model_inputs(args, seed: int, grand: bool):
     graph = read_edge_list(args.graph)
     if graph.n_nodes != len(table):
         raise StageError(f"graph has {graph.n_nodes} nodes but feature table has {len(table)} rows")
+    if graph.keys_sha256 is None:
+        raise StageError(f"graph {args.graph} records no cell keys; rebuild it from {args.features} with `graph`")
+    if graph.keys_sha256 != ds.keys_digest(table.keys()):
+        raise StageError(f"graph {args.graph} was built on other cells than the rows of {args.features}")
     return table, y, masks, Z, normalize_adjacency(graph)
 
 
@@ -178,7 +183,7 @@ def _cmd_extract(args) -> None:
     radiomics = _load_json(args.config) if args.config and args.features == "radiomics" else {}
     table = extract_features(data, args.features, radiomics)
     out = _resolve_out(args, default=f"{args.features}.csv")
-    table.to_csv(out)
+    ds.write_feature_csv(out, table)
     print(f"wrote {len(table)} cells x {len(table.feature_names)} features to {out}")
 
 
@@ -199,7 +204,7 @@ def _cmd_reduce(args) -> None:
     emb = reduce_features(table.features, args.method, args.dim, seed=seed, **kwargs)
     out_table = replace(table, features=emb.Y, feature_names=[f"{args.method}_{i}" for i in range(emb.Y.shape[1])])
     out = _resolve_out(args, default="embedding.csv")
-    out_table.to_csv(out)
+    ds.write_feature_csv(out, out_table)
     print(f"wrote {emb.Y.shape[0]}x{emb.Y.shape[1]} embedding to {out}")
 
 

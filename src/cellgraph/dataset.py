@@ -24,6 +24,7 @@ naming the path, and ``write_bytes`` replaces a file atomically.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -215,8 +216,11 @@ class CellTable:
         """The (sample_id, cell_id) pair of each row."""
         return list(zip(self.sample_ids, self.cell_ids.tolist()))
 
-    def to_csv(self, path: str) -> None:
-        write_feature_csv(path, self)
+
+def keys_digest(keys) -> str:
+    """SHA-256 (hex) of (sample_id, cell_id) pairs in order, one
+    ``sample_id,cell_id`` line each: what ties an edge list to its table."""
+    return hashlib.sha256("".join(f"{sid},{cid}\n" for sid, cid in keys).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -393,6 +397,8 @@ def load_manifest(manifest_path: str) -> dict:
         raise DatasetError(f"{manifest_path}: pixel_spacing_um must be a positive finite number")
     for entry in manifest["samples"]:
         _require_keys(entry, _SAMPLE_KEYS, f"{manifest_path}: sample entry")
+        where = f"{manifest_path}: sample {entry['sample_id']!r}"
+        _check_csv_name(entry["sample_id"], "sample_id", where)
         if entry["diagnosis"] not in DIAGNOSES:
             raise DatasetError(
                 f"{manifest_path}: sample {entry['sample_id']}: diagnosis must be one of {DIAGNOSES}"
@@ -401,7 +407,17 @@ def load_manifest(manifest_path: str) -> dict:
             raise DatasetError(f"{manifest_path}: sample {entry['sample_id']}: no channels listed")
         for ch in entry["channels"]:
             _require_keys(ch, _CHANNEL_KEYS, f"{manifest_path}: channel entry")
+            _check_csv_name(ch["antigen"], "antigen", where)
     return manifest
+
+
+def _check_csv_name(name, what: str, where: str) -> None:
+    """Refuse a name that a feature CSV field cannot hold: the CSV is written
+    unquoted and read as CSV, so a comma, quote or line break changes its fields."""
+    if not isinstance(name, str) or not name or any(c in name for c in ',"\r\n'):
+        raise DatasetError(
+            f"{where}: {what} {name!r} must be a non-empty string without commas, double quotes or line breaks"
+        )
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:

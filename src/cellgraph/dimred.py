@@ -4,8 +4,9 @@ Both nonlinear methods are exact desk-scale implementations (no tree or
 interpolation approximations) so their internal quantities are testable:
 t-SNE exposes the realized perplexity of every conditional distribution and
 the KL objective per iteration; UMAP exposes the calibrated fuzzy membership
-graph. Both initialize from PCA, which makes embeddings a deterministic
-function of (input, parameters, seed).
+graph. Both initialize from PCA. t-SNE draws nothing, so its embedding is
+a deterministic function of (input, parameters); UMAP's negative sampling
+adds its seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class DimRedError(Exception):
 
 @dataclass
 class TsneConfig:
-    """The keyword arguments of ``tsne`` beside ``X``, ``d`` and ``seed``."""
+    """The keyword arguments of ``tsne`` beside ``X`` and ``d``."""
 
     perplexity: float = 30.0
     n_iters: int = 500
@@ -69,13 +70,15 @@ class Embedding:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _as_matrix(X, d: int = 1) -> np.ndarray:
-    """``X`` as a finite float64 matrix, for an embedding of ``d`` >= 1 dimensions."""
+def _as_matrix(X, d: int | None = None) -> np.ndarray:
+    """``X`` as a finite float64 matrix; with ``d``, refuse an embedding width
+    outside [1, min(p, n - 1)], the ranks a centred n x p table can hold."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimRedError("expected a 2-D matrix")
-    if d < 1:
-        raise DimRedError(f"d={d} out of range for {X.shape[0]}x{X.shape[1]} input")
+    n, p = X.shape
+    if d is not None and not 1 <= d <= min(p, n - 1):
+        raise DimRedError(f"d={d} out of range for {n}x{p} input")
     if not np.all(np.isfinite(X)):
         raise DimRedError("input contains non-finite values")
     return X
@@ -85,19 +88,15 @@ def _as_matrix(X, d: int = 1) -> np.ndarray:
 # PCA
 
 
-def pca(X, d: int):
+def pca(X, d: int) -> Embedding:
     """Project onto the top-d principal components.
 
-    Returns (embedding, components, explained_variance_ratio). Components
-    are orthonormal rows with a deterministic sign (largest-magnitude entry
-    positive); the ratio is non-increasing and sums to at most 1.
+    The diagnostics hold ``components`` and ``explained_variance_ratio``.
+    Components are orthonormal rows with a deterministic sign
+    (largest-magnitude entry positive); the ratio is non-increasing and sums
+    to at most 1.
     """
-    X = _as_matrix(X)
-    n, p = X.shape
-    if n < 2:
-        raise DimRedError("PCA needs at least 2 rows")
-    if not 1 <= d <= min(n, p):
-        raise DimRedError(f"d={d} out of range for {n}x{p} input")
+    X = _as_matrix(X, d)
     Xc = X - X.mean(axis=0)
     _, S, Vt = np.linalg.svd(Xc, full_matrices=False)
     components = Vt[:d].copy()
@@ -105,30 +104,20 @@ def pca(X, d: int):
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    variances = S**2 / n
+    variances = S**2 / len(X)
     total = variances.sum()
     ratio = variances[:d] / total if total > 0 else np.zeros(d)
-    Y = Xc @ components.T
-    emb = Embedding(Y=Y)
-    return emb, components, ratio
+    return Embedding(Y=Xc @ components.T, diagnostics={"components": components, "explained_variance_ratio": ratio})
 
 
-def _pca_init(X: np.ndarray, d: int, scale: float, seed: int) -> np.ndarray:
-    """PCA start coordinates rescaled to a target std; rank-deficient
-    directions are padded with tiny seeded noise to break symmetry."""
-    n, p = X.shape
-    d_eff = min(d, p, n - 1) if n > 1 else 0
-    Y = np.zeros((n, d))
-    if d_eff >= 1:
-        emb, _, _ = pca(X, d_eff)
-        Y[:, :d_eff] = emb.Y
-    rng = np.random.default_rng(seed)
-    if d_eff < d:
-        Y[:, d_eff:] = rng.normal(0.0, 1.0, size=(n, d - d_eff))
+def _pca_init(X: np.ndarray, d: int, scale: float) -> np.ndarray:
+    """PCA start coordinates rescaled to std ``scale``. Distinct rows can
+    still project to a spread whose squares underflow to 0 (entries near
+    1e-300): such a start is refused, not divided by 0."""
+    Y = pca(X, d).Y
     std = Y.std()
     if std == 0:
-        Y = rng.normal(0.0, 1.0, size=(n, d))
-        std = Y.std()
+        raise DimRedError(f"PCA start of the {X.shape[0]}x{X.shape[1]} input has zero spread in float64")
     return Y * (scale / std)
 
 
@@ -225,7 +214,7 @@ def _joint_probabilities(X: np.ndarray, perplexity: float):
     return P, realized
 
 
-def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
+def tsne(X, d: int = 2, **params) -> Embedding:
     """Exact t-SNE: gradient descent on KL(P || Q) with a Student-t kernel.
 
     ``params`` are ``TsneConfig`` fields. The joint P is the symmetrized,
@@ -270,7 +259,7 @@ def tsne(X, d: int = 2, seed: int = 0, **params) -> Embedding:
         total = num.sum()
         return total, float(p_log_p - cross + np.log(total) * p_total)
 
-    Y = _pca_init(X, d, scale=1e-4, seed=seed)
+    Y = _pca_init(X, d, scale=1e-4)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     kl_curve = []
@@ -431,7 +420,7 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
     head, tail, weights = head[keep], tail[keep], weights[keep]
     epochs_per_sample = config.n_epochs / (weights / weights.max())
 
-    Y = _pca_init(X, d, scale=1.0, seed=seed)
+    Y = _pca_init(X, d, scale=1.0)
     Y *= 10.0 / max(np.abs(Y).max(), 1e-12)
     rng = np.random.default_rng(seed)
     epoch_of_next_sample = epochs_per_sample.copy()
@@ -467,7 +456,8 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
 
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     """Dispatch helper used by the experiment and the CLI: 'none' passes ``X``
-    through, every other method embeds an n x p ``X`` in min(d, p, n - 1) dimensions."""
+    through, every other method embeds an n x p ``X`` in min(d, p, n - 1)
+    dimensions. Only UMAP reads ``seed``; it is checked for every method."""
     try:
         check_field("seed", seed, int, 0)
     except ValueError as exc:
@@ -484,8 +474,7 @@ def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
         raise DimRedError(f"{method} cannot embed a {n}x{p} table in d={d}: it needs at least 2 rows and 1 column")
     d = min(d, p, n - 1)
     if method == "pca":
-        emb, _, _ = pca(X, d)
-        return emb
+        return pca(X, d)
     if method == "tsne":
-        return tsne(X, d=d, seed=seed, **kwargs)
+        return tsne(X, d=d, **kwargs)
     return umap(X, d=d, seed=seed, **kwargs)

@@ -212,6 +212,8 @@ def _reduce(Z: np.ndarray, feature_type: str, reduction: str, config: Experiment
     seed = derive_seed(config.seed, f"reduce|{feature_type}|{reduction}")
     emb = reduce_features(Z, reduction, config.reduce_dim, seed=seed, **kwargs)
     notes = []
+    if "explained_variance_ratio" in emb.diagnostics:
+        notes.append(f"pca_explained_variance: {float(emb.diagnostics['explained_variance_ratio'].sum())}")
     if "kl_curve" in emb.diagnostics:
         notes.append(f"tsne_final_kl: {float(emb.diagnostics['kl_curve'][-1])}")
         notes.append(f"tsne_max_perplexity_error: {emb.diagnostics['perplexity_error']}")

@@ -156,8 +156,6 @@ def sharpen(p: np.ndarray, T: float) -> np.ndarray:
         raise GrandError("temperature must be > 0")
     p = np.asarray(p, dtype=np.float64)
     u = p ** (1.0 / T)
-    if u.ndim == 1:
-        return u / u.sum()
     return u / class_reduce(np.add, u)
 
 

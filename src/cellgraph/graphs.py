@@ -3,13 +3,14 @@ degree-normalized adjacency used for feature propagation."""
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import CellTable, format_float, read_lines, write_lines
+from .dataset import CellTable, format_float, keys_digest, read_lines, write_lines
 
 # query rows of one distance chunk. Smaller chunks keep every bit but cost
 # time: in scale-workload jobs (bench seed 77, 2-core Xeon, six a side) 128
@@ -33,14 +34,16 @@ class CellGraph:
     """Directed weighted edge list over cells.
 
     ``node_keys[i]`` is the (sample_id, cell_id) behind node i; it is None
-    for a graph read from an edge list, which stores no keys. Self-loops
-    are never stored; normalization adds them.
+    for a graph read from an edge list, which stores only ``keys_sha256``,
+    the ``keys_digest`` of the keys (None when the file records none).
+    Self-loops are never stored; normalization adds them.
     """
 
     n_nodes: int
     edges: np.ndarray  # (m, 2) int64 (src, dst)
     weights: np.ndarray  # (m,) float64, all finite and > 0
     node_keys: list | None  # of (sample_id, cell_id)
+    keys_sha256: str | None = None
 
     def __post_init__(self):
         if self.n_nodes < 0:
@@ -248,7 +251,12 @@ def build_cell_graph(kind: str, X: np.ndarray, table: CellTable, k: int, metric:
 
 
 def write_edge_list(path: str, g: CellGraph) -> None:
+    """A ``# nodes N`` header, a ``# keys <sha256>`` line when the graph's
+    node keys are known, and one ``src dst weight`` line per edge."""
     lines = [f"# nodes {g.n_nodes}"]
+    digest = keys_digest(g.node_keys) if g.node_keys is not None else g.keys_sha256
+    if digest is not None:
+        lines.append(f"# keys {digest}")
     for (src, dst), w in zip(g.edges.tolist(), g.weights.tolist()):
         lines.append(f"{src} {dst} {format_float(w)}")
     write_lines(path, lines)
@@ -259,19 +267,26 @@ def read_edge_list(path: str) -> CellGraph:
              if ln.strip()]
     if not lines or not lines[0][1].startswith("# nodes "):
         raise GraphError(f"{path}: expected '# nodes N' header")
-    edges = np.zeros((len(lines) - 1, 2), dtype=np.int64)
-    weights = np.zeros(len(lines) - 1)
+    digest = None
+    body = lines[1:]
+    if body and body[0][1].startswith("# keys "):
+        lineno, ln = body.pop(0)
+        digest = ln[len("# keys ") :]
+        if not re.fullmatch("[0-9a-f]{64}", digest):
+            raise GraphError(f"{path}:{lineno}: malformed keys line {ln!r}")
+    edges = np.zeros((len(body), 2), dtype=np.int64)
+    weights = np.zeros(len(body))
     lineno, ln = lines[0]
     try:
         n = int(ln[len("# nodes ") :])
-        for i, (lineno, ln) in enumerate(lines[1:]):
+        for i, (lineno, ln) in enumerate(body):
             src, dst, weight = ln.split()
             edges[i] = (int(src), int(dst))
             weights[i] = float(weight)
     except (ValueError, OverflowError) as exc:
         raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
     try:
-        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=None)
+        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=None, keys_sha256=digest)
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from exc
 

@@ -108,10 +108,6 @@ class Xoshiro256StarStar:
         self.s = list(state)
 
     @classmethod
-    def from_seed(cls, seed: int) -> "Xoshiro256StarStar":
-        return cls.stream_for(seed, 0)
-
-    @classmethod
     def stream_for(cls, seed: int, index: int) -> "Xoshiro256StarStar":
         sm = seed & _MASK64
         out = 0

@@ -322,18 +322,6 @@ def _tree_apply(node, X, idx, out):
     _tree_apply(node["right"], X, idx[~mask], out)
 
 
-def train_cart(X, y, max_depth=8, min_leaf=2, features_per_split=None, rng=None, n_classes=None):
-    """Plain greedy CART with Gini impurity: one tree of the forest's grower on every row."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    C = int(n_classes if n_classes is not None else y.max() + 1)
-    k = features_per_split if features_per_split is not None else X.shape[1]
-    rows = np.arange(len(y))
-    sample = (rows, np.ones(len(y), dtype=np.int64))
-    rng = rng or np.random.default_rng(0)
-    return _grow_gini_trees(X, _dense_ranks(X), y, C, [sample], [rng], max_depth, min_leaf, k)[0]
-
-
 def _feature_matrix(X) -> np.ndarray:
     """``X`` as a float64 array; TreeError if it holds NaN or inf.
 

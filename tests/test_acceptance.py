@@ -224,7 +224,7 @@ def test_criterion_07_reduction_quality(three_cluster_benchmark):
     from cellgraph.dimred import tsne, umap
 
     X, labels = three_cluster_benchmark
-    emb_t = tsne(X, 2, perplexity=10, n_iters=500, seed=0)
+    emb_t = tsne(X, 2, perplexity=10, n_iters=500)
     purity_t = knn_purity(emb_t.Y, labels, k=10)
     realized = emb_t.diagnostics["realized_perplexity"]
     max_perp_err = float(np.abs(realized - 10.0).max())

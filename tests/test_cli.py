@@ -276,6 +276,40 @@ def test_train_rejects_graph_node_count_not_matching_table(replay_inputs, tmp_pa
     assert f"graph has {nodes} nodes but feature table has 180 rows" in capsys.readouterr().err
 
 
+def test_train_and_evaluate_refuse_a_graph_of_other_cells(tmp_path, capsys):
+    # a spatial graph of a 2 x 20-cell table once trained and evaluated on a
+    # 4 x 10-cell table: the node counts agree, the cells do not
+    from cellgraph.synth import SynthConfig, generate_synthetic_dataset
+
+    features = {}
+    for name, n_samples, cells in (("a", 2, 20), ("b", 4, 10)):
+        generate_synthetic_dataset(SynthConfig(n_samples=n_samples, n_melanoma=1, cells_per_sample=cells,
+                                               image_size=96, n_channels=2, seed=5), str(tmp_path / name))
+        features[name] = str(tmp_path / f"{name}.csv")
+        assert main(["extract", "--data", str(tmp_path / name), "--features", "expression",
+                     "--out", features[name]]) == 0
+    graph, config, ckpt = str(tmp_path / "a.edges"), tmp_path / "grand.json", str(tmp_path / "m.ckpt")
+    config.write_text(json.dumps({"max_epochs": 5}))
+    assert main(["graph", "--features", features["a"], "--kind", "spatial", "--k", "3", "--out", graph]) == 0
+
+    def train(graph, table):
+        return ["--config", str(config), "train", "--graph", graph, "--features", features[table],
+                "--labels", features["a"], "--out", ckpt]
+
+    assert main(train(graph, "a")) == 0
+    capsys.readouterr()
+    for argv in (train(graph, "b"),
+                 ["evaluate", "--model", ckpt, "--graph", graph, "--features", features["b"],
+                  "--labels", features["a"], "--out", str(tmp_path / "m.json")]):
+        assert main(argv) == 1
+        assert f"graph {graph} was built on other cells than the rows of {features['b']}" in capsys.readouterr().err
+    keyless = tmp_path / "keyless.edges"
+    keyless.write_text("".join(ln for ln in open(graph) if not ln.startswith("# keys ")))
+    assert main(train(str(keyless), "a")) == 1
+    err = capsys.readouterr().err
+    assert f"graph {keyless} records no cell keys; rebuild it from {features['a']}" in err
+
+
 @pytest.mark.parametrize("model", ["random_forest", "gradient_boosting"])
 def test_baseline_rejects_non_finite_features(tmp_path, capsys, model):
     rows = ["cell_id,sample_id,cx,cy,label,f1,f2"]
@@ -420,6 +454,26 @@ def test_extract_writes_rows_in_sample_cell_order(tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("key, name", [("antigen", "CD3,CD4"), ("sample_id", 2)])
+def test_extract_exits_1_on_a_manifest_name_the_csv_cannot_hold(tmp_path, capsys, key, name):
+    from cellgraph.synth import SynthConfig, generate_synthetic_dataset
+
+    data = tmp_path / "data"
+    generate_synthetic_dataset(SynthConfig(n_samples=2, n_melanoma=1, cells_per_sample=10, image_size=48,
+                                           n_channels=2, seed=5), str(data))
+    manifest = json.loads((data / "manifest.json").read_text())
+    entry = manifest["samples"][0]
+    if key == "antigen":
+        entry["channels"][0]["antigen"] = name
+    else:
+        entry["sample_id"] = name
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "expr.csv"
+    assert main(["extract", "--data", str(data), "--features", "expression", "--out", str(out)]) == 1
+    assert f"{key} {name!r} must be a non-empty string" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_radiomics_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
     # Radiomics CSV of the shared 3-sample synth set; any change to the
     # texture counting, the feature formulas or the CSV format moves it.
@@ -461,13 +515,13 @@ def test_extract_expression_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
 @pytest.mark.parametrize(
     "kind, expected",
     [
-        ("feature", "b35a80c2cbcea6bebcf18ca20455e0e729b6b62780772d64da10f997837df6a3"),
-        ("spatial", "12b425f10b06bfe36f7b67a66be6a89f746368c48b0cb67c21164a44c85fad5b"),
+        ("feature", "15ef41e0b50c6aefbaf538fb2aa6e0502fb8cb3e2e19b8d08c16ac9c13ef8f20"),
+        ("spatial", "982b9f309f2a0f65760c6c9e06e224dd66c0a514b5d96be55d61cac021c68e9c"),
     ],
 )
 def test_graph_edge_list_bytes_are_pinned(tiny_dataset_dir, tmp_path, kind, expected):
     # Edge lists of the shared 3-sample synth set; any change to node order,
-    # the kNN tie rule or the edge-list format moves them.
+    # the kNN tie rule, the keys digest or the edge-list format moves them.
     features, out = str(tmp_path / "expression.csv"), str(tmp_path / f"{kind}.edges")
     assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
     assert main(["graph", "--features", features, "--kind", kind, "--k", "5", "--out", out]) == 0

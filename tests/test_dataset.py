@@ -164,6 +164,25 @@ def test_manifest_rejects_bad_pixel_spacing_naming_path(tmp_path, spacing):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("where", ["sample_id", "antigen"])
+@pytest.mark.parametrize("name", [7, None, "", "CD3,CD4", 'CD"3', "CD3\r", "CD3\nCD4"])
+def test_manifest_rejects_names_a_feature_csv_cannot_hold(tmp_path, where, name):
+    # an antigen "CD3,CD4" once gave a header one field longer than its rows,
+    # and an integer sample_id a bare "expected str instance, int found"
+    manifest = write_minimal_dataset(tmp_path)
+    raw = json.loads(open(manifest).read())
+    entry = raw["samples"][0]
+    if where == "sample_id":
+        entry["sample_id"] = name
+    else:
+        entry["channels"][1]["antigen"] = name
+    open(manifest, "w").write(json.dumps(raw))
+    message = (f"{manifest}: sample {entry['sample_id']!r}: {where} {name!r} must be a non-empty string "
+               "without commas, double quotes or line breaks")
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(manifest)
+
+
 def test_synthetic_dataset_preserves_diagnosis_split(tmp_path):
     # production cohort statistics: 27 cases, 20 melanoma
     from cellgraph.synth import SynthConfig, generate_synthetic_dataset

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import re
 import subprocess
@@ -36,32 +37,33 @@ from conftest import knn_purity
 def test_pca_collinear_explains_everything():
     t = np.linspace(0, 1, 10)
     X = np.stack([t, 3 * t], axis=1)
-    _, _, ratio = pca(X, 1)
+    ratio = pca(X, 1).diagnostics["explained_variance_ratio"]
     assert ratio[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pca_identical_rows_zero_embedding():
     X = np.tile([2.0, -1.0, 5.0], (6, 1))
-    emb, _, ratio = pca(X, 2)
+    emb = pca(X, 2)
     np.testing.assert_allclose(emb.Y, 0.0, atol=1e-12)
-    assert np.all(ratio == 0.0)
+    assert np.all(emb.diagnostics["explained_variance_ratio"] == 0.0)
 
 
 def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(20, 5))
-    emb, components, _ = pca(X, 5)
-    reconstructed = emb.Y @ components + X.mean(axis=0)
+    emb = pca(X, 5)
+    reconstructed = emb.Y @ emb.diagnostics["components"] + X.mean(axis=0)
     assert np.abs(reconstructed - X).max() < 1e-9
 
 
 def test_pca_components_orthonormal():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 8))
-    _, components, ratio = pca(X, 4)
+    diagnostics = pca(X, 4).diagnostics
+    components = diagnostics["components"]
     gram = components @ components.T
     assert np.abs(gram - np.eye(4)).max() < 1e-9
-    assert np.all(np.diff(ratio) <= 1e-12)
+    assert np.all(np.diff(diagnostics["explained_variance_ratio"]) <= 1e-12)
 
 
 def test_pca_d_out_of_range():
@@ -69,17 +71,54 @@ def test_pca_d_out_of_range():
         pca(np.zeros((4, 2)), 3)
 
 
+def _refuses_before_pairwise_work(method, shape, d):
+    X = np.random.default_rng(0).normal(size=shape)
+    pairwise = AssertionError("pairwise work before the d check")
+    with mock.patch.object(dimred, "sq_distances", side_effect=pairwise), \
+            mock.patch.object(dimred, "knn", side_effect=pairwise), \
+            pytest.raises(DimRedError, match=f"^d={d} out of range for {shape[0]}x{shape[1]} input$"):
+        method(X, d)
+
+
 @pytest.mark.parametrize("method", [pca, tsne, umap])
 @pytest.mark.parametrize("d", [0, -2])
 def test_every_method_refuses_d_below_1_before_pairwise_work(method, d):
     # t-SNE once returned an (n, 0) embedding and UMAP failed with numpy's
     # bare "zero-size array" ValueError
-    X = np.random.default_rng(0).normal(size=(20, 3))
-    pairwise = AssertionError("pairwise work before the d check")
-    with mock.patch.object(dimred, "sq_distances", side_effect=pairwise), \
-            mock.patch.object(dimred, "knn", side_effect=pairwise), \
-            pytest.raises(DimRedError, match=f"^d={d} out of range for 20x3 input$"):
-        method(X, d)
+    _refuses_before_pairwise_work(method, (20, 3), d)
+
+
+@pytest.mark.parametrize("method", [pca, tsne, umap])
+@pytest.mark.parametrize("shape", [(20, 3), (3, 10)])
+def test_every_method_refuses_d_above_min_p_n_minus_1_before_pairwise_work(method, shape):
+    # t-SNE and UMAP once padded their start with seeded noise past the
+    # table's rank, and PCA kept an n-th component that explained nothing
+    _refuses_before_pairwise_work(method, shape, min(shape[1], shape[0] - 1) + 1)
+
+
+def test_pca_start_is_the_scaled_projection_and_draws_nothing():
+    # the start once padded widths past the table's rank with seeded noise
+    X = np.random.default_rng(4).normal(size=(20, 6))
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("a generator for the start")):
+        start = dimred._pca_init(X, 6, scale=1e-4)
+    Y = pca(X, 6).Y
+    assert start.tobytes() == (Y * (1e-4 / Y.std())).tobytes()
+
+
+def test_umap_refuses_a_start_whose_spread_underflows():
+    # the rows differ, so UMAP's identical-points check passes, but the
+    # squares of the projection underflow to 0; the start once fell back to
+    # seeded noise there
+    X = np.random.default_rng(0).normal(size=(20, 3)) * 1e-300
+    with pytest.raises(DimRedError, match="^PCA start of the 20x3 input has zero spread in float64$"):
+        umap(X, 2, n_neighbors=5, n_epochs=5)
+
+
+def test_tsne_takes_no_seed_and_reduce_features_gives_it_none():
+    assert "seed" not in inspect.signature(tsne).parameters
+    X = np.random.default_rng(5).normal(size=(20, 6))
+    a, b = (reduce_features(X, "tsne", 2, seed=seed, perplexity=3.0, n_iters=30).Y for seed in (3, 4))
+    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n, width", [(10, 9), (40, 12)])
@@ -91,10 +130,10 @@ def test_every_method_refuses_d_below_1_before_pairwise_work(method, d):
 def test_reduce_features_caps_d_at_the_columns_and_n_minus_1(n, width, method, kwargs):
     X = np.random.default_rng(n).normal(size=(n, 12))
     got = reduce_features(X, method, 16, seed=3, **kwargs).Y
-    if method == "pca":
-        want = pca(X, width)[0].Y
+    if method == "umap":
+        want = umap(X, width, seed=3, **kwargs).Y
     else:
-        want = getattr(dimred, method)(X, width, seed=3, **kwargs).Y
+        want = getattr(dimred, method)(X, width, **kwargs).Y
     assert got.shape == (n, width) and got.tobytes() == want.tobytes()
     # no cap on the pass-through
     assert reduce_features(X, "none", 4).Y.tobytes() == X.tobytes()
@@ -127,7 +166,7 @@ def test_tsne_conditional_rows_sum_to_one():
 
 def test_tsne_joint_p_properties(three_cluster_benchmark):
     X, _ = three_cluster_benchmark
-    emb = tsne(X, 2, perplexity=10, n_iters=5, seed=0)
+    emb = tsne(X, 2, perplexity=10, n_iters=5)
     P = emb.diagnostics["P"]
     assert np.all(P >= 0)
     np.testing.assert_allclose(P, P.T, atol=1e-15)
@@ -136,14 +175,14 @@ def test_tsne_joint_p_properties(three_cluster_benchmark):
 
 def test_tsne_three_cluster_purity(three_cluster_benchmark):
     X, labels = three_cluster_benchmark
-    emb = tsne(X, 2, perplexity=10, n_iters=500, seed=0)
+    emb = tsne(X, 2, perplexity=10, n_iters=500)
     assert knn_purity(emb.Y, labels, k=10) >= 0.9
 
 
 def test_tsne_kl_decreases():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 6))
-    emb = tsne(X, 2, perplexity=8, n_iters=400, seed=1)
+    emb = tsne(X, 2, perplexity=8, n_iters=400)
     kl = emb.diagnostics["kl_curve"]
     assert len(kl) == 401  # logged every iteration plus the final state
     assert emb.diagnostics["n_iters"] == len(kl) - 1 == 400
@@ -155,7 +194,7 @@ def test_tsne_kl_curve_is_the_kl_of_each_iterate():
     # the direct masked sum differs from it in the last bits only
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 5))
-    emb = tsne(X, 2, perplexity=8, n_iters=30, seed=2)
+    emb = tsne(X, 2, perplexity=8, n_iters=30)
     P = emb.diagnostics["P"]
     num = 1.0 / (1.0 + sq_distances(emb.Y, emb.Y))
     np.fill_diagonal(num, 0.0)
@@ -171,8 +210,8 @@ def test_tsne_kl_curve_is_the_kl_of_each_iterate():
 def test_tsne_deterministic():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(25, 5))
-    a = tsne(X, 2, perplexity=6, n_iters=100, seed=9)
-    b = tsne(X, 2, perplexity=6, n_iters=100, seed=9)
+    a = tsne(X, 2, perplexity=6, n_iters=100)
+    b = tsne(X, 2, perplexity=6, n_iters=100)
     assert a.Y.tobytes() == b.Y.tobytes()
 
 
@@ -538,7 +577,7 @@ def test_tsne_peaks_at_its_iteration_floor():
     # P, the exaggerated P and the two work buffers
     n = 600
     X = np.random.default_rng(105).normal(size=(n, 16))
-    peak = _traced_peak(tsne, X, 2, perplexity=30.0, n_iters=2, seed=0)
+    peak = _traced_peak(tsne, X, 2, perplexity=30.0, n_iters=2)
     assert peak < 4.3 * n * n * 8
 
 
@@ -604,11 +643,11 @@ def test_outlier_rows_have_underflowed_probabilities():
 @pytest.mark.parametrize("name", sorted(TSNE_PINS))
 def test_tsne_bits_are_pinned(name):
     if name == "outliers":
-        emb = tsne(_outlier_points(), 2, perplexity=8.0, n_iters=260, seed=3)
+        emb = tsne(_outlier_points(), 2, perplexity=8.0, n_iters=260)
     elif name == "grid":  # past iteration 250, where the exaggeration ends
-        emb = tsne(_grid_points(), 16, perplexity=30.0, n_iters=260, seed=7)
+        emb = tsne(_grid_points(), 16, perplexity=30.0, n_iters=260)
     else:
-        emb = tsne(_large_points(), 3, perplexity=30.0, n_iters=4, seed=4)
+        emb = tsne(_large_points(), 3, perplexity=30.0, n_iters=4)
     got = (_sha(emb.Y), _sha(emb.diagnostics["P"]), _sha(emb.diagnostics["realized_perplexity"]))
     assert got == TSNE_PINS[name]
 

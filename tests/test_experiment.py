@@ -412,6 +412,23 @@ def test_reduction_report_bytes_are_pinned(small_data, monkeypatch, tmp_path):
     assert "tsne_final_kl" not in json.dumps(report.cells)
 
 
+def test_pca_cells_log_the_explained_variance(small_data, monkeypatch, tmp_path):
+    from cellgraph.dimred import pca
+
+    monkeypatch.chdir(os.path.dirname(small_data))
+    config = ExperimentConfig.from_dict({
+        "data_dir": "data", "feature_types": ["expression"], "reductions": ["pca", "none"],
+        "models": ["random_forest"], "forest": {"n_trees": 5}, "reduce_dim": 2, "seed": 6,
+    })
+    run_experiment(config, str(tmp_path / "out"))
+    _, _, Z = experiment._prepare_table(load_dataset("data/manifest.json"), "expression", config)
+    kept = float(pca(Z, 2).diagnostics["explained_variance_ratio"].sum())
+    runs = tmp_path / "out" / "runs"
+    pca_log = (runs / "expression__pca__random_forest" / "log.txt").read_text().splitlines()
+    assert f"pca_explained_variance: {kept}" in pca_log and 0.0 < kept < 1.0
+    assert "pca_explained_variance" not in (runs / "expression__none__random_forest" / "log.txt").read_text()
+
+
 @pytest.mark.parametrize("grand, stop", [
     ({"max_epochs": 40, "patience": 3}, "patience"),
     ({"max_epochs": 4, "patience": 30}, "max_epochs"),
@@ -543,8 +560,10 @@ def test_model_failure_fails_only_its_own_cells(small_data, tmp_path):
     for key, outcome in report.cells.items():
         if key.endswith("|gradient_boosting"):
             assert outcome == {"status": "failed", "reason": "TreeError: no rounds left"}
-            log = (tmp_path / "out" / "runs" / key.replace("|", "__") / "log.txt").read_text()
-            assert log == f"cell: {key}\nstatus: failed\nreason: TreeError: no rounds left\n"
+            log = (tmp_path / "out" / "runs" / key.replace("|", "__") / "log.txt").read_text().splitlines()
+            assert log[:3] == [f"cell: {key}", "status: failed", "reason: TreeError: no rounds left"]
+            # then the group's reduction diagnostics: PCA logs its explained variance
+            assert [line.split(": ")[0] for line in log[3:]] == (["pca_explained_variance"] if "|pca|" in key else [])
         else:
             assert outcome["status"] == "ok"
         assert key in timings

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cellgraph import graphs
-from cellgraph.dataset import CellTable, pool_tables
+from cellgraph.dataset import CellTable, keys_digest, pool_tables
 from cellgraph.graphs import (
     CellGraph,
     GraphError,
@@ -323,6 +323,25 @@ def test_edge_list_round_trip(tmp_path):
     np.testing.assert_array_equal(back.weights, g.weights)
     header = open(path).readline().strip()
     assert header == "# nodes 10"
+
+
+def test_edge_list_records_the_digest_of_its_node_keys(tmp_path):
+    rng = np.random.default_rng(14)
+    table = pool_tables([make_table(sid, [1, 2, 3, 4], rng.normal(size=(4, 2)), centroids=rng.normal(size=(4, 2)))
+                         for sid in ("s01", "s02")])
+    g = build_cell_graph("spatial", table.features, table, k=2)
+    path, again = tmp_path / "g.edges", tmp_path / "again.edges"
+    write_edge_list(str(path), g)
+    digest = hashlib.sha256("".join(f"{sid},{cid}\n" for sid, cid in table.keys()).encode()).hexdigest()
+    assert keys_digest(table.keys()) == digest
+    assert path.read_text().splitlines()[:2] == ["# nodes 8", f"# keys {digest}"]
+    back = read_edge_list(str(path))
+    assert back.keys_sha256 == digest and back.node_keys is None
+    write_edge_list(str(again), back)
+    assert again.read_bytes() == path.read_bytes()
+    path.write_text("# nodes 2\n# keys abc\n0 1 1\n")
+    with pytest.raises(GraphError, match=re.escape(f"{path}:2: malformed keys line '# keys abc'")):
+        read_edge_list(str(path))
 
 
 def test_edge_budget_scaled_down():

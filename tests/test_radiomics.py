@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cellgraph.dataset import write_feature_csv
 from cellgraph.radiomics import (
     FIRST_ORDER_NAMES,
     GLCM_NAMES,
@@ -559,8 +560,8 @@ def test_table_deterministic_csv_bytes(tmp_path):
     a = radiomic_feature_table(sample)
     b = radiomic_feature_table(sample)
     pa, pb = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    a.to_csv(pa)
-    b.to_csv(pb)
+    write_feature_csv(pa, a)
+    write_feature_csv(pb, b)
     assert open(pa, "rb").read() == open(pb, "rb").read()
 
 

@@ -220,7 +220,7 @@ def test_xoshiro_streams_are_disjoint_and_deterministic():
 
 
 def test_xoshiro_uniform_range():
-    stream = Xoshiro256StarStar.from_seed(5)
+    stream = Xoshiro256StarStar.stream_for(5, 0)
     draws = [stream.uniform() for _ in range(1000)]
     assert all(0.0 <= d < 1.0 for d in draws)
     assert 0.4 < np.mean(draws) < 0.6

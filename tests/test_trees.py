@@ -15,7 +15,6 @@ from cellgraph.trees import (
     load_model,
     predict_tabular,
     save_model,
-    train_cart,
     train_gradient_boosting,
     train_random_forest,
 )
@@ -28,6 +27,13 @@ def separable_1d(n=60, margin=1.0, seed=0):
     X = np.concatenate([neg, pos])[:, None]
     y = np.array([0] * (n // 2) + [1] * (n // 2))
     return X, y
+
+
+def one_tree(X, y, max_depth, min_leaf):
+    """Plain CART: a forest of one tree on every row, every feature a candidate."""
+    config = ForestConfig(n_trees=1, max_depth=max_depth, min_leaf=min_leaf, features_per_split=X.shape[1],
+                          bootstrap=False)
+    return train_random_forest(X, y, config).trees[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ def test_presorted_trees_equal_per_node_sort_reference(problem):
         counts = onehot[idx].sum(axis=0)
         return (counts / counts.sum()).tolist()
 
-    cart = train_cart(X, y, max_depth=max_depth, min_leaf=min_leaf)
+    cart = one_tree(X, y, max_depth, min_leaf)
     assert cart == reference_grow(X, onehot, np.arange(len(y)), 0, max_depth, min_leaf, leaf_value, False)
 
 
@@ -395,7 +401,9 @@ def test_forest_and_cart_equal_frozen_recursion(problem):
         assert repr(train_random_forest(X, y, config).trees) == repr(reference_forest(X, y, config))
     k = config.features_per_split or X.shape[1]
     C = int(y.max() + 1)
-    cart = train_cart(X, y, config.max_depth, config.min_leaf, k, np.random.default_rng(config.seed), C)
+    every_row = (np.arange(len(y)), np.ones(len(y), dtype=np.int64))
+    [cart] = trees._grow_gini_trees(X, trees._dense_ranks(X), y, C, [every_row], [np.random.default_rng(config.seed)],
+                                    config.max_depth, config.min_leaf, k)
     assert repr(cart) == repr(reference_cart(X, y, config.max_depth, config.min_leaf, k,
                                              np.random.default_rng(config.seed), C))
 
@@ -429,9 +437,9 @@ def _check_split_between(lo, hi):
     assert lo < threshold <= hi
     X = np.array([[lo], [lo], [hi], [hi]])
     y = np.array([0, 0, 1, 1])
-    cart = train_cart(X, y, max_depth=1, min_leaf=1)
-    assert cart["threshold"] == threshold and cart["left"]["value"] == [1.0, 0.0]
     forest = train_random_forest(X, y, ForestConfig(n_trees=1, max_depth=1, min_leaf=1, bootstrap=False))
+    [cart] = forest.trees
+    assert cart["threshold"] == threshold and cart["left"]["value"] == [1.0, 0.0]
     assert (predict_tabular(forest, X).argmax(axis=1) == y).all()
     boost = train_gradient_boosting(X, y, BoostConfig(n_rounds=2, max_depth=1, min_leaf=1))
     assert (predict_tabular(boost, X).argmax(axis=1) == y).all()
@@ -508,7 +516,8 @@ def test_single_tree_forest_equals_reference_cart():
     y = (X[:, 0] + 0.3 * X[:, 1] > 0).astype(int)
     config = ForestConfig(n_trees=1, bootstrap=False, features_per_split=3, max_depth=6, seed=0)
     forest = train_random_forest(X, y, config)
-    reference = train_cart(X, y, max_depth=6, min_leaf=2, features_per_split=3, n_classes=2)
+    reference = reference_cart(X, y, max_depth=6, min_leaf=2, features_per_split=3, rng=np.random.default_rng(0),
+                               n_classes=2)
     assert forest.trees[0] == reference
 
 
@@ -516,8 +525,8 @@ def test_duplicating_rows_leaves_cart_unchanged():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(30, 2))
     y = (X[:, 0] > 0.2).astype(int)
-    base = train_cart(X, y, max_depth=4, min_leaf=1, n_classes=2)
-    doubled = train_cart(np.vstack([X, X]), np.concatenate([y, y]), max_depth=4, min_leaf=1, n_classes=2)
+    base = one_tree(X, y, max_depth=4, min_leaf=1)
+    doubled = one_tree(np.vstack([X, X]), np.concatenate([y, y]), max_depth=4, min_leaf=1)
 
     def splits(node, acc):
         if "value" in node:
