@@ -205,9 +205,15 @@ def _joint_probabilities(X: np.ndarray, perplexity: float):
     """Symmetrized, normalized P and the realized conditional perplexities.
 
     The distances are freed before P is symmetrized, so at most two n x n
-    arrays are alive at once.
+    arrays are alive at once. Distinct rows whose squared distances all
+    underflow to 0 (entries near 1e-300) are refused before the search,
+    which would blame the perplexity.
     """
-    P_cond, realized = tsne_conditional_probabilities(sq_distances(X, X), perplexity)
+    D2 = sq_distances(X, X)
+    if not D2.any() and np.ptp(X, axis=0).any():
+        raise DimRedError(f"squared distances underflow float64: the largest absolute entry is {np.abs(X).max():g}")
+    P_cond, realized = tsne_conditional_probabilities(D2, perplexity)
+    del D2
     P = P_cond + P_cond.T
     del P_cond
     P /= 2.0 * len(X)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import CellTable, format_float, keys_digest, read_lines, write_lines
+from .dataset import CellTable, keys_digest, read_lines, write_lines
 
 # query rows of one distance chunk. Smaller chunks keep every bit but cost
 # time: in scale-workload jobs (bench seed 77, 2-core Xeon, six a side) 128
@@ -31,31 +31,25 @@ class GraphError(Exception):
 
 @dataclass
 class CellGraph:
-    """Directed weighted edge list over cells.
+    """Directed unweighted edge list over cells.
 
-    ``node_keys[i]`` is the (sample_id, cell_id) behind node i; it is None
-    for a graph read from an edge list, which stores only ``keys_sha256``,
-    the ``keys_digest`` of the keys (None when the file records none).
+    ``keys_sha256`` is the ``keys_digest`` of the (sample_id, cell_id) keys
+    behind the nodes, in order; None when they are unknown (a graph built
+    without a table, or read from an edge list that records none).
     Self-loops are never stored; normalization adds them.
     """
 
     n_nodes: int
     edges: np.ndarray  # (m, 2) int64 (src, dst)
-    weights: np.ndarray  # (m,) float64, all finite and > 0
-    node_keys: list | None  # of (sample_id, cell_id)
     keys_sha256: str | None = None
 
     def __post_init__(self):
         if self.n_nodes < 0:
             raise GraphError("node count must be >= 0")
-        if len(self.edges) != len(self.weights):
-            raise GraphError("edge and weight counts differ")
         if len(self.edges) and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
             raise GraphError("edge endpoint out of range")
         if len(self.edges) and np.any(self.edges[:, 0] == self.edges[:, 1]):
             raise GraphError("self-loops are not stored in a CellGraph")
-        if np.any(~((self.weights > 0) & (self.weights < np.inf))):
-            raise GraphError("edge weights must be positive and finite")
 
     @property
     def n_edges(self) -> int:
@@ -152,17 +146,16 @@ def knn(X: np.ndarray, k: int, metric: str = "euclidean"):
     return indices, distances
 
 
-def knn_feature_graph(X: np.ndarray, k: int, metric: str = "euclidean", node_keys: list | None = None) -> CellGraph:
+def knn_feature_graph(X: np.ndarray, k: int, metric: str = "euclidean") -> CellGraph:
     """Directed kNN graph in feature space; each node points to its
-    min(k, n-1) nearest neighbors with weight 1, ties broken by lower index."""
+    min(k, n-1) nearest neighbors, ties broken by lower index."""
     indices, _ = knn(X, k, metric)
     n, take = indices.shape
     edges = np.stack([np.repeat(np.arange(n, dtype=np.int64), take), indices.ravel()], axis=1)
-    keys = node_keys if node_keys is not None else [("", i) for i in range(n)]
-    return CellGraph(n_nodes=n, edges=edges, weights=np.ones(len(edges)), node_keys=keys)
+    return CellGraph(n_nodes=n, edges=edges)
 
 
-def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys: list | None = None) -> CellGraph:
+def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int) -> CellGraph:
     """Per-sample kNN graph on 2-D centroids; samples stay disjoint.
 
     A sample with fewer than 2 cells contributes no edges (with a warning).
@@ -186,9 +179,7 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int, node_keys
             continue
         local, _ = knn(centroids[idx], k)
         edges.append(np.stack([np.repeat(idx, local.shape[1]), idx[local.ravel()]], axis=1))
-    all_edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64)
-    keys = node_keys if node_keys is not None else [("", i) for i in range(n)]
-    return CellGraph(n_nodes=n, edges=all_edges, weights=np.ones(len(all_edges)), node_keys=keys)
+    return CellGraph(n_nodes=n, edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64))
 
 
 def edge_homophily(g: CellGraph, labels: np.ndarray, mask: np.ndarray) -> tuple:
@@ -205,34 +196,29 @@ def edge_homophily(g: CellGraph, labels: np.ndarray, mask: np.ndarray) -> tuple:
 
 
 def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:
-    """Symmetrize, add unit self-loops, and degree-normalize.
+    """Symmetrize, add self-loops, and degree-normalize.
 
     Returns D^{-1/2} (A + I) D^{-1/2} in CSR layout with sorted indices,
-    where D holds the row sums of A + I. An undirected edge exists where
-    either direction is present; its weight is the max of the stored
-    directions. All entries lie in (0, 1] and the spectral radius is at
-    most 1.
+    where A holds 1 wherever either direction of an edge is stored and D
+    holds the row sums of A + I. All entries lie in (0, 1] and the spectral
+    radius is at most 1.
     """
     n = g.n_nodes
     src, dst = g.edges[:, 0], g.edges[:, 1]
     loops = np.arange(n, dtype=np.int64)
-    # each stored direction, its reverse and a unit self-loop as (row * n + col)
-    # codes; one sort by code, then weight, keeps the max of each entry last
-    codes = np.concatenate((src * n + dst, dst * n + src, loops * (n + 1)))
-    weights = np.concatenate((g.weights, g.weights, np.ones(n)))
-    order = np.lexsort((weights, codes))
-    codes, weights = codes[order], weights[order]
-    last = np.ones(len(codes), dtype=bool)
-    last[:-1] = codes[1:] != codes[:-1]
-    rows, cols = np.divmod(codes[last], n)
-    values = weights[last]
+    # each stored direction, its reverse and a self-loop as (row * n + col)
+    # codes, sorted once with repeats dropped
+    codes = np.sort(np.concatenate((src * n + dst, dst * n + src, loops * (n + 1))))
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    rows, cols = np.divmod(codes[first], n)
+    # the row sums of A + I are entry counts, exact in any summation order
+    degrees = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    # row sums as scipy's CSR sum takes them: one reduceat over each row's
-    # entries in column order (every row holds its self-loop)
-    inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(values, indptr[:-1]))
+    np.cumsum(degrees, out=indptr[1:])
+    inv_sqrt = 1.0 / np.sqrt(degrees)
     # (D^-1/2 A) D^-1/2: the product order of two sparse diagonal scalings
-    data = inv_sqrt[rows] * values * inv_sqrt[cols]
+    data = inv_sqrt[rows] * inv_sqrt[cols]
     return sp.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
@@ -241,24 +227,26 @@ def build_cell_graph(kind: str, X: np.ndarray, table: CellTable, k: int, metric:
 
     "feature" is the kNN graph of ``X`` (one row per table row) under
     ``metric``; "spatial" is the per-sample kNN graph of the table's
-    centroids, which ignores ``X`` and ``metric``. Nodes carry the table keys.
+    centroids, which ignores ``X`` and ``metric``. The graph records the
+    digest of the table keys.
     """
     if kind == "feature":
-        return knn_feature_graph(X, k, metric=metric, node_keys=table.keys())
-    if kind == "spatial":
-        return spatial_knn_graph(table.centroids, table.sample_ids, k, node_keys=table.keys())
-    raise GraphError(f"unknown graph kind {kind!r}")
+        graph = knn_feature_graph(X, k, metric=metric)
+    elif kind == "spatial":
+        graph = spatial_knn_graph(table.centroids, table.sample_ids, k)
+    else:
+        raise GraphError(f"unknown graph kind {kind!r}")
+    graph.keys_sha256 = keys_digest(table.keys())
+    return graph
 
 
 def write_edge_list(path: str, g: CellGraph) -> None:
     """A ``# nodes N`` header, a ``# keys <sha256>`` line when the graph's
-    node keys are known, and one ``src dst weight`` line per edge."""
+    keys digest is known, and one ``src dst`` line per edge."""
     lines = [f"# nodes {g.n_nodes}"]
-    digest = keys_digest(g.node_keys) if g.node_keys is not None else g.keys_sha256
-    if digest is not None:
-        lines.append(f"# keys {digest}")
-    for (src, dst), w in zip(g.edges.tolist(), g.weights.tolist()):
-        lines.append(f"{src} {dst} {format_float(w)}")
+    if g.keys_sha256 is not None:
+        lines.append(f"# keys {g.keys_sha256}")
+    lines.extend(f"{src} {dst}" for src, dst in g.edges.tolist())
     write_lines(path, lines)
 
 
@@ -275,18 +263,15 @@ def read_edge_list(path: str) -> CellGraph:
         if not re.fullmatch("[0-9a-f]{64}", digest):
             raise GraphError(f"{path}:{lineno}: malformed keys line {ln!r}")
     edges = np.zeros((len(body), 2), dtype=np.int64)
-    weights = np.zeros(len(body))
     lineno, ln = lines[0]
     try:
         n = int(ln[len("# nodes ") :])
         for i, (lineno, ln) in enumerate(body):
-            src, dst, weight = ln.split()
+            src, dst = ln.split()
             edges[i] = (int(src), int(dst))
-            weights[i] = float(weight)
     except (ValueError, OverflowError) as exc:
         raise GraphError(f"{path}:{lineno}: malformed edge line {ln!r}") from exc
     try:
-        return CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=None, keys_sha256=digest)
+        return CellGraph(n_nodes=n, edges=edges, keys_sha256=digest)
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from exc
-

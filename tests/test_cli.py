@@ -269,7 +269,7 @@ def test_reduce_config_for_method_without_arguments_exits_1(tiny_dataset_dir, tm
 def test_train_rejects_graph_node_count_not_matching_table(replay_inputs, tmp_path, capsys, nodes):
     _, features, _ = replay_inputs  # 3 samples x 60 cells
     graph = tmp_path / "g.edges"
-    graph.write_text(f"# nodes {nodes}\n0 1 1\n")
+    graph.write_text(f"# nodes {nodes}\n0 1\n")
     argv = ["train", "--graph", str(graph), "--features", features, "--labels", features,
             "--out", str(tmp_path / "m.ckpt")]
     assert main(argv) == 1
@@ -308,6 +308,31 @@ def test_train_and_evaluate_refuse_a_graph_of_other_cells(tmp_path, capsys):
     assert main(train(str(keyless), "a")) == 1
     err = capsys.readouterr().err
     assert f"graph {keyless} records no cell keys; rebuild it from {features['a']}" in err
+
+
+def test_train_and_evaluate_refuse_an_edge_list_with_weights(replay_inputs, tmp_path, capsys):
+    # edge lists once ended each edge line with a weight; such a file is
+    # refused at its first edge line, not read as an unweighted graph
+    _, features, graph = replay_inputs
+    config, ckpt = tmp_path / "grand.json", str(tmp_path / "m.ckpt")
+    config.write_text(json.dumps({"max_epochs": 2}))
+
+    def train(graph):
+        return ["--config", str(config), "train", "--graph", graph, "--features", features,
+                "--labels", features, "--out", ckpt]
+
+    assert main(train(graph)) == 0
+    lines = open(graph).read().splitlines()
+    assert lines[0].startswith("# nodes ") and lines[1].startswith("# keys ") and len(lines[2].split()) == 2
+    weighted = tmp_path / "weighted.edges"
+    weighted.write_text("".join(ln + ("\n" if ln.startswith("#") else " 1\n") for ln in lines))
+    capsys.readouterr()
+    for argv in (train(str(weighted)), ["evaluate", "--model", ckpt, "--graph", str(weighted),
+                                        "--features", features, "--labels", features,
+                                        "--out", str(tmp_path / "m.json")]):
+        assert main(argv) == 1
+        assert f"{weighted}:3: malformed edge line '{lines[2]} 1'" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("model", ["random_forest", "gradient_boosting"])
@@ -515,8 +540,8 @@ def test_extract_expression_csv_bytes_are_pinned(tiny_dataset_dir, tmp_path):
 @pytest.mark.parametrize(
     "kind, expected",
     [
-        ("feature", "15ef41e0b50c6aefbaf538fb2aa6e0502fb8cb3e2e19b8d08c16ac9c13ef8f20"),
-        ("spatial", "982b9f309f2a0f65760c6c9e06e224dd66c0a514b5d96be55d61cac021c68e9c"),
+        ("feature", "bced650c1637f066fae273d05a88d65d369a4363beadc6449a4eb3165a46ab8f"),
+        ("spatial", "2eb4e324fc7a9514c6bee6eb8e6b396a7e7d29f53724b678bcef2f5d194c9181"),
     ],
 )
 def test_graph_edge_list_bytes_are_pinned(tiny_dataset_dir, tmp_path, kind, expected):

@@ -571,7 +571,7 @@ def reader_blobs(tmp_path_factory):
         labels=np.array([0, 1, -1]), features=rng.random((3, 2)), feature_names=["f1", "f2"],
     ))
     edges = np.array([[0, 1], [1, 0], [2, 10], [10, 3]])
-    write_edge_list(str(root / "edges"), CellGraph(11, edges, rng.random(4) + 0.5, [("", i) for i in range(11)]))
+    write_edge_list(str(root / "edges"), CellGraph(11, edges, keys_sha256="0123456789abcdef" * 4))
     (root / "feature_labels").write_bytes((root / "features").read_bytes())
     channels = [{"antigen": "ag01", "path": "s01/ag01.pgm"}]
     write_json(str(root / "manifest"), {"pixel_spacing_um": 0.5, "samples": [

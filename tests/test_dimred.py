@@ -114,6 +114,18 @@ def test_umap_refuses_a_start_whose_spread_underflows():
         umap(X, 2, n_neighbors=5, n_epochs=5)
 
 
+def test_tsne_refuses_distinct_rows_whose_squared_distances_underflow():
+    # every squared distance rounds to 0, so the perplexity search found
+    # each point's n - 1 neighbors equally near and blamed the perplexity
+    X = np.random.default_rng(0).normal(size=(20, 3)) * 1e-300
+    message = f"^squared distances underflow float64: the largest absolute entry is {np.abs(X).max():g}$"
+    with pytest.raises(DimRedError, match=message):
+        tsne(X, 2, perplexity=3)
+    # identical rows have no distance to lose; the perplexity is what fails
+    with pytest.raises(DimRedError, match="^perplexity 3 infeasible for point 0"):
+        tsne(np.ones((20, 3)), 2, perplexity=3)
+
+
 def test_tsne_takes_no_seed_and_reduce_features_gives_it_none():
     assert "seed" not in inspect.signature(tsne).parameters
     X = np.random.default_rng(5).normal(size=(20, 6))

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from cellgraph import grand
@@ -73,9 +74,7 @@ def test_propagate_k0_identity():
 
 
 def test_propagate_two_node_hand_example():
-    from cellgraph.graphs import CellGraph, normalize_adjacency
-
-    g = CellGraph(n_nodes=2, edges=np.array([[0, 1]]), weights=np.ones(1), node_keys=[("", 0), ("", 1)])
+    g = CellGraph(n_nodes=2, edges=np.array([[0, 1]]))
     adj = normalize_adjacency(g)  # [[.5,.5],[.5,.5]]
     X = np.array([[1.0], [0.0]])
     out = propagate(adj, X, 1)
@@ -689,13 +688,18 @@ def _ref_train(adj, X, labels, train_mask, val_mask, config, C):
 
 
 def random_weighted_graph(rng, n):
-    """Normalized adjacency of random directed edges with random weights,
-    duplicates included; some nodes may stay isolated."""
+    """D^-1/2 (W + I) D^-1/2 in CSR layout for a random symmetric W with
+    arbitrary positive values (repeated draws summed); some nodes may stay
+    isolated. Unlike a cell graph's adjacency, its entries take any value
+    in (0, 1], not only those of unit edges."""
     m = int(rng.integers(0, 3 * n + 1))
     src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
-    keep = src != dst
-    edges = np.stack([src[keep], dst[keep]], axis=1).astype(np.int64)
-    return normalize_adjacency(CellGraph(n, edges, rng.uniform(0.1, 3.0, len(edges)), None))
+    W = sp.coo_matrix((rng.uniform(0.1, 3.0, m), (src, dst)), shape=(n, n)).tocsr()
+    W = (W + W.T + sp.identity(n, format="csr")).tocsr()
+    scale = sp.diags(1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel()))
+    adj = (scale @ W @ scale).tocsr()
+    adj.sort_indices()
+    return adj
 
 
 def as_given(masks, as_list):

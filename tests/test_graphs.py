@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellgraph import graphs
 from cellgraph.dataset import CellTable, keys_digest, pool_tables
@@ -111,7 +111,7 @@ def test_spatial_duplicate_centroids_deterministic():
 def test_edge_homophily_hand_computed():
     # undirected edges: 0-1 (stored both ways), 1-2, 2-3, 3-4, 0-4; node 4
     # is outside the mask, so 0-1 (same), 1-2 (differ) and 2-3 (same) count
-    g = CellGraph(5, np.array([[0, 1], [1, 0], [1, 2], [2, 3], [3, 4], [4, 0]]), np.ones(6), None)
+    g = CellGraph(5, np.array([[0, 1], [1, 0], [1, 2], [2, 3], [3, 4], [4, 0]]))
     labels = np.array([0, 0, 1, 1, 0])
     mask = np.array([True, True, True, True, False])
     assert edge_homophily(g, labels, mask) == (5, 2 / 3)
@@ -119,42 +119,31 @@ def test_edge_homophily_hand_computed():
 
 
 def test_normalize_two_nodes():
-    g = CellGraph(
-        n_nodes=2,
-        edges=np.array([[0, 1]]),
-        weights=np.ones(1),
-        node_keys=[("", 0), ("", 1)],
-    )
+    g = CellGraph(n_nodes=2, edges=np.array([[0, 1]]))
     dense = normalize_adjacency(g).toarray()
     np.testing.assert_allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_triangle():
-    g = CellGraph(
-        n_nodes=3,
-        edges=np.array([[0, 1], [1, 2], [2, 0]]),
-        weights=np.ones(3),
-        node_keys=[("", i) for i in range(3)],
-    )
+    g = CellGraph(n_nodes=3, edges=np.array([[0, 1], [1, 2], [2, 0]]))
     dense = normalize_adjacency(g).toarray()
     np.testing.assert_allclose(dense, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
 
 def test_normalize_isolated_node():
-    g = CellGraph(n_nodes=1, edges=np.zeros((0, 2), dtype=np.int64), weights=np.zeros(0), node_keys=[("", 0)])
+    g = CellGraph(n_nodes=1, edges=np.zeros((0, 2), dtype=np.int64))
     dense = normalize_adjacency(g).toarray()
     assert dense[0, 0] == 1.0
 
 
 def pin_graph():
-    """Duplicate directed edges, asymmetric weights, a hub whose row holds 12
-    entries (past numpy's 8-term sequential sums) and an isolated node 13."""
+    """Duplicate directed edges, edges stored in one direction only, a hub
+    whose row holds 12 entries (past numpy's 8-term sequential sums) and an
+    isolated node 13."""
     edges = [(0, j) for j in range(1, 12)] + [
         (3, 0), (0, 1), (5, 0), (1, 2), (2, 1), (2, 1), (4, 6), (12, 4), (7, 8), (8, 7),
     ]
-    weights = [0.3, 1.7, 0.45, 2.2, 0.9, 1.1, 0.05, 3.3, 0.6, 1.3, 0.77,
-               2.9, 0.31, 0.12, 1.5, 0.25, 0.81, 0.7, 1.05, 0.4, 2.6]
-    return CellGraph(n_nodes=14, edges=np.array(edges, dtype=np.int64), weights=np.array(weights), node_keys=None)
+    return CellGraph(n_nodes=14, edges=np.array(edges, dtype=np.int64))
 
 
 def test_normalize_adjacency_bytes_are_pinned():
@@ -162,7 +151,7 @@ def test_normalize_adjacency_bytes_are_pinned():
     # order, the product order or the index dtype moves these
     adj = normalize_adjacency(pin_graph())
     expected = {
-        "data": "e47069e62c3602b7d8e2c454c3b63e5a9a0b3329e5c893ba4d971cf501b1f00c",
+        "data": "1119bcd66a8dfd3de609884b22e2965bb3f2fbff11fab0e677058f53e612daad",
         "indices": "32d93b5473fed81a44a0682747fc2e4237762603fbd5dd2bf80f59f80a74192f",
         "indptr": "9d694beee6dee84ec50809b5a7e44a6891a92fb4af95e1bc578a044e8cbf6f4a",
     }
@@ -176,12 +165,8 @@ def scipy_normalize_adjacency(g):
     ``normalize_adjacency`` replaced; it must keep these bits."""
     n = g.n_nodes
     if len(g.edges):
-        codes = g.edges[:, 0] * n + g.edges[:, 1]
-        order = np.lexsort((g.weights, codes))
-        codes, weights = codes[order], g.weights[order]
-        last = np.concatenate((codes[1:] != codes[:-1], [True]))
-        codes, weights = codes[last], weights[last]
-        A = sp.coo_matrix((weights, (codes // n, codes % n)), shape=(n, n)).tocsr()
+        codes = np.unique(g.edges[:, 0] * n + g.edges[:, 1])
+        A = sp.coo_matrix((np.ones(len(codes)), (codes // n, codes % n)), shape=(n, n)).tocsr()
         A = A.maximum(A.T)
     else:
         A = sp.csr_matrix((n, n))
@@ -196,17 +181,17 @@ def scipy_normalize_adjacency(g):
 @given(
     n=st.integers(0, 40),
     m=st.integers(0, 150),
-    unit=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_normalize_adjacency_matches_scipy_build_bits(n, m, unit, seed):
-    # duplicate edges, asymmetric weights, isolated nodes and hubs past 8 entries
+@example(n=0, m=0, seed=0)
+@example(n=0, m=5, seed=0)
+def test_normalize_adjacency_matches_scipy_build_bits(n, m, seed):
+    # duplicate edges, one-way edges, isolated nodes and hubs past 8 entries
     rng = np.random.default_rng(seed)
     src, dst = rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m)
     keep = src != dst
     edges = np.stack([src[keep], dst[keep]], axis=1).astype(np.int64)
-    weights = np.ones(len(edges)) if unit else rng.uniform(0.01, 5.0, len(edges))
-    g = CellGraph(n_nodes=n, edges=edges, weights=weights, node_keys=None)
+    g = CellGraph(n_nodes=n, edges=edges)
     got, expected = normalize_adjacency(g), scipy_normalize_adjacency(g)
     assert got.shape == expected.shape
     for name in ("data", "indices", "indptr"):
@@ -252,9 +237,8 @@ def make_table(sample_id, ids, features, labels=None, centroids=None):
     )
 
 
-def assert_samples_disjoint(graph):
-    samples = [sid for sid, _ in graph.node_keys]
-    assert all(samples[src] == samples[dst] for src, dst in graph.edges.tolist())
+def assert_samples_disjoint(graph, table):
+    assert all(table.sample_ids[src] == table.sample_ids[dst] for src, dst in graph.edges.tolist())
 
 
 def test_assemble_spatial_components_lower_bound():
@@ -264,8 +248,8 @@ def test_assemble_spatial_components_lower_bound():
     ]
     table = pool_tables(tables)
     graph = build_cell_graph("spatial", table.features, table, k=1)
-    assert graph.node_keys == table.keys() and graph.n_edges == 9
-    assert_samples_disjoint(graph)
+    assert graph.keys_sha256 == keys_digest(table.keys()) and graph.n_edges == 9
+    assert_samples_disjoint(graph, table)
 
 
 def test_assemble_pools_every_cell():
@@ -279,8 +263,8 @@ def test_assemble_pools_every_cell():
     table = pool_tables(tables)
     graph = build_cell_graph("spatial", table.features, table, k=3)
     assert graph.n_nodes == 20 * 15
-    assert graph.node_keys == table.keys()
-    assert_samples_disjoint(graph)
+    assert graph.keys_sha256 == keys_digest(table.keys())
+    assert_samples_disjoint(graph, table)
 
 
 def test_assemble_single_sample_matches_direct():
@@ -291,7 +275,7 @@ def test_assemble_single_sample_matches_direct():
         graph = build_cell_graph("feature", feats, t, k=2, metric=metric)
         direct = knn_feature_graph(feats, 2, metric=metric)
         np.testing.assert_array_equal(graph.edges, direct.edges)
-        assert graph.node_keys == t.keys()
+        assert graph.keys_sha256 == keys_digest(t.keys()) and direct.keys_sha256 is None
 
 
 def test_build_cell_graph_spatial_matches_spatial_knn_graph():
@@ -303,7 +287,7 @@ def test_build_cell_graph_spatial_matches_spatial_knn_graph():
     graph = build_cell_graph("spatial", table.features, table, k=3)
     direct = spatial_knn_graph(table.centroids, table.sample_ids, 3)
     np.testing.assert_array_equal(graph.edges, direct.edges)
-    assert graph.node_keys == table.keys()
+    assert graph.keys_sha256 == keys_digest(table.keys()) and direct.keys_sha256 is None
 
 
 def test_build_cell_graph_unknown_kind_errors():
@@ -320,12 +304,13 @@ def test_edge_list_round_trip(tmp_path):
     back = read_edge_list(path)
     assert back.n_nodes == g.n_nodes
     np.testing.assert_array_equal(back.edges, g.edges)
-    np.testing.assert_array_equal(back.weights, g.weights)
-    header = open(path).readline().strip()
-    assert header == "# nodes 10"
+    assert back.keys_sha256 is None
+    lines = open(path).read().splitlines()
+    assert lines[0] == "# nodes 10" and lines[1] == " ".join(map(str, g.edges[0]))
+    assert len(lines) == 1 + g.n_edges
 
 
-def test_edge_list_records_the_digest_of_its_node_keys(tmp_path):
+def test_edge_list_records_the_digest_of_its_table_keys(tmp_path):
     rng = np.random.default_rng(14)
     table = pool_tables([make_table(sid, [1, 2, 3, 4], rng.normal(size=(4, 2)), centroids=rng.normal(size=(4, 2)))
                          for sid in ("s01", "s02")])
@@ -336,10 +321,10 @@ def test_edge_list_records_the_digest_of_its_node_keys(tmp_path):
     assert keys_digest(table.keys()) == digest
     assert path.read_text().splitlines()[:2] == ["# nodes 8", f"# keys {digest}"]
     back = read_edge_list(str(path))
-    assert back.keys_sha256 == digest and back.node_keys is None
+    assert back.keys_sha256 == digest
     write_edge_list(str(again), back)
     assert again.read_bytes() == path.read_bytes()
-    path.write_text("# nodes 2\n# keys abc\n0 1 1\n")
+    path.write_text("# nodes 2\n# keys abc\n0 1\n")
     with pytest.raises(GraphError, match=re.escape(f"{path}:2: malformed keys line '# keys abc'")):
         read_edge_list(str(path))
 
@@ -355,17 +340,15 @@ def test_edge_budget_scaled_down():
 @pytest.mark.parametrize(
     "text, where",
     [
-        ("# nodes 2\n0 1 1\n0 one 1\n", 3),
-        ("# nodes 2\n\n0 1\n", 3),
+        ("# nodes 2\n0 1\n0 one\n", 3),
+        ("# nodes 2\n\n1 0\n0 1 1\n", 4),  # a weight column, as older edge lists had
+        (f"# nodes 2\n# keys {'0' * 64}\n0 1 1\n", 3),
+        ("# nodes 2\n0\n", 2),
         ("# nodes two\n", 1),
-        ("# nodes 2\n0 1 nan\n", "weights must be positive"),
-        ("# nodes 2\n0 1 0\n", "weights must be positive"),
-        ("# nodes 2\n0 1 -1\n", "weights must be positive"),
-        ("# nodes 2\n0 1 inf\n", "weights must be positive"),
         ("# nodes -1\n", "node count"),
-        ("# nodes 2\n0 2 1\n", "out of range"),
-        ("# nodes 2\n1 1 1\n", "self-loops"),
-        ("# nodes 2\n0 99999999999999999999 1\n", 2),
+        ("# nodes 2\n0 2\n", "out of range"),
+        ("# nodes 2\n1 1\n", "self-loops"),
+        ("# nodes 2\n0 99999999999999999999\n", 2),
     ],
 )
 def test_read_edge_list_malformed_line_names_path_and_line(tmp_path, text, where):
@@ -385,20 +368,20 @@ def test_read_edge_list_does_not_allocate_per_declared_node(tmp_path):
     peaks = {}
     for n in (10, 1_000_000):
         path = tmp_path / f"g{n}.edges"
-        path.write_text(f"# nodes {n}\n0 1 1\n")
+        path.write_text(f"# nodes {n}\n0 1\n")
         tracemalloc.start()
         try:
             graph = read_edge_list(str(path))
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert graph.n_nodes == n and graph.node_keys is None
+        assert graph.n_nodes == n and graph.keys_sha256 is None
     assert peaks[1_000_000] - peaks[10] < 4096
 
 
 def test_read_edge_list_non_utf8_names_path(tmp_path):
     path = tmp_path / "g.edges"
-    path.write_bytes(b"# nodes 2\n0 1 \xff\n")
+    path.write_bytes(b"# nodes 2\n0 \xff\n")
     with pytest.raises(GraphError, match=f"^{path}: "):
         read_edge_list(str(path))
 
@@ -407,13 +390,12 @@ def test_read_edge_list_non_utf8_names_path(tmp_path):
 def test_read_edge_list_splits_universal_newlines_only(tmp_path, end):
     # "\r\n" and "\r" end a line as "\n" does; other characters that
     # str.splitlines() breaks at (here \x0c) do not
-    lines = ["# nodes 3", "0 1 0.5", "1 2 0.25"]
+    lines = ["# nodes 3", "0 1", "1 2"]
     path = tmp_path / "g.edges"
     path.write_bytes(end.join(lines).encode("ascii") + end.encode("ascii"))
     back = read_edge_list(str(path))
     np.testing.assert_array_equal(back.edges, [[0, 1], [1, 2]])
-    np.testing.assert_array_equal(back.weights, [0.5, 0.25])
-    path.write_bytes(end.join(["# nodes 3", "0 1 0.5\x0c1 2 0.25"]).encode("ascii"))
+    path.write_bytes(end.join(["# nodes 3", "0 1\x0c1 2"]).encode("ascii"))
     with pytest.raises(GraphError, match=re.escape(f"{path}:2: malformed edge line")):
         read_edge_list(str(path))
 
