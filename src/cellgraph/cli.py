@@ -1,9 +1,9 @@
 """Command-line entry point for the pipeline stages.
 
-Global flags (--seed, --config, --out) come before the subcommand and
-override the matching values in any loaded config file. Exit codes: 0 on
-success, 1 on stage errors (structured message on stderr), 2 on usage
-errors.
+--seed and --config come before the subcommand, --out after it. --seed
+overrides the ``seed`` of the --config file; a stage given a flag it does not
+read exits 1. Exit codes: 0 on success, 1 on stage errors (structured
+message on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -45,19 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cellgraph",
         description="Cell classification pipeline: synthesize, extract, embed, train, compare.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="global seed, overrides config files")
-    parser.add_argument("--config", default=None, help="config file for the chosen stage")
-    parser.add_argument("--out", default=None, help="output path, overrides stage flag")
+    parser.add_argument("--seed", type=int, default=None, help="seed of the stage, overrides its config's seed")
+    parser.add_argument("--config", default=None, help="JSON config of the stage")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--config", dest="stage_config", default=None, help="synth config JSON")
-    p.add_argument("--out", dest="stage_out", default=None, help="output dataset directory")
+    p.add_argument("--out", required=True, help="output dataset directory")
 
     p = sub.add_parser("extract", help="extract per-cell features from a dataset")
     p.add_argument("--data", required=True, help="dataset directory containing manifest.json")
     p.add_argument("--features", required=True, choices=["expression", "radiomics"])
-    p.add_argument("--out", dest="stage_out", default=None, help="output feature CSV")
+    p.add_argument("--out", default=None, help="output feature CSV (default: <features>.csv)")
 
     p = sub.add_parser("graph", help="build a cell graph from a feature table")
     p.add_argument("--features", required=True, help="feature CSV")
@@ -67,26 +65,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", default="euclidean", choices=["euclidean", "cosine"],
         help="distance for --kind feature; the spatial graph is always Euclidean on centroids",
     )
-    p.add_argument("--out", dest="stage_out", default=None, help="output edge list")
+    p.add_argument("--out", default="graph.edges", help="output edge list")
 
     p = sub.add_parser("reduce", help="reduce feature dimensionality")
     p.add_argument("--method", required=True, choices=["none", "pca", "tsne", "umap"])
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--in", dest="input", required=True, help="input feature CSV")
-    p.add_argument("--out", dest="stage_out", default=None, help="output embedding CSV")
+    p.add_argument("--out", default="embedding.csv", help="output embedding CSV")
 
     p = sub.add_parser("train", help="train the graph classifier")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--features", required=True, help="feature CSV")
     p.add_argument("--labels", required=True, help="labels CSV (feature-table schema)")
-    p.add_argument("--out", dest="stage_out", default=None, help="model checkpoint path")
+    p.add_argument("--out", default="grand.ckpt", help="model checkpoint path")
     p.add_argument("--history", default=None, help="optional training history CSV")
 
     p = sub.add_parser("baseline", help="train a tabular baseline")
     p.add_argument("--model", required=True, choices=["random_forest", "gradient_boosting"])
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--out", dest="stage_out", default=None, help="model file path")
+    p.add_argument("--out", default=None, help="model file path (default: <model>.bin)")
 
     p = sub.add_parser("evaluate", help="score a trained model on the test split of its training seed")
     p.add_argument("--model", required=True, help="model file")
@@ -94,17 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--graph", default=None, help="edge list (required for graph models)")
     p.add_argument("--predictions", default=None, help="optional per-cell prediction CSV")
-    p.add_argument("--out", dest="stage_out", default=None, help="metrics JSON path")
+    p.add_argument("--out", default="metrics.json", help="metrics JSON path")
 
     p = sub.add_parser("experiment", help="run the full comparison matrix")
-    p.add_argument("--config", dest="stage_config", default=None, help="experiment config JSON")
     p.add_argument("--data", default=None, help="dataset directory, overrides config")
     p.add_argument("--threads", type=int, default=None, help="checked, then unused: the experiment runs on one thread")
-    p.add_argument("--out", dest="stage_out", default=None, help="output report directory")
+    p.add_argument("--out", default="experiment_out", help="output report directory")
 
     p = sub.add_parser("report", help="render a report to CSV and SVG charts")
     p.add_argument("--report", required=True, help="report.json path")
-    p.add_argument("--out", dest="stage_out", default=None, help="output directory")
+    p.add_argument("--out", default="report_out", help="output directory")
 
     return parser
 
@@ -114,13 +111,6 @@ def _load_json(path: str) -> dict:
     if not isinstance(raw, dict):
         raise StageError(f"{path}: expected a JSON object of config keys, got {type(raw).__name__}")
     return raw
-
-
-def _resolve_out(args, default: str | None = None) -> str:
-    out = args.out or getattr(args, "stage_out", None) or default
-    if out is None:
-        raise StageError("no output path given (use --out)")
-    return out
 
 
 def _load_table_sorted(path: str) -> ds.CellTable:
@@ -158,12 +148,19 @@ def _model_inputs(args, seed: int, grand: bool):
     return table, y, masks, Z, normalize_adjacency(graph)
 
 
-def _seeded_config(args, path: str | None) -> dict:
-    """The stage config at ``path`` (empty without one), with ``--seed`` applied."""
-    raw = _load_json(path) if path else {}
+def _settings(args) -> dict:
+    """The ``--config`` JSON object (empty without one), with ``--seed`` as its seed."""
+    raw = _load_json(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
     return raw
+
+
+# the global flags each stage reads; main refuses the others before the stage runs
+_GLOBAL_FLAGS = {
+    **dict.fromkeys(("synth", "reduce", "train", "baseline", "experiment"), ("seed", "config")),
+    "extract --features radiomics": ("config",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +168,15 @@ def _seeded_config(args, path: str | None) -> dict:
 
 
 def _cmd_synth(args) -> None:
-    config = SynthConfig.from_dict(_seeded_config(args, args.stage_config or args.config))
-    out = _resolve_out(args)
-    generate_synthetic_dataset(config, out)
-    print(f"wrote synthetic dataset to {out}")
+    config = SynthConfig.from_dict(_settings(args))
+    generate_synthetic_dataset(config, args.out)
+    print(f"wrote synthetic dataset to {args.out}")
 
 
 def _cmd_extract(args) -> None:
     data = ds.load_dataset(os.path.join(args.data, "manifest.json"))
-    # the config file holds radiomics settings; expression extraction ignores it
-    radiomics = _load_json(args.config) if args.config and args.features == "radiomics" else {}
-    table = extract_features(data, args.features, radiomics)
-    out = _resolve_out(args, default=f"{args.features}.csv")
+    table = extract_features(data, args.features, _settings(args))
+    out = args.out or f"{args.features}.csv"
     ds.write_feature_csv(out, table)
     print(f"wrote {len(table)} cells x {len(table.feature_names)} features to {out}")
 
@@ -192,39 +186,34 @@ def _cmd_graph(args) -> None:
         raise StageError(f"--metric {args.metric} applies to --kind feature only, not --kind spatial")
     table = _load_table_sorted(args.features)
     graph = build_cell_graph(args.kind, table.features, table, args.k, metric=args.metric)
-    out = _resolve_out(args, default="graph.edges")
-    write_edge_list(out, graph)
-    print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {out}")
+    write_edge_list(args.out, graph)
+    print(f"wrote graph with {graph.n_nodes} nodes, {graph.n_edges} edges to {args.out}")
 
 
 def _cmd_reduce(args) -> None:
     table = _load_table_sorted(args.input)
-    seed = args.seed if args.seed is not None else 0
-    kwargs = _load_json(args.config) if args.config else {}
-    emb = reduce_features(table.features, args.method, args.dim, seed=seed, **kwargs)
+    emb = reduce_features(table.features, args.method, args.dim, **_settings(args))
     out_table = replace(table, features=emb.Y, feature_names=[f"{args.method}_{i}" for i in range(emb.Y.shape[1])])
-    out = _resolve_out(args, default="embedding.csv")
-    ds.write_feature_csv(out, out_table)
-    print(f"wrote {emb.Y.shape[0]}x{emb.Y.shape[1]} embedding to {out}")
+    ds.write_feature_csv(args.out, out_table)
+    print(f"wrote {emb.Y.shape[0]}x{emb.Y.shape[1]} embedding to {args.out}")
 
 
 def _cmd_train(args) -> None:
-    config = GrandConfig.from_dict(_seeded_config(args, args.config))
+    config = GrandConfig.from_dict(_settings(args))
     _, y, masks, Z, adj = _model_inputs(args, config.seed, grand=True)
     model, probs = fit_model(config, Z, y, masks, adj)
-    out = _resolve_out(args, default="grand.ckpt")
-    save_checkpoint(out, model)
+    save_checkpoint(args.out, model)
     if args.history:
         save_history_csv(args.history, model)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
-    print(f"saved checkpoint to {out}; test f1 {metrics.f1:.4f}")
+    print(f"saved checkpoint to {args.out}; test f1 {metrics.f1:.4f}")
 
 
 def _cmd_baseline(args) -> None:
-    config = MODEL_CONFIGS[args.model][1].from_dict(_seeded_config(args, args.config))
+    config = MODEL_CONFIGS[args.model][1].from_dict(_settings(args))
     _, y, masks, X, _ = _model_inputs(args, config.seed, grand=False)
     model, probs = fit_model(config, X, y, masks)
-    out = _resolve_out(args, default=f"{args.model}.bin")
+    out = args.out or f"{args.model}.bin"
     save_model(out, model)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     print(f"saved model to {out}; test f1 {metrics.f1:.4f}")
@@ -235,12 +224,13 @@ def _cmd_evaluate(args) -> None:
     grand = payload["kind"] == "grand"
     if grand and not args.graph:
         raise StageError("graph models need --graph for evaluation")
+    if not grand and args.graph:
+        raise StageError(f"a {payload['kind']} model reads no --graph")
     model = decode_checkpoint(payload, args.model) if grand else decode_model(payload, args.model)
     table, y, masks, X, adj = _model_inputs(args, model.config.seed, grand)
     probs = predict_model(model, X, adj)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
-    out = _resolve_out(args, default="metrics.json")
-    ds.write_json(out, metrics.to_dict())
+    ds.write_json(args.out, metrics.to_dict())
     if args.predictions:
         lines = ["cell_id,sample_id,prob_healthy,prob_tumor,predicted"]
         for i in range(len(table)):
@@ -250,27 +240,25 @@ def _cmd_evaluate(args) -> None:
                 f"{int(probs[i, 1] >= 0.5)}"
             )
         ds.write_lines(args.predictions, lines)
-    print(f"wrote metrics to {out}")
+    print(f"wrote metrics to {args.out}")
 
 
 def _cmd_experiment(args) -> None:
-    raw = _seeded_config(args, args.stage_config or args.config)
+    raw = _settings(args)
     if args.data is not None:
         raw["data_dir"] = args.data
     if args.threads is not None:
         raw["threads"] = args.threads
     config = ExperimentConfig.from_dict(raw)
-    out = _resolve_out(args, default="experiment_out")
-    report = run_experiment(config, out)
+    report = run_experiment(config, args.out)
     n_ok = sum(1 for c in report.cells.values() if c["status"] == "ok")
-    print(f"experiment complete: {n_ok}/{len(report.cells)} cells ok; report in {out}")
+    print(f"experiment complete: {n_ok}/{len(report.cells)} cells ok; report in {args.out}")
 
 
 def _cmd_report(args) -> None:
     report = load_report(args.report)
-    out = _resolve_out(args, default="report_out")
-    os.makedirs(out, exist_ok=True)
-    write_table_csv(os.path.join(out, "table1.csv"), report)
+    os.makedirs(args.out, exist_ok=True)
+    write_table_csv(os.path.join(args.out, "table1.csv"), report)
     for metric in METRIC_NAMES:
         bars = []
         for key in sorted(report.cells):
@@ -278,8 +266,8 @@ def _cmd_report(args) -> None:
             if outcome["status"] == "ok" and outcome["metrics"].get(metric) is not None:
                 bars.append((key, outcome["metrics"][metric]))
         svg = bar_chart_svg(f"{metric} by pipeline cell", bars)
-        ds.write_bytes(os.path.join(out, f"{metric}.svg"), svg.encode("ascii"))
-    print(f"wrote table and {len(METRIC_NAMES)} charts to {out}")
+        ds.write_bytes(os.path.join(args.out, f"{metric}.svg"), svg.encode("ascii"))
+    print(f"wrote table and {len(METRIC_NAMES)} charts to {args.out}")
 
 
 _COMMANDS = {
@@ -304,6 +292,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        stage = f"extract --features {args.features}" if args.command == "extract" else args.command
+        for flag in ("seed", "config"):
+            if getattr(args, flag) is not None and flag not in _GLOBAL_FLAGS.get(stage, ()):
+                raise StageError(f"{stage} reads no --{flag}")
         _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - stage failures map to exit 1
         print(f"error: {args.command}: {exc}", file=sys.stderr)

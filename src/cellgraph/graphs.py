@@ -182,13 +182,21 @@ def spatial_knn_graph(centroids: np.ndarray, sample_ids: list, k: int) -> CellGr
     return CellGraph(n_nodes=n, edges=np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.int64))
 
 
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """``codes`` sorted with repeats dropped: ``np.unique`` by one sort and a mask."""
+    codes = np.sort(codes)
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first]
+
+
 def edge_homophily(g: CellGraph, labels: np.ndarray, mask: np.ndarray) -> tuple:
     """(undirected edge count, share of the undirected edges with both ends
     in ``mask`` that join nodes of equal ``labels``; nan without such edges).
 
     An undirected edge is a node pair joined in either direction.
     """
-    codes = np.unique(g.edges.min(axis=1) * g.n_nodes + g.edges.max(axis=1))
+    codes = _sorted_distinct(g.edges.min(axis=1) * g.n_nodes + g.edges.max(axis=1))
     a, b = np.divmod(codes, g.n_nodes)
     inside = mask[a] & mask[b]
     same = labels[a[inside]] == labels[b[inside]]
@@ -208,10 +216,8 @@ def normalize_adjacency(g: CellGraph) -> sp.csr_matrix:
     loops = np.arange(n, dtype=np.int64)
     # each stored direction, its reverse and a self-loop as (row * n + col)
     # codes, sorted once with repeats dropped
-    codes = np.sort(np.concatenate((src * n + dst, dst * n + src, loops * (n + 1))))
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    rows, cols = np.divmod(codes[first], n)
+    codes = _sorted_distinct(np.concatenate((src * n + dst, dst * n + src, loops * (n + 1))))
+    rows, cols = np.divmod(codes, n)
     # the row sums of A + I are entry counts, exact in any summation order
     degrees = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)

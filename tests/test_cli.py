@@ -34,10 +34,10 @@ def workdir(tmp_path_factory):
 
 
 def test_parse_synth_command():
-    args = build_parser().parse_args(["synth", "--config", "s.json", "--out", "d/"])
+    args = build_parser().parse_args(["--config", "s.json", "synth", "--out", "d/"])
     assert args.command == "synth"
-    assert args.stage_config == "s.json"
-    assert args.stage_out == "d/"
+    assert args.config == "s.json"
+    assert args.out == "d/"
 
 
 def test_missing_required_flag_names_it_and_exits_2(capsys):
@@ -51,6 +51,22 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["synth", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "d", "synth"],  # --out goes after the subcommand
+    ["synth"],  # the one stage without a default output path
+    ["--out", "x.csv", "extract", "--data", "d", "--features", "expression"],
+    ["synth", "--config", "s.json", "--out", "d"],  # --config goes before it
+    ["experiment", "--config", "e.json", "--out", "r"],
+])
+def test_out_before_or_config_after_the_subcommand_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: cellgraph" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_help_exits_0(capsys):
@@ -73,7 +89,7 @@ def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
     config.write_text(json.dumps({"n_samples": 1, "n_melanoma": 0, "cells_per_sample": 4, "image_size": 32,
                                   "n_channels": 2}))
     for out in ("a", "b"):
-        assert main(["synth", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        assert main(["--config", str(config), "synth", "--out", str(tmp_path / out)]) == 0
     assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
     assert main(["--seed", "-1", "reduce", "--method", "pca", "--in", "missing.csv", "--out", "x.csv"]) == 1
     assert "error: reduce:" in capsys.readouterr().err
@@ -87,7 +103,7 @@ def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
 def test_synth_bad_config_value_exits_1_naming_key(tmp_path, capsys, key, value):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"n_samples": 2, "n_melanoma": 0, key: value}))
-    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 1
+    assert main(["--config", str(config), "synth", "--out", str(tmp_path / "data")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: synth: ") and key in err
     assert not (tmp_path / "data").exists()
@@ -102,7 +118,7 @@ def test_extract_missing_directory_exits_1(tmp_path, capsys):
 
 def test_chain_synth_extract_experiment(workdir):
     data = str(workdir / "data")
-    assert main(["synth", "--config", str(workdir / "synth.json"), "--out", data]) == 0
+    assert main(["--config", str(workdir / "synth.json"), "synth", "--out", data]) == 0
     assert os.path.isfile(os.path.join(data, "manifest.json"))
 
     features = str(workdir / "expr.csv")
@@ -111,7 +127,7 @@ def test_chain_synth_extract_experiment(workdir):
 
     out = str(workdir / "expout")
     assert main([
-        "--seed", "7", "experiment", "--config", str(workdir / "exp.json"), "--data", data, "--out", out,
+        "--seed", "7", "--config", str(workdir / "exp.json"), "experiment", "--data", data, "--out", out,
     ]) == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["seed"] == 7  # global flag propagated into the snapshot
@@ -249,6 +265,59 @@ def test_config_file_that_is_not_an_object_exits_1_naming_path(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage[0]}: {config}: expected a JSON object of config keys, got ")
     assert not out.exists()
+
+
+_UNREAD_FLAG_STAGES = {
+    "extract --features expression": ["extract", "--data", "{missing}", "--features", "expression"],
+    "extract --features radiomics": ["extract", "--data", "{missing}", "--features", "radiomics"],
+    "graph": ["graph", "--features", "{missing}", "--kind", "feature"],
+    "evaluate": ["evaluate", "--model", "{missing}", "--features", "{missing}", "--labels", "{missing}"],
+    "report": ["report", "--report", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("stage, flag", [
+    ("extract --features expression", "config"),
+    ("graph", "config"),
+    ("evaluate", "config"),
+    ("report", "config"),
+    ("extract --features expression", "seed"),
+    ("extract --features radiomics", "seed"),
+    ("graph", "seed"),
+    ("evaluate", "seed"),
+    ("report", "seed"),
+])
+def test_stage_refuses_a_global_flag_it_does_not_read(tmp_path, capsys, stage, flag):
+    # every input path is missing: the flag is refused before the stage opens
+    # a file, where it was once dropped without a word
+    missing, out = str(tmp_path / "missing"), tmp_path / "out"
+    value = "3" if flag == "seed" else missing
+    argv = [f"--{flag}", value] + [a.format(missing=missing) for a in _UNREAD_FLAG_STAGES[stage]]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {stage.split()[0]}: {stage} reads no --{flag}\n"
+    assert not out.exists()
+
+
+def test_reduce_reads_the_seed_of_its_config(tmp_path):
+    # a config seed once failed with "got multiple values for keyword argument 'seed'"
+    features, config = tmp_path / "features.csv", tmp_path / "umap.json"
+    _twelve_column_table(features, 30)
+    config.write_text(json.dumps({"n_neighbors": 5, "n_epochs": 20, "seed": 3}))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"n_neighbors": 5, "n_epochs": 20}))
+    runs = {
+        "config_seed": ["--config", str(config)],
+        "flag_3": ["--seed", "3", "--config", str(plain)],
+        "flag_4": ["--seed", "4", "--config", str(plain)],
+        "flag_4_over_config": ["--seed", "4", "--config", str(config)],
+    }
+    for name, flags in runs.items():
+        argv = flags + ["reduce", "--method", "umap", "--dim", "2", "--in", str(features)]
+        assert main(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    out = {name: (tmp_path / f"{name}.csv").read_bytes() for name in runs}
+    assert out["config_seed"] == out["flag_3"]
+    assert out["flag_4_over_config"] == out["flag_4"]
+    assert out["flag_3"] != out["flag_4"]
 
 
 @pytest.mark.parametrize("method", ["none", "pca"])
@@ -450,7 +519,7 @@ def test_experiment_rerun_byte_identical(workdir):
     a, b = str(workdir / "outA"), str(workdir / "outB")
     for out in (a, b):
         assert main([
-            "--seed", "21", "experiment", "--config", str(workdir / "exp.json"),
+            "--seed", "21", "--config", str(workdir / "exp.json"), "experiment",
             "--data", data, "--out", out,
         ]) == 0
     assert open(os.path.join(a, "report.json"), "rb").read() == open(os.path.join(b, "report.json"), "rb").read()
@@ -645,7 +714,7 @@ def replay_inputs(tmp_path_factory):
     (root / "synth.json").write_text(json.dumps(synth))
     (root / "grand.json").write_text(json.dumps({"prop_order": 2, "max_epochs": 40}))
     data, features, graph = str(root / "data"), str(root / "expr.csv"), str(root / "g.edges")
-    assert main(["synth", "--config", str(root / "synth.json"), "--out", data]) == 0
+    assert main(["--config", str(root / "synth.json"), "synth", "--out", data]) == 0
     assert main(["extract", "--data", data, "--features", "expression", "--out", features]) == 0
     assert main(["graph", "--features", features, "--kind", "feature", "--k", "5", "--out", graph]) == 0
     return root, features, graph
@@ -691,6 +760,30 @@ def test_evaluate_replays_train(replay_inputs, kind, monkeypatch, capsys):
     scored = json.loads(open(metrics).read())
     assert scored == seen["metrics"][0].to_dict()  # train's test-split metrics
     assert f"test f1 {scored['f1']:.4f}" in printed
+
+
+def test_evaluate_reads_graph_for_graph_models_only(replay_inputs, tmp_path, capsys):
+    root, features, graph = replay_inputs
+    (tmp_path / "grand.json").write_text(json.dumps({"max_epochs": 2}))
+    inputs = ["--features", features, "--labels", features]
+    trains = {
+        "grand": ["--config", str(tmp_path / "grand.json"), "train", "--graph", graph],
+        "forest": ["baseline", "--model", "random_forest"],
+        "boost": ["baseline", "--model", "gradient_boosting"],
+    }
+    for kind, train in trains.items():
+        model, metrics = str(tmp_path / f"{kind}.model"), tmp_path / f"{kind}_metrics.json"
+        assert main(train + inputs + ["--out", model]) == 0
+        capsys.readouterr()
+        evaluate = ["evaluate", "--model", model, *inputs, "--out", str(metrics)]
+        if kind == "grand":
+            assert main(evaluate) == 1
+            assert capsys.readouterr().err == "error: evaluate: graph models need --graph for evaluation\n"
+        else:
+            # the graph was never opened, so a missing path once exited 0
+            assert main(evaluate + ["--graph", str(tmp_path / "missing.edges")]) == 1
+            assert capsys.readouterr().err == f"error: evaluate: a {kind} model reads no --graph\n"
+        assert not metrics.exists()
 
 
 def test_evaluate_non_model_file_exits_1_naming_path(tmp_path, capsys):

@@ -118,6 +118,26 @@ def test_edge_homophily_hand_computed():
     assert np.isnan(edge_homophily(g, labels, np.eye(5, dtype=bool)[0])[1])
 
 
+@pytest.mark.parametrize("n, m", [(1, 0), (6, 0), (6, 40), (30, 20), (200, 1000)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_edge_codes_match_the_np_unique_oracle(n, m, seed):
+    # edge_homophily's undirected codes once came from np.unique; the sort
+    # and mask must give the same codes and so the same homophily
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, size=(m, 2))
+    g = CellGraph(n, edges[edges[:, 0] != edges[:, 1]])
+    codes = g.edges.min(axis=1) * n + g.edges.max(axis=1)
+    got, want = graphs._sorted_distinct(codes), np.unique(codes)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    labels, mask = rng.integers(0, 2, size=n), rng.random(n) < 0.7
+    a, b = np.divmod(want, n)
+    inside = mask[a] & mask[b]
+    same = labels[a[inside]] == labels[b[inside]]
+    count, share = edge_homophily(g, labels, mask)
+    assert count == len(want)
+    np.testing.assert_equal(share, same.mean() if len(same) else np.nan)
+
+
 def test_normalize_two_nodes():
     g = CellGraph(n_nodes=2, edges=np.array([[0, 1]]))
     dense = normalize_adjacency(g).toarray()
