@@ -2,8 +2,10 @@
 
 --seed and --config come before the subcommand, --out after it. --seed
 overrides the ``seed`` of the --config file; a stage given a flag it does not
-read exits 1. Exit codes: 0 on success, 1 on stage errors (structured
-message on stderr), 2 on usage errors.
+read exits 1. ``reduce`` splits its table by its own labels and
+standardises it with the train rows, as the experiment does, and the model
+stages read their features as given. Exit codes: 0 on success, 1 on stage
+errors (structured message on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataset as ds
-from .dimred import reduce_features
 from .experiment import (
     MODEL_CONFIGS,
     ExperimentConfig,
@@ -25,12 +26,14 @@ from .experiment import (
     fit_model,
     load_report,
     predict_model,
+    reduce_with_notes,
     run_experiment,
+    split_and_standardize,
     write_table_csv,
 )
 from .grand import GrandConfig, decode_checkpoint, save_checkpoint, save_history_csv
 from .graphs import build_cell_graph, normalize_adjacency, read_edge_list, write_edge_list
-from .harness import METRIC_NAMES, compute_metrics, standardize_features, stratified_split
+from .harness import METRIC_NAMES, compute_metrics, stratified_split
 from .plots import bar_chart_svg
 from .synth import SynthConfig, generate_synthetic_dataset
 from .trees import decode_model, save_model
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="graph.edges", help="output edge list")
 
-    p = sub.add_parser("reduce", help="reduce feature dimensionality")
+    p = sub.add_parser("reduce", help="standardise a feature table with its split, then reduce it")
     p.add_argument("--method", required=True, choices=["none", "pca", "tsne", "umap"])
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--in", dest="input", required=True, help="input feature CSV")
@@ -118,15 +121,15 @@ def _load_table_sorted(path: str) -> ds.CellTable:
 
 
 def _model_inputs(args, seed: int, grand: bool):
-    """(table, y, masks, X, adj) for train, baseline and evaluate.
+    """(table, y, masks, adj) for train, baseline and evaluate.
 
     Labels come from the features table itself when ``--labels`` names the
     same file; otherwise only the key and label columns of ``--labels`` are
     read, and a cell it does not list is unlabeled. The split comes from the
-    model's seed. A GRAND model reads its features standardised with the
-    train rows of that split and the normalized adjacency of ``--graph``
-    (``adj`` is None otherwise), so evaluate replays what train saw. The
-    graph must record the keys digest of the table's rows, in order.
+    model's seed. Every model reads the table's features as given; a GRAND
+    model also reads the normalized adjacency ``adj`` of ``--graph`` (None
+    otherwise), whose recorded keys digest must be that of the table's rows,
+    in order.
     """
     table = _load_table_sorted(args.features)
     if os.path.realpath(args.labels) == os.path.realpath(args.features):
@@ -136,8 +139,7 @@ def _model_inputs(args, seed: int, grand: bool):
         y = np.array([by_key.get(key, -1) for key in table.keys()], dtype=np.int64)
     masks = stratified_split(y, seed=seed)
     if not grand:
-        return table, y, masks, table.features, None
-    Z = standardize_features(table.features, masks.train)[0]
+        return table, y, masks, None
     graph = read_edge_list(args.graph)
     if graph.n_nodes != len(table):
         raise StageError(f"graph has {graph.n_nodes} nodes but feature table has {len(table)} rows")
@@ -145,7 +147,7 @@ def _model_inputs(args, seed: int, grand: bool):
         raise StageError(f"graph {args.graph} records no cell keys; rebuild it from {args.features} with `graph`")
     if graph.keys_sha256 != ds.keys_digest(table.keys()):
         raise StageError(f"graph {args.graph} was built on other cells than the rows of {args.features}")
-    return table, y, masks, Z, normalize_adjacency(graph)
+    return table, y, masks, normalize_adjacency(graph)
 
 
 def _settings(args) -> dict:
@@ -192,16 +194,18 @@ def _cmd_graph(args) -> None:
 
 def _cmd_reduce(args) -> None:
     table = _load_table_sorted(args.input)
-    emb = reduce_features(table.features, args.method, args.dim, **_settings(args))
-    out_table = replace(table, features=emb.Y, feature_names=[f"{args.method}_{i}" for i in range(emb.Y.shape[1])])
-    ds.write_feature_csv(args.out, out_table)
-    print(f"wrote {emb.Y.shape[0]}x{emb.Y.shape[1]} embedding to {args.out}")
+    settings = _settings(args)
+    seed = settings.pop("seed", 0)
+    Y = reduce_with_notes(split_and_standardize(table, seed)[1], args.method, args.dim, seed, settings)[0]
+    names = table.feature_names if args.method == "none" else [f"{args.method}_{i}" for i in range(Y.shape[1])]
+    ds.write_feature_csv(args.out, replace(table, features=Y, feature_names=names))
+    print(f"wrote {Y.shape[0]}x{Y.shape[1]} embedding to {args.out}")
 
 
 def _cmd_train(args) -> None:
     config = GrandConfig.from_dict(_settings(args))
-    _, y, masks, Z, adj = _model_inputs(args, config.seed, grand=True)
-    model, probs = fit_model(config, Z, y, masks, adj)
+    table, y, masks, adj = _model_inputs(args, config.seed, grand=True)
+    model, probs = fit_model(config, table.features, y, masks, adj)
     save_checkpoint(args.out, model)
     if args.history:
         save_history_csv(args.history, model)
@@ -211,8 +215,8 @@ def _cmd_train(args) -> None:
 
 def _cmd_baseline(args) -> None:
     config = MODEL_CONFIGS[args.model][1].from_dict(_settings(args))
-    _, y, masks, X, _ = _model_inputs(args, config.seed, grand=False)
-    model, probs = fit_model(config, X, y, masks)
+    table, y, masks, _ = _model_inputs(args, config.seed, grand=False)
+    model, probs = fit_model(config, table.features, y, masks)
     out = args.out or f"{args.model}.bin"
     save_model(out, model)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
@@ -227,8 +231,8 @@ def _cmd_evaluate(args) -> None:
     if not grand and args.graph:
         raise StageError(f"a {payload['kind']} model reads no --graph")
     model = decode_checkpoint(payload, args.model) if grand else decode_model(payload, args.model)
-    table, y, masks, X, adj = _model_inputs(args, model.config.seed, grand)
-    probs = predict_model(model, X, adj)
+    table, y, masks, adj = _model_inputs(args, model.config.seed, grand)
+    probs = predict_model(model, table.features, adj)
     metrics = compute_metrics(y[masks.test], probs[masks.test])
     ds.write_json(args.out, metrics.to_dict())
     if args.predictions:

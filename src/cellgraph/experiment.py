@@ -140,13 +140,6 @@ def extract_features(data: ds.Dataset, feature_type: str, radiomics: dict) -> ds
     return ds.pool_tables(tables)
 
 
-def _make_split(table: ds.CellTable, config: ExperimentConfig) -> SplitMasks:
-    seed = derive_seed(config.seed, "split")
-    if config.split_by == "case":
-        return case_stratified_split(table.labels, table.sample_ids, seed=seed)
-    return stratified_split(table.labels, seed=seed)
-
-
 def _graph(kind: str, X: np.ndarray, table: ds.CellTable, masks: SplitMasks, k: int):
     """(log lines, normalized adjacency) of the ``kind`` cell graph over ``table``."""
     graph = build_cell_graph(kind, X, table, k)
@@ -195,22 +188,25 @@ def _run_model(model: str, table: ds.CellTable, X_red: np.ndarray, masks: SplitM
     return metrics.to_dict(), notes
 
 
+def split_and_standardize(table: ds.CellTable, seed: int, split_by: str = "cell"):
+    """(split masks, features standardized with the train rows) of ``table``, split by its own labels by
+    cell or by case; the experiment and the CLI's ``reduce`` both call it."""
+    masks = (case_stratified_split(table.labels, table.sample_ids, seed=seed) if split_by == "case"
+             else stratified_split(table.labels, seed=seed))
+    return masks, standardize_features(table.features, masks.train)[0]
+
+
 def _prepare_table(data: ds.Dataset, feature_type: str, config: ExperimentConfig):
     """(table, split masks, features standardized with the train rows) of one family."""
     table = extract_features(data, feature_type, config.radiomics)
-    masks = _make_split(table, config)
-    return table, masks, standardize_features(table.features, masks.train)[0]
+    return table, *split_and_standardize(table, derive_seed(config.seed, "split"), config.split_by)
 
 
-def _reduce(Z: np.ndarray, feature_type: str, reduction: str, config: ExperimentConfig):
-    """(reduced features, log lines of the reduction's diagnostics).
-
-    Only these leave the call, so t-SNE's n x n P is freed before any model
-    of the group runs.
+def reduce_with_notes(Z: np.ndarray, reduction: str, d: int, seed: int, settings: dict):
+    """(reduced features, log lines of the reduction's diagnostics); the experiment and the CLI's ``reduce`` both
+    call it. Only these leave the call, so t-SNE's n x n P is freed before any model of the group runs.
     """
-    kwargs = {"tsne": config.tsne, "umap": config.umap}.get(reduction, {})
-    seed = derive_seed(config.seed, f"reduce|{feature_type}|{reduction}")
-    emb = reduce_features(Z, reduction, config.reduce_dim, seed=seed, **kwargs)
+    emb = reduce_features(Z, reduction, d, seed=seed, **settings)
     notes = []
     if "explained_variance_ratio" in emb.diagnostics:
         notes.append(f"pca_explained_variance: {float(emb.diagnostics['explained_variance_ratio'].sum())}")
@@ -268,8 +264,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             spatial = _timed(timings, f"{ft}|spatial_graph", _graph, "spatial", table.centroids, table, masks,
                              config.k)
         for red in config.reductions:
-            reduced = prepared if table is None else _timed(timings, f"{ft}|{red}|reduce", _reduce, Z, ft, red,
-                                                            config)
+            reduced = prepared if table is None else _timed(
+                timings, f"{ft}|{red}|reduce", reduce_with_notes, Z, red, config.reduce_dim,
+                derive_seed(config.seed, f"reduce|{ft}|{red}"), {"tsne": config.tsne, "umap": config.umap}.get(red, {}))
             for model in config.models:
                 key = cell_key(ft, red, model)
                 inputs = (reduced, spatial) if model == "grand_spatial_graph" else (reduced,)

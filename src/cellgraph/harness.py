@@ -9,6 +9,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import check_field
+
 
 class HarnessError(Exception):
     pass
@@ -36,6 +38,10 @@ def _shuffle_and_cut(strata: np.ndarray, ratios, seed: int) -> np.ndarray:
     """
     if not math.isclose(sum(ratios), 1.0, abs_tol=1e-9):
         raise HarnessError("split ratios must sum to 1")
+    try:  # before numpy's own message for a seed it cannot take
+        check_field("seed", seed, int, 0)
+    except ValueError as exc:
+        raise HarnessError(str(exc)) from None
     rng = np.random.default_rng(seed)
     bucket = np.full(len(strata), -1)
     for s in np.unique(strata[strata >= 0]):
@@ -150,16 +156,19 @@ def compute_metrics(y_true, probabilities, threshold: float = 0.5) -> Metrics:
 def standardize_features(X: np.ndarray, train_mask: np.ndarray):
     """Z-score all rows using mean/std of the train rows only.
 
-    Returns (Z, mean, std). Zero-variance columns divide by 1. NaN entries
+    Returns (Z, mean, std). Zero-variance columns divide by 1, and a column
+    with no finite train entry keeps mean 0 and std 1. NaN entries
     (degenerate feature sentinels) become 0 after standardization, with a
     warning counting them; cells are never dropped.
     """
     X = np.asarray(X, dtype=np.float64)
     train_rows = X[np.asarray(train_mask, bool)]
     if len(train_rows) == 0:
-        raise HarnessError("empty train mask for standardization")
-    mean = np.nanmean(train_rows, axis=0)
-    std = np.nanstd(train_rows, axis=0)
+        raise HarnessError(f"empty train mask for standardization of a {X.shape[0]}x{X.shape[1]} table")
+    with warnings.catch_warnings():  # an all-NaN train column: "Mean of empty slice", "Degrees of freedom <= 0"
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean = np.nanmean(train_rows, axis=0)
+        std = np.nanstd(train_rows, axis=0)
     mean = np.where(np.isfinite(mean), mean, 0.0)
     std = np.where(np.isfinite(std) & (std > 0), std, 1.0)
     Z = (X - mean) / std

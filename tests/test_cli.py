@@ -10,6 +10,7 @@ from cellgraph.cli import build_parser, main
 from cellgraph.dataset import MODEL_MAGIC, read_feature_csv
 from cellgraph.dimred import reduce_features
 from cellgraph.graphs import knn_feature_graph, read_edge_list
+from cellgraph.harness import standardize_features, stratified_split
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,10 @@ def test_graph_reduce_train_evaluate(workdir):
     assert main(["reduce", "--method", "pca", "--dim", "2", "--in", features, "--out", reduced]) == 0
     assert os.path.isfile(reduced)
 
+    # train reads its features as given: `reduce --method none` standardises them
+    features = str(workdir / "expr_none.csv")
+    assert main(["--seed", "3", "reduce", "--method", "none", "--in", str(workdir / "expr.csv"),
+                 "--out", features]) == 0
     ckpt = str(workdir / "model.ckpt")
     hist = str(workdir / "hist.csv")
     assert main([
@@ -354,9 +359,9 @@ def test_train_and_evaluate_refuse_a_graph_of_other_cells(tmp_path, capsys):
     for name, n_samples, cells in (("a", 2, 20), ("b", 4, 10)):
         generate_synthetic_dataset(SynthConfig(n_samples=n_samples, n_melanoma=1, cells_per_sample=cells,
                                                image_size=96, n_channels=2, seed=5), str(tmp_path / name))
-        features[name] = str(tmp_path / f"{name}.csv")
-        assert main(["extract", "--data", str(tmp_path / name), "--features", "expression",
-                     "--out", features[name]]) == 0
+        extracted, features[name] = str(tmp_path / f"{name}.csv"), str(tmp_path / f"{name}_none.csv")
+        assert main(["extract", "--data", str(tmp_path / name), "--features", "expression", "--out", extracted]) == 0
+        assert main(["reduce", "--method", "none", "--in", extracted, "--out", features[name]]) == 0
     graph, config, ckpt = str(tmp_path / "a.edges"), tmp_path / "grand.json", str(tmp_path / "m.ckpt")
     config.write_text(json.dumps({"max_epochs": 5}))
     assert main(["graph", "--features", features["a"], "--kind", "spatial", "--k", "3", "--out", graph]) == 0
@@ -460,10 +465,10 @@ def test_reduce_idempotent(workdir):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def _twelve_column_table(path, n):
+def _twelve_column_table(path, n, label=lambda i: i % 2):
     rng = np.random.default_rng(n)
     rows = ["cell_id,sample_id,cx,cy,label," + ",".join(f"f{j}" for j in range(12))]
-    rows += [f"{i},s01,{i}.0,0.0,{i % 2}," + ",".join(map(repr, rng.normal(size=12).tolist()))
+    rows += [f"{i},s01,{i}.0,0.0,{label(i)}," + ",".join(map(repr, rng.normal(size=12).tolist()))
              for i in range(1, n + 1)]
     path.write_text("\n".join(rows) + "\n")
 
@@ -478,9 +483,10 @@ def test_reduce_at_the_default_dim_caps_the_width_as_the_experiment_does(tmp_pat
     config.write_text(json.dumps(kwargs))
     flags = ["--config", str(config)] if kwargs else []
     assert main(flags + ["reduce", "--method", method, "--in", str(features), "--out", str(out)]) == 0
-    reduced = read_feature_csv(str(out))
+    reduced, table = read_feature_csv(str(out)), read_feature_csv(str(features))
     assert reduced.feature_names == [f"{method}_{i}" for i in range(min(16, 12, n - 1))]
-    want = reduce_features(read_feature_csv(str(features)).features, method, 16, seed=0, **kwargs).Y
+    Z = standardize_features(table.features, stratified_split(table.labels, seed=0).train)[0]
+    want = reduce_features(Z, method, 16, seed=0, **kwargs).Y
     assert reduced.features.tobytes() == want.tobytes()
 
 
@@ -493,14 +499,129 @@ def test_reduce_below_one_dimension_exits_1_naming_d(tmp_path, capsys, method):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("method", ["pca", "tsne", "umap"])
-def test_reduce_one_row_table_exits_1_naming_dim_and_shape(tmp_path, capsys, method):
+@pytest.mark.parametrize("method", ["none", "pca", "tsne", "umap"])
+def test_reduce_table_too_small_to_split_exits_1_naming_its_shape(tmp_path, capsys, method):
+    # the split comes before the reduction: one cell leaves no train row to standardise with
     features, out = tmp_path / "features.csv", tmp_path / "red.csv"
     _twelve_column_table(features, 1)
     assert main(["reduce", "--method", method, "--in", str(features), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: reduce: {method} cannot embed a 1x12 table in d=16: it needs at least 2 rows and 1 column\n"
+    assert capsys.readouterr().err == "error: reduce: empty train mask for standardization of a 1x12 table\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["none", "pca", "tsne", "umap"])
+def test_reduce_unlabelled_table_exits_1_naming_the_split(tmp_path, capsys, method):
+    # reduce splits by the table's own labels, as the experiment does; an
+    # unlabelled table was once reduced
+    features, out = tmp_path / "features.csv", tmp_path / "red.csv"
+    _twelve_column_table(features, 30, label=lambda i: -1)
+    assert main(["reduce", "--method", method, "--in", str(features), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: reduce: no labeled nodes to split\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, config", [
+    ("none", None), ("pca", None), ("tsne", {"perplexity": 5, "n_iters": 50}),
+    ("umap", {"n_neighbors": 5, "n_epochs": 20}),
+])
+def test_reduce_reads_the_seed_for_every_method(tmp_path, method, config):
+    # the seed picks the split that standardises the table; none, pca and
+    # t-SNE once dropped it
+    features, out = tmp_path / "features.csv", {}
+    _twelve_column_table(features, 30)
+    flags = []
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "c.json")]
+    for name, seed in (("3", "3"), ("3_again", "3"), ("4", "4")):
+        out[name] = tmp_path / f"{name}.csv"
+        argv = ["--seed", seed, *flags, "reduce", "--method", method, "--dim", "2", "--in", str(features)]
+        assert main(argv + ["--out", str(out[name])]) == 0
+    assert out["3"].read_bytes() == out["3_again"].read_bytes()
+    assert out["3"].read_bytes() != out["4"].read_bytes()
+
+
+def test_reduce_none_keeps_the_column_names(tmp_path):
+    # it once wrote none_0, none_1, ...; it prepares a table for baseline now
+    features, out = tmp_path / "features.csv", tmp_path / "none.csv"
+    _twelve_column_table(features, 30)
+    assert main(["reduce", "--method", "none", "--in", str(features), "--out", str(out)]) == 0
+    assert read_feature_csv(str(out)).feature_names == [f"f{j}" for j in range(12)]
+
+
+@pytest.mark.parametrize("method, config", [("none", {}), ("pca", {}), ("umap", {"n_neighbors": 5, "n_epochs": 20})])
+def test_reduce_imputes_a_degenerate_radiomics_cell_as_the_experiment_does(tiny_dataset_dir, tmp_path, method,
+                                                                          config):
+    # pca and umap once exited 1 on "input contains non-finite values", and
+    # none wrote the NaN on for graph and baseline to refuse
+    from cellgraph.dataset import write_feature_csv
+
+    extracted, features, out = tmp_path / "radiomics.csv", tmp_path / "nan.csv", tmp_path / "red.csv"
+    assert main(["extract", "--data", tiny_dataset_dir, "--features", "radiomics", "--out", str(extracted)]) == 0
+    table = read_feature_csv(str(extracted))
+    table.features[7, 3] = np.nan
+    write_feature_csv(str(features), table)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    flags = ["--config", str(tmp_path / "c.json")] if config else []
+    with pytest.warns(UserWarning, match="imputed 1 NaN feature entries"):
+        assert main(["--seed", "2", *flags, "reduce", "--method", method, "--in", str(features),
+                     "--out", str(out)]) == 0
+    got = read_feature_csv(str(out)).features
+    assert np.all(np.isfinite(got))
+    with pytest.warns(UserWarning, match="imputed 1 NaN feature entries"):
+        Z = standardize_features(table.features, stratified_split(table.labels, seed=2).train)[0]
+    assert got.tobytes() == reduce_features(Z, method, 16, seed=2, **config).Y.tobytes()
+
+
+def test_the_cli_chain_builds_the_experiment_cell(replay_inputs, tmp_path, monkeypatch):
+    # With every sub-seed the experiment derives set to one seed T, the
+    # README's stage-by-stage chain run with --seed T gives each cell's test
+    # metrics: both paths split, standardise and reduce in the same calls.
+    # The weak-signal set keeps both cells below F1 and ROC-AUC 1.
+    from cellgraph import experiment
+
+    seed, data = 2, str(replay_inputs[0] / "data")
+    monkeypatch.setattr(experiment, "derive_seed", lambda base, name: seed)
+    configs = {"grand": {"max_epochs": 20}, "forest": {"n_trees": 5}, "umap": {"n_neighbors": 5, "n_epochs": 20}}
+    for name, raw in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+    exp = experiment.ExperimentConfig(data_dir=data, feature_types=("radiomics",),
+                                      reductions=("none", "umap"), models=("grand_feature_graph", "random_forest"),
+                                      **configs)
+    report = experiment.run_experiment(exp, str(tmp_path / "results"))
+
+    def path(name):
+        return str(tmp_path / name)
+
+    def seeded(config):
+        return ["--seed", str(seed), "--config", path(f"{config}.json")]
+
+    labels = ["--labels", path("radiomics.csv")]
+    chains = {
+        "radiomics|umap|grand_feature_graph": [
+            seeded("umap") + ["reduce", "--method", "umap", "--in", path("radiomics.csv"), "--out", path("umap.csv")],
+            ["graph", "--features", path("umap.csv"), "--kind", "feature", "--k", "5", "--out", path("umap.edges")],
+            seeded("grand") + ["train", "--graph", path("umap.edges"), "--features", path("umap.csv"), *labels,
+                               "--out", path("grand.ckpt")],
+            ["evaluate", "--model", path("grand.ckpt"), "--graph", path("umap.edges"), "--features", path("umap.csv"),
+             *labels, "--out", path("grand_metrics.json")],
+        ],
+        "radiomics|none|random_forest": [
+            ["--seed", str(seed), "reduce", "--method", "none", "--in", path("radiomics.csv"),
+             "--out", path("none.csv")],
+            seeded("forest") + ["baseline", "--model", "random_forest", "--features", path("none.csv"), *labels,
+                                "--out", path("forest.bin")],
+            ["evaluate", "--model", path("forest.bin"), "--features", path("none.csv"), *labels,
+             "--out", path("forest_metrics.json")],
+        ],
+    }
+    assert main(["extract", "--data", data, "--features", "radiomics", "--out", path("radiomics.csv")]) == 0
+    for key, stages in chains.items():
+        for argv in stages:
+            assert main(argv) == 0, argv
+        metrics = report.cells[key]["metrics"]
+        assert metrics["f1"] < 1.0 and metrics["roc_auc"] < 1.0
+        assert json.loads(open(stages[-1][-1]).read()) == metrics
 
 
 @pytest.mark.parametrize("method", ["none", "pca", "tsne", "umap"])
@@ -649,8 +770,12 @@ def test_train_checkpoint_and_history_bytes_are_pinned(tiny_dataset_dir, tmp_pat
     ckpt, hist = str(tmp_path / "grand.ckpt"), str(tmp_path / "history.csv")
     assert main(["extract", "--data", tiny_dataset_dir, "--features", "expression", "--out", features]) == 0
     assert main(["graph", "--features", features, "--kind", "feature", "--k", "5", "--out", graph]) == 0
+    # `reduce --method none` at seed 0 writes the table train once standardised itself, bit for bit
+    standardised = str(tmp_path / "expression_none.csv")
+    assert main(["reduce", "--method", "none", "--in", features, "--out", standardised]) == 0
     assert main([
-        "train", "--graph", graph, "--features", features, "--labels", features, "--out", ckpt, "--history", hist,
+        "train", "--graph", graph, "--features", standardised, "--labels", standardised, "--out", ckpt,
+        "--history", hist,
     ]) == 0
     digests = [hashlib.sha256(open(path, "rb").read()).hexdigest() for path in (ckpt, hist)]
     assert digests == [
@@ -707,16 +832,19 @@ def test_graph_spatial_rejects_cosine_metric(tiny_dataset_dir, tmp_path, capsys)
 
 @pytest.fixture(scope="module")
 def replay_inputs(tmp_path_factory):
-    """3 samples x 60 cells with weak class signal, extracted and graphed."""
+    """3 samples x 60 cells with weak class signal, extracted, graphed and
+    standardised (`reduce --method none`)."""
     root = tmp_path_factory.mktemp("replay")
     synth = {"n_samples": 3, "n_melanoma": 2, "cells_per_sample": 60, "image_size": 120, "n_channels": 4,
              "intensity_separation": 0.8, "texture_contrast_separation": 0.25, "seed": 5}
     (root / "synth.json").write_text(json.dumps(synth))
     (root / "grand.json").write_text(json.dumps({"prop_order": 2, "max_epochs": 40}))
-    data, features, graph = str(root / "data"), str(root / "expr.csv"), str(root / "g.edges")
+    data, extracted, graph = str(root / "data"), str(root / "expr.csv"), str(root / "g.edges")
+    features = str(root / "expr_none.csv")
     assert main(["--config", str(root / "synth.json"), "synth", "--out", data]) == 0
-    assert main(["extract", "--data", data, "--features", "expression", "--out", features]) == 0
-    assert main(["graph", "--features", features, "--kind", "feature", "--k", "5", "--out", graph]) == 0
+    assert main(["extract", "--data", data, "--features", "expression", "--out", extracted]) == 0
+    assert main(["graph", "--features", extracted, "--kind", "feature", "--k", "5", "--out", graph]) == 0
+    assert main(["reduce", "--method", "none", "--in", extracted, "--out", features]) == 0
     return root, features, graph
 
 

@@ -14,15 +14,16 @@ from cellgraph.experiment import (
     ExperimentConfig,
     ExperimentError,
     ExperimentReport,
-    _make_split,
     cell_key,
     extract_features,
     load_report,
     run_experiment,
+    split_and_standardize,
     write_table_csv,
 )
 from cellgraph.grand import GrandConfig, GrandModel
 from cellgraph.harness import HarnessError, Metrics
+from cellgraph.rng import derive_seed
 from cellgraph.synth import SynthConfig, generate_synthetic_dataset
 from cellgraph.trees import BoostConfig, BoostModel, ForestConfig, ForestModel, TreeError
 
@@ -480,7 +481,7 @@ def test_spatial_graph_is_built_once_per_feature_table(small_data, tmp_path):
     data = load_dataset(os.path.join(small_data, "manifest.json"))
     for ft in ("expression", "radiomics"):
         table = extract_features(data, ft, {})
-        masks = _make_split(table, config)
+        masks = split_and_standardize(table, derive_seed(config.seed, "split"))[0]
         graph = graphs.build_cell_graph("spatial", table.features, table, config.k)
         n_edges, homophily = graphs.edge_homophily(graph, table.labels, masks.train)
         for red in config.reductions:
@@ -572,8 +573,8 @@ def test_model_failure_fails_only_its_own_cells(small_data, tmp_path):
 def test_fit_and_predict_pick_the_estimator_by_config_class(small_data):
     # the one path the experiment cells and the CLI's train, baseline and evaluate stages share
     table = extract_features(load_dataset(os.path.join(small_data, "manifest.json")), "expression", {})
-    masks = _make_split(table, ExperimentConfig())
-    X, y = experiment.standardize_features(table.features, masks.train)[0], table.labels
+    masks, X = split_and_standardize(table, derive_seed(ExperimentConfig().seed, "split"))
+    y = table.labels
     adj = graphs.normalize_adjacency(graphs.build_cell_graph("feature", X, table, 5))
     for config, model_type in ((GrandConfig(max_epochs=2, seed=1), GrandModel),
                                (ForestConfig(n_trees=3, seed=1), ForestModel),

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,16 @@ def test_split_same_seed_identical():
     np.testing.assert_array_equal(a.train, b.train)
     np.testing.assert_array_equal(a.val, b.val)
     np.testing.assert_array_equal(a.test, b.test)
+
+
+@pytest.mark.parametrize("seed, problem", [(-1, "must lie in [0, inf], got -1"), (1.5, "must be an integer, got 1.5")])
+def test_split_refuses_a_seed_before_it_draws(seed, problem):
+    # numpy's own "expected non-negative integer" once named no seed
+    labels = np.array([0, 1, 0, 1])
+    for split in (lambda: stratified_split(labels, seed=seed),
+                  lambda: case_stratified_split(labels, ["s1", "s1", "s2", "s2"], seed=seed)):
+        with pytest.raises(HarnessError, match=f"^{re.escape(f'seed {problem}')}$"):
+            split()
 
 
 def test_split_excludes_unlabeled():
@@ -289,3 +301,22 @@ def test_standardize_imputes_nan_with_warning():
         Z, _, _ = standardize_features(X, np.ones(8, dtype=bool))
     assert Z[3, 1] == 0.0
     assert np.all(np.isfinite(Z))
+
+
+def test_standardize_a_column_without_a_finite_train_entry_warns_only_of_the_imputation():
+    # numpy's "Mean of empty slice" and "Degrees of freedom <= 0" once came
+    # with it, and raise under -W error::RuntimeWarning
+    X = np.array([[np.nan, 1.0], [np.nan, 2.0], [3.0, 3.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Z, mean, std = standardize_features(X, np.array([True, True, False]))
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "standardization imputed 2 NaN feature entries with 0")]
+    np.testing.assert_array_equal(mean, [0.0, 1.5])
+    np.testing.assert_array_equal(std, [1.0, 0.5])
+    np.testing.assert_array_equal(Z, [[0.0, -1.0], [0.0, 1.0], [3.0, 3.0]])
+
+
+def test_standardize_without_train_rows_names_the_shape():
+    with pytest.raises(HarnessError, match="^empty train mask for standardization of a 3x2 table$"):
+        standardize_features(np.ones((3, 2)), np.zeros(3, dtype=bool))
