@@ -566,15 +566,14 @@ def write_feature_csv(path: str, table: CellTable) -> None:
     lines = ["cell_id,sample_id,cx,cy,label," + ",".join(table.feature_names)]
     if not table.feature_names:
         lines[0] = lines[0].rstrip(",")
-    for i in range(len(table)):
-        row = [
-            str(int(table.cell_ids[i])),
-            table.sample_ids[i],
-            format_float(table.centroids[i, 0]),
-            format_float(table.centroids[i, 1]),
-            str(int(table.labels[i])),
-        ] + [format_float(v) for v in table.features[i]]
-        lines.append(",".join(row))
+    # "%.17g" % x is format_float(x): one format string per row, not one call
+    # per value. Features are listed a row at a time; the whole table as
+    # Python floats would hold about 32 bytes per value at once.
+    row = "%d,%s,%.17g,%.17g,%d" + ",%.17g" * len(table.feature_names)
+    columns = zip(table.cell_ids.tolist(), table.sample_ids, table.centroids.tolist(), table.labels.tolist(),
+                  table.features)
+    lines += [row % (cell_id, sample_id, *centroid, label, *features.tolist())
+              for cell_id, sample_id, centroid, label, features in columns]
     write_lines(path, lines)
 
 

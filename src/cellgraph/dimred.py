@@ -463,7 +463,8 @@ def umap(X, d: int = 2, seed: int = 0, **params) -> Embedding:
 def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     """Dispatch helper used by the experiment and the CLI: 'none' passes ``X``
     through, every other method embeds an n x p ``X`` in min(d, p, n - 1)
-    dimensions. Only UMAP reads ``seed``; it is checked for every method."""
+    dimensions. Every method refuses a table with no columns. Only UMAP reads
+    ``seed``; it is checked for every method."""
     try:
         check_field("seed", seed, int, 0)
     except ValueError as exc:
@@ -471,6 +472,9 @@ def reduce_features(X, method: str, d: int, seed: int = 0, **kwargs):
     if method in ("none", "pca") and kwargs:
         raise DimRedError(f"reduction {method!r} takes no keyword arguments, got {', '.join(sorted(kwargs))}")
     if method == "none":
+        shape = np.shape(X)
+        if len(shape) == 2 and shape[1] == 0:
+            raise DimRedError(f"none cannot pass on a {shape[0]}x0 table: it needs at least 1 column")
         return Embedding(Y=np.asarray(X, dtype=np.float64).copy())
     if method not in ("pca", "tsne", "umap"):
         raise DimRedError(f"unknown reduction method {method!r}")

@@ -8,15 +8,20 @@ under global intensity shifts. Pair counting (GLCM) and run counting (GLRLM)
 are restricted to pixels inside the cell; a pair or run never crosses the
 cell boundary.
 
-The feature table does the pixel work for every cell of a channel at once.
-It writes one key map per channel, ``key = cell_rank * levels + bin`` inside
-cells and -1 outside, and compares the map with its shifted self: a pair is
-counted when both keys fall in the same cell, and a run continues only while
-the key stays equal. A key encodes the cell, so runs and pairs cannot cross
-from one cell into a touching one, nor into the background. One ``bincount``
-per offset (pairs) or direction (runs) then fills every cell's matrix. The
-per-cell ``glcm`` and ``glrlm`` run the same two counting kernels on the
-cell's bounding-box grid as a one-cell key map.
+The feature table does the pixel work for every cell of a sample at once.
+What depends only on the cell map is found once per sample: the index pairs
+of same-cell pixels at each offset (``_pairs``), and for each run direction
+the in-cell pixels in scan order with the places where the scan line breaks
+(``_scan_lines``, which lays columns and diagonals out as the rows of a
+sheared copy). Each channel then gives every in-cell pixel a key,
+``key = cell_rank * levels + bin``, so a key encodes the cell and runs and
+pairs cannot cross from one cell into a touching one, nor into the
+background. A channel's pair counts are one gather and one ``bincount``,
+and its runs are where the key changes along the scan (``_runs``): each
+run's end is the next run's start, so no sort is needed. Of the run counts
+the table keeps the two marginals its formulas read, each counted by one
+``bincount``. The per-cell ``glcm`` and ``glrlm`` run the same kernels on
+the cell's bounding-box grid as a one-cell sample.
 
 The feature formulas also run for all cells at once (``_first_order_block``,
 ``_glcm_block``, ``_glrlm_block``), and the public one-cell
@@ -325,47 +330,91 @@ def _boundary_edges(cells: np.ndarray, n_cells: int) -> np.ndarray:
     return edges
 
 
-def _pair_counts(keys: np.ndarray, n_cells: int, levels: int, offsets: tuple) -> np.ndarray:
-    """Co-occurrence counts, shape (n_cells, levels, levels), from a key map.
+def _pairs(cells: np.ndarray, pixel: np.ndarray, offsets: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel indices (first, second) of every pair of pixels in one cell, over all offsets.
 
-    ``keys`` holds ``cell_rank * levels + bin`` inside cells and -1 outside;
-    a pixel pair counts only when both keys fall in the same cell.
+    ``cells`` holds a cell rank inside cells and -1 outside, ``pixel`` each
+    in-cell pixel's index into the per-pixel arrays. The second pixel of a
+    pair lies at offset (dr, dc) from the first; offsets are concatenated
+    in order, so a repeated offset counts its pairs twice.
     """
-    counts = np.zeros(n_cells * levels * levels, dtype=np.int64)
-    inside = keys >= 0
-    cell = keys // levels
+    inside = cells >= 0
+    first, second = [], []
     for dr, dc in offsets:
-        other = _neighbor(keys, dr, dc)
-        same = inside & (cell == other // levels)
-        counts += np.bincount(keys[same] * levels + other[same] % levels, minlength=counts.size)
-    return counts.reshape(n_cells, levels, levels)
+        same = inside & (cells == _neighbor(cells, dr, dc))
+        first.append(pixel[same])
+        second.append(_neighbor(pixel, dr, dc)[same])
+    return np.concatenate(first), np.concatenate(second)
 
 
-def _run_counts(keys: np.ndarray, n_cells: int, levels: int, direction: tuple) -> np.ndarray:
-    """Run-length counts, shape (n_cells, levels, longest run), along one direction.
+def _pair_counts(keys: np.ndarray, pairs: tuple, n_rows: int, levels: int) -> np.ndarray:
+    """Co-occurrence counts, shape (n_rows, levels, levels), of the pixel pairs ``pairs``.
 
-    A run is a maximal line of equal keys (see ``_pair_counts``), so it ends
-    at a gray-level change and at the cell boundary. Opposite directions scan
-    the same runs, so each direction is reduced to its canonical orientation.
-    The length axis is as long as the longest run in the map.
+    ``keys`` holds each pixel's ``row * levels + bin``; both pixels of a pair
+    lie in one cell, so a pair counts towards the first pixel's row.
+    """
+    first, second = pairs
+    codes = keys[first] * levels + keys[second] % levels
+    return np.bincount(codes, minlength=n_rows * levels * levels).reshape(n_rows, levels, levels)
+
+
+def _scan_lines(pixel: np.ndarray, direction: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """In-cell pixel indices in the order a scan along ``direction`` meets
+    them, and for each whether it begins a stretch: the pixel before it on
+    its scan line is outside every cell or off the image.
+
+    Opposite directions scan the same lines, so each direction is reduced to
+    its canonical orientation. Rows are scanned on ``pixel`` itself; columns
+    and diagonals on a copy sheared so each line is one of its rows (for
+    columns, the transpose). Each line is led by a -1, which begins a
+    stretch at every line start.
     """
     dr, dc = direction
     if dr < 0 or (dr == 0 and dc < 0):
         dr, dc = -dr, -dc
     if (dr, dc) not in RUN_DIRECTIONS:
         raise RadiomicsError(f"unsupported run direction {direction}; use unit steps")
-    inside = keys >= 0
-    sr, sc = np.nonzero(inside & (keys != _neighbor(keys, -dr, -dc)))
-    er, ec = np.nonzero(inside & (keys != _neighbor(keys, dr, dc)))
-    # Row-major order already sorts each scan line by position along it, so a
-    # stable sort by scan line pairs the k-th run start with the k-th run end.
-    start = np.argsort(dr * sc - dc * sr, kind="stable")
-    end = np.argsort(dr * ec - dc * er, kind="stable")
-    sr, sc, er, ec = sr[start], sc[start], er[end], ec[end]
-    lengths = (er - sr if dr else ec - sc) + 1
-    longest = int(lengths.max()) if len(lengths) else 1
-    codes = keys[sr, sc] * longest + lengths - 1
-    return np.bincount(codes, minlength=n_cells * levels * longest).reshape(n_cells, levels, longest)
+    h, w = pixel.shape
+    if dr == 0:
+        lines = np.full((h, w + 1), -1)
+        lines[:, 1:] = pixel
+    else:
+        # Line c - dc * r, shifted to start at 0, holds pixel (r, c) at position r + 1.
+        r, c = np.ogrid[:h, :w]
+        lines = np.full((w + (h - 1) * abs(dc), h + 1), -1)
+        lines[c - dc * r + (h - 1) * (dc > 0), r + 1] = pixel
+    flat = lines.ravel()
+    at = np.flatnonzero(flat >= 0)
+    return flat[at], flat[at - 1] < 0
+
+
+def _scan(pixel: np.ndarray, directions: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan_lines`` of every direction, concatenated in order."""
+    lines = [_scan_lines(pixel, d) for d in directions] or [(np.empty(0, np.int64), np.empty(0, bool))]
+    return np.concatenate([order for order, _ in lines]), np.concatenate([begins for _, begins in lines])
+
+
+def _runs(keys: np.ndarray, begins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, length) of every run of ``keys`` (pixels in scan order), in order.
+
+    A run is a maximal stretch of equal keys, so it ends at a gray-level
+    change and at the cell boundary; ``begins`` marks where the scan itself
+    breaks, its first pixel included. A run's end is the next run's start,
+    so no sort is needed.
+    """
+    start = begins.copy()
+    start[1:] |= keys[1:] != keys[:-1]
+    at = np.flatnonzero(start)
+    return keys[at], np.diff(at, append=len(keys))
+
+
+def _grid_maps(q: QuantizedRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cell map, pixel map, keys) of a quantized cell as a one-cell sample on its bounding-box grid."""
+    grid, _, _ = q.grid()
+    inside = grid >= 0
+    pixel = np.full(grid.shape, -1)
+    pixel[inside] = np.arange(int(inside.sum()))
+    return np.where(inside, 0, -1), pixel, grid[inside]
 
 
 def _glcm_probabilities(counts: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +434,8 @@ def glcm(q: QuantizedRegion, offsets: tuple = DEFAULT_OFFSETS, symmetric: bool =
     accumulate over all offsets; with ``symmetric`` the transpose is added
     before normalizing by the total pair count.
     """
-    grid, _, _ = q.grid()
-    P, total = _glcm_probabilities(_pair_counts(grid, 1, q.levels, offsets), symmetric)
+    cells, pixel, keys = _grid_maps(q)
+    P, total = _glcm_probabilities(_pair_counts(keys, _pairs(cells, pixel, offsets), 1, q.levels), symmetric)
     if total[0] == 0:
         raise DegenerateRegionError("no valid pixel pairs for GLCM")
     return GlcmMatrix(P=P[0], offsets=tuple(offsets), symmetric=symmetric)
@@ -440,12 +489,13 @@ def glrlm(q: QuantizedRegion, directions: tuple = DEFAULT_OFFSETS) -> GlrlmMatri
     given directions; pass a single direction for a per-direction matrix.
     The length axis ends at the longest run.
     """
-    grid, _, _ = q.grid()
-    per_direction = [_run_counts(grid, 1, q.levels, d)[0] for d in directions]
-    R = np.zeros((q.levels, max((r.shape[1] for r in per_direction), default=1)))
-    for r in per_direction:
-        R[:, : r.shape[1]] += r
-    return GlrlmMatrix(R=R, directions=tuple(directions), n_runs=int(R.sum()))
+    _, pixel, keys = _grid_maps(q)
+    order, begins = _scan(pixel, directions)
+    # Every direction's scan begins a run, so runs of all directions are found at once.
+    grays, lengths = _runs(keys[order], begins)
+    longest = int(lengths.max()) if len(lengths) else 1
+    R = np.bincount(grays * longest + lengths - 1, minlength=q.levels * longest).reshape(q.levels, longest)
+    return GlrlmMatrix(R=R.astype(np.float64), directions=tuple(directions), n_runs=int(R.sum()))
 
 
 def glrlm_features(m: GlrlmMatrix, n_pixels: int) -> dict:
@@ -495,10 +545,9 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     percentage within [0, 1]. A cell/channel whose texture is degenerate
     (e.g. a single-pixel cell has no pixel pairs) gets NaN for that feature
     family plus a warning; cells are never dropped. Pixel pairs and runs are
-    counted for all cells of a channel at once on a key map, and the feature
-    formulas run for all cells at once, first-order for all selected channels
-    together (see the module docstring); each cell's GLRLM is cut after its
-    own longest run.
+    counted, and the texture formulas run, for all cells of a channel at
+    once, first-order for all selected channels together (see the module
+    docstring); each cell's GLRLM is cut after its own longest run.
     """
     config = config or RadiomicsConfig()
     stack, mask = sample.stack, sample.mask
@@ -541,20 +590,25 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
     first_order = _first_order_block(values, bounds)
     min_col, max_col = FIRST_ORDER_NAMES.index("min"), FIRST_ORDER_NAMES.index("max")
 
-    # Pairs and runs are counted and the GLCM features computed one channel at
-    # a time, so one channel's (cells, L, L) matrices are alive at once; all
-    # channels together raised the cli_chain benchmark's peak RSS by about
-    # 0.8 MB. Of the run counts only the marginals are kept, and the GLRLM
-    # formulas run once for the sample.
-    levels = config.levels
+    # The same-cell pixel pairs and the scan order depend only on the cell
+    # map, so they are found once for the sample. Pairs and runs are counted
+    # and the texture formulas run one channel at a time, so one channel's
+    # (cells, L, L) matrices and run marginals are alive at once; all
+    # channels together raised the cli_chain benchmark's peak RSS. Of the run
+    # counts only the two marginals the formulas read are counted.
+    levels, offsets = config.levels, config.offsets
+    pixel = np.full_like(cells, -1)
+    pixel[rows_all, cols_all] = np.arange(len(rows_all))
+    pairs = _pairs(cells, pixel, offsets)
+    order, begins = _scan(pixel, offsets)
+    rows = len(offsets) * n
     texture = np.full((len(selected), n, len(GLCM_NAMES)), math.nan)
-    by_length, by_gray = [], []
+    runs = np.empty((len(selected), n, len(GLRLM_NAMES)))
     for c, antigen in enumerate(selected):
-        keys = np.full_like(cells, -1)
-        keys[rows_all, cols_all] = rank * levels + _bins(
+        keys = rank * levels + _bins(
             values[c], first_order[c, rank, min_col], first_order[c, rank, max_col], levels
         )
-        P, pair_totals = _glcm_probabilities(_pair_counts(keys, n, levels, config.offsets), config.symmetric)
+        P, pair_totals = _glcm_probabilities(_pair_counts(keys, pairs, n, levels), config.symmetric)
         paired = pair_totals > 0
         for idx in np.flatnonzero(~paired).tolist():
             warnings.warn(
@@ -562,23 +616,18 @@ def radiomic_feature_table(sample: Sample, config: RadiomicsConfig | None = None
                 f"no valid pixel pairs, GLCM features set to NaN"
             )
         texture[c, paired] = _glcm_block(P[paired])
-        for direction in config.offsets:
-            counts = _run_counts(keys, n, levels, direction)
-            by_length.append(counts.sum(axis=1))
-            by_gray.append(counts.sum(axis=2))
-
-    width = max((b.shape[1] for b in by_length), default=1)
-    lengths = np.zeros((len(by_length), n, width), dtype=np.int64)
-    for k, b in enumerate(by_length):
-        lengths[k, :, : b.shape[1]] = b
-    lengths = lengths.reshape(-1, width)
-    grays = np.array(by_gray).reshape(-1, levels)
-    # Each cell's run-length axis ends at its own longest run.
-    longest = width - np.argmax(lengths[:, ::-1] > 0, axis=1)
-    per_direction = _glrlm_block(lengths, grays, longest, grays.sum(axis=1), np.tile(sizes, len(by_length)))
-    per_direction = per_direction.reshape(len(selected), len(config.offsets), n, len(GLRLM_NAMES))
-    # Directions are added in order, as the one-cell average over directions adds them.
-    runs = sum(per_direction[:, d] for d in range(len(config.offsets))) / len(config.offsets)
+        # Direction d's runs count towards row d * n + cell, so directions never share a row.
+        scanned = keys[order].reshape(len(offsets), -1)
+        scanned += np.arange(len(offsets))[:, None] * (n * levels)
+        grays, lengths = _runs(scanned.ravel(), begins)
+        width = int(lengths.max())
+        by_length = np.bincount(grays // levels * width + lengths - 1, minlength=rows * width).reshape(rows, width)
+        by_gray = np.bincount(grays, minlength=rows * levels).reshape(rows, levels)
+        # Each cell's run-length axis ends at its own longest run.
+        longest = width - np.argmax(by_length[:, ::-1] > 0, axis=1)
+        per_direction = _glrlm_block(by_length, by_gray, longest, by_gray.sum(axis=1), np.tile(sizes, len(offsets)))
+        # Directions are added in order, as the one-cell average over directions adds them.
+        runs[c] = sum(per_direction.reshape(len(offsets), n, -1)) / len(offsets)
 
     block = np.concatenate([first_order, texture, runs], axis=2)
     features[:, len(SHAPE_NAMES) if config.shape else 0 :] = block.transpose(1, 0, 2).reshape(n, -1)

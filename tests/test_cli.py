@@ -520,6 +520,20 @@ def test_reduce_unlabelled_table_exits_1_naming_the_split(tmp_path, capsys, meth
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, message", [
+    ("none", "none cannot pass on a 20x0 table: it needs at least 1 column"),
+    ("pca", "pca cannot embed a 20x0 table in d=16: it needs at least 2 rows and 1 column"),
+])
+def test_reduce_table_without_feature_columns_exits_1_naming_its_shape(tmp_path, capsys, method, message):
+    # none once wrote a 20x0 table that graph, train and baseline could only refuse later
+    features = _write_rows(tmp_path / "keys.csv", "cell_id,sample_id,cx,cy,label",
+                           [f"{i},s01,{i}.0,0.0,{i % 2}" for i in range(1, 21)])
+    out = tmp_path / "red.csv"
+    assert main(["reduce", "--method", method, "--in", features, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: reduce: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method, config", [
     ("none", None), ("pca", None), ("tsne", {"perplexity": 5, "n_iters": 50}),
     ("umap", {"n_neighbors": 5, "n_epochs": 20}),

@@ -13,6 +13,7 @@ from cellgraph.dataset import (
     Open,
     cell_pixels,
     check_field,
+    format_float,
     load_dataset,
     load_manifest,
     pool_tables,
@@ -255,8 +256,14 @@ def test_feature_csv_round_trip_exact(tmp_path):
         features=rng.normal(size=(5, 3)) * rng.uniform(1e-8, 1e8, (5, 3)),
         feature_names=["a", "b", "c"],
     )
+    table.features[0] = [0.0, -0.0, 5e-324]
     path = str(tmp_path / "t.csv")
     write_feature_csv(path, table)
+    # a row is formatted at once; each field is still format_float's text
+    for i, line in enumerate(open(path).read().splitlines()[1:]):
+        values = [*table.centroids[i], *table.features[i]]
+        assert line.split(",") == [str(i + 1), "s01", *map(format_float, values[:2]), str(table.labels[i]),
+                                   *map(format_float, values[2:])]
     back = read_feature_csv(path)
     np.testing.assert_array_equal(back.cell_ids, table.cell_ids)
     np.testing.assert_array_equal(back.labels, table.labels)

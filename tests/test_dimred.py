@@ -162,6 +162,11 @@ def test_reduce_features_refuses_a_table_with_no_width_to_embed(method, shape):
         reduce_features(np.ones(shape), method, 16)
 
 
+def test_reduce_features_none_refuses_a_table_with_no_columns():
+    with pytest.raises(DimRedError, match=r"^none cannot pass on a 5x0 table: it needs at least 1 column$"):
+        reduce_features(np.ones((5, 0)), "none", 16)
+
+
 # ---------------------------------------------------------------------------
 # t-SNE
 

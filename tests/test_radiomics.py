@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cellgraph import radiomics
 from cellgraph.dataset import write_feature_csv
 from cellgraph.radiomics import (
     FIRST_ORDER_NAMES,
@@ -130,6 +131,104 @@ def glrlm_feature_oracle(R, n_pixels):
         "glrlm_rln": rln / nr,
         "glrlm_rp": nr / n_pixels,
     }
+
+
+# ---------------------------------------------------------------------------
+# frozen sort-based counters: the library once counted pairs with a shifted
+# copy of each channel's key map and runs with two stable sorts per channel
+# and direction; its scan-order counts must equal these
+
+
+UNIT_STEPS = ((0, 1), (1, 0), (1, 1), (1, -1), (0, -1), (-1, 0), (-1, -1), (-1, 1))
+
+
+def shifted(keys, dr, dc):
+    """Map holding each pixel's neighbour at offset (dr, dc); -1 off the image."""
+    h, w = keys.shape
+    out = np.full_like(keys, -1)
+    r0, r1 = max(0, -dr), min(h, h - dr)
+    c0, c1 = max(0, -dc), min(w, w - dc)
+    if r0 < r1 and c0 < c1:
+        out[r0:r1, c0:c1] = keys[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
+    return out
+
+
+def sorted_pair_counts(keys, n_cells, levels, offsets):
+    counts = np.zeros(n_cells * levels * levels, dtype=np.int64)
+    inside = keys >= 0
+    cell = keys // levels
+    for dr, dc in offsets:
+        other = shifted(keys, dr, dc)
+        same = inside & (cell == other // levels)
+        counts += np.bincount(keys[same] * levels + other[same] % levels, minlength=counts.size)
+    return counts.reshape(n_cells, levels, levels)
+
+
+def sorted_run_counts(keys, n_cells, levels, direction):
+    dr, dc = direction
+    if dr < 0 or (dr == 0 and dc < 0):
+        dr, dc = -dr, -dc
+    inside = keys >= 0
+    sr, sc = np.nonzero(inside & (keys != shifted(keys, -dr, -dc)))
+    er, ec = np.nonzero(inside & (keys != shifted(keys, dr, dc)))
+    start = np.argsort(dr * sc - dc * sr, kind="stable")
+    end = np.argsort(dr * ec - dc * er, kind="stable")
+    sr, sc, er, ec = sr[start], sc[start], er[end], ec[end]
+    lengths = (er - sr if dr else ec - sc) + 1
+    longest = int(lengths.max()) if len(lengths) else 1
+    codes = keys[sr, sc] * longest + lengths - 1
+    return np.bincount(codes, minlength=n_cells * levels * longest).reshape(n_cells, levels, longest)
+
+
+@st.composite
+def key_maps(draw):
+    """(key map, cell count, levels): key = cell rank * levels + bin inside cells, -1 outside."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    labels = draw(arrays(np.int64, (h, w), elements=st.integers(0, 5)))  # touching cells, single pixels
+    labels[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = draw(st.integers(1, 5))
+    levels = draw(st.sampled_from([2, 3, 16]))
+    bins = draw(arrays(np.int64, (h, w), elements=st.integers(0, levels - 1)))
+    ids = np.unique(labels[labels > 0])
+    keys = np.where(labels > 0, np.searchsorted(ids, labels) * levels + bins, -1)
+    return keys, len(ids), levels
+
+
+def scan_counts(keys, n_cells, levels, offsets, direction):
+    """Pair counts over ``offsets`` and run counts along ``direction`` from the library's kernels."""
+    inside = keys >= 0
+    cells = np.where(inside, keys // levels, -1)
+    pixel = np.full(keys.shape, -1)
+    pixel[inside] = np.arange(int(inside.sum()))
+    pixel_keys = keys[inside]
+    pairs = radiomics._pair_counts(pixel_keys, radiomics._pairs(cells, pixel, offsets), n_cells, levels)
+    order, begins = radiomics._scan_lines(pixel, direction)
+    grays, lengths = radiomics._runs(pixel_keys[order], begins)
+    longest = int(lengths.max())
+    runs = np.bincount(grays * longest + lengths - 1, minlength=n_cells * levels * longest)
+    return pairs, runs.reshape(n_cells, levels, longest)
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([[0, 0, 1, -1, 2, 3, 3, 3]]),  # 1 x w: touching cells, a gap, a single pixel
+    np.array([[0], [0], [1], [-1], [2], [3], [3]]),  # h x 1
+    np.array([[0, 0, 2, -1, 4], [1, 0, 3, 3, -1], [-1, 5, 5, 4, 4]]),  # 3 x 5, two levels
+])
+def test_scan_counts_equal_sorted_counts_on_thin_and_wide_maps(keys):
+    levels = 2
+    n_cells = int(keys.max()) // levels + 1
+    for direction in UNIT_STEPS:
+        pairs, runs = scan_counts(keys, n_cells, levels, UNIT_STEPS, direction)
+        np.testing.assert_array_equal(pairs, sorted_pair_counts(keys, n_cells, levels, UNIT_STEPS))
+        np.testing.assert_array_equal(runs, sorted_run_counts(keys, n_cells, levels, direction))
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_maps(), st.lists(st.sampled_from(UNIT_STEPS), min_size=1, max_size=4), st.sampled_from(UNIT_STEPS))
+def test_scan_counts_equal_sorted_counts(key_map, offsets, direction):
+    keys, n_cells, levels = key_map
+    pairs, runs = scan_counts(keys, n_cells, levels, offsets, direction)
+    np.testing.assert_array_equal(pairs, sorted_pair_counts(keys, n_cells, levels, offsets))
+    np.testing.assert_array_equal(runs, sorted_run_counts(keys, n_cells, levels, direction))
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +840,7 @@ def labelled_samples(draw):
     names = st.sampled_from(["ag01", "ag02", "ag03"])
     config = RadiomicsConfig(
         levels=draw(st.sampled_from([2, 8, 16])),
+        offsets=tuple(draw(st.lists(st.sampled_from(UNIT_STEPS), min_size=1, max_size=4))),  # repeats allowed
         channels=draw(st.none() | st.lists(names, unique=True, min_size=0 if shape else 1)),
         symmetric=draw(st.booleans()),
         shape=shape,
@@ -752,6 +852,18 @@ def labelled_samples(draw):
 @given(labelled_samples())
 def test_table_bytes_match_per_cell_oracles(sample_and_config):
     assert_table_matches_reference(*sample_and_config)
+
+
+def test_table_bytes_and_warnings_with_repeated_and_diagonal_offsets():
+    mask_values = np.array([[1, 1, 0, 2], [1, 1, 0, 0], [0, 3, 3, 0], [4, 3, 3, 0]], dtype=np.uint32)
+    rng = np.random.default_rng(41)
+    sample = make_sample([rng.integers(0, 65536, mask_values.shape) for _ in range(5)], mask_values)
+    config = RadiomicsConfig(offsets=((0, 1), (-1, 1), (0, 1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        radiomic_feature_table(sample, config)
+    assert len(caught) == 5 * 2  # cells 2 and 4 hold one pixel: no pairs in any channel
+    assert_table_matches_reference(sample, config)
 
 
 # SHA-256 of the concatenated feature bytes of every sample's table (default
